@@ -23,7 +23,7 @@ print(f"  lambda = {left.lam},  a = {left.a},  C = {left.C},  b = {left.b:.4f}")
 print(f"  t1 = {right.t1:.3e},  b3 = {right.b3:.6e}")
 print(f"  beta = {right.beta:.3e},  rho = {right.rho:.3e}  (beta*rho = {right.beta * right.rho:.4f})")
 
-bc = check_bc(pair)
+bc = check_bc(res.measurement.jets, left, right, pair.eps_b2)
 print("\nnine interface clauses")
 for name, clause in bc.clauses.items():
     rel = "<=" if clause["one_sided"] else "=="

@@ -29,6 +29,13 @@ All three vanish identically on exact fiber arcs with a constant collar
 radius, which is what makes the arc tail the clean end geometry.  The "unit"
 margin equals (mean curvature) * E * sqrt(D) pointwise wherever D > 0, which
 is asserted as the cross-consistency identity.
+
+The certificate's sample checks read their pieces from here, all on a
+profile already sampled on the check grid: ``neck_margins`` (every variant's
+A - B) and ``interface_forms`` / ``interface_checks`` (the gluing forms at the
+end samples).  ``bulk_patch`` is the one neck-bulk metric, composed from
+``charts.cylinder_patch`` and ``charts.product_line_patch``; it serves both
+the bulk scalar-curvature samples and ``oracle_boundary_mean_curvature``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -44,7 +51,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .caps import BlockDiagonalForm, perelman_form_check, COEFF_TOL
 from .oracle import MetricPatch, GraphHypersurface, numeric_second_fundamental_form
-from .charts import ANGLE_BOX, POLE_MARGIN, _unit_sphere_diag
+from .charts import (ANGLE_BOX, POLE_MARGIN, _unit_sphere_diag, cylinder_patch,
+                     product_line_patch)
 from .warped import WarpedJet
 
 __all__ = [
@@ -52,27 +60,40 @@ __all__ = [
     "MeanCurvatureReport",
     "build_curve",
     "ab_terms",
+    "neck_margins",
     "z3_mean_curvature",
     "z3_mean_curvature_from_pair",
     "z2_mean_curvature",
     "z2_patch",
     "interface_forms",
     "interface_checks",
+    "bulk_patch",
     "oracle_boundary_mean_curvature",
 ]
 
 D_FLOOR = 1e-12
+MC_VARIANTS = ("reported", "curvature", "unit")
 
 
 class CurveDomainError(ValueError):
     """Fiber radius incompatible with the ambient sphere (arcsin domain)."""
 
 
-def _d_and_e(f, f1, bN):
+def _phase_gap(f, f1, bN):
+    """(D, E) with E = 1 - (f/bN)^2 and D = E - f'^2 clamped at 0.
+
+    Rejects fiber radii at or beyond bN and phase gaps below -1e-9.
+    """
+    if np.any(f >= bN):
+        raise CurveDomainError(
+            f"fiber radius reaches the ambient scale beta*N={bN}; increase beta")
     ratio = f / bN
     E = 1.0 - ratio * ratio
     D = E - f1 * f1
-    return D, E
+    if np.any(D < -1e-9):
+        raise CurveDomainError(
+            f"profile leaves the cylinder-graph domain (min D = {np.min(D):.3e})")
+    return np.maximum(D, 0.0), E
 
 
 @dataclass(frozen=True)
@@ -113,14 +134,7 @@ def build_curve(pair, beta: float, N: float, grid_n: int = 2048,
     f = pair.f(t)
     f1 = pair.f1(t)
     f2 = pair.f2(t)
-    if np.any(f >= bN):
-        raise CurveDomainError(
-            f"fiber radius reaches the ambient scale beta*N={bN}; increase beta")
-    D, E = _d_and_e(f, f1, bN)
-    if np.any(D < -1e-9):
-        raise CurveDomainError(
-            f"profile leaves the cylinder-graph domain (min D = {D.min():.3e})")
-    D = np.maximum(D, 0.0)
+    D, E = _phase_gap(f, f1, bN)
     mask = D > d_floor
     if not np.any(mask):
         raise CurveDomainError(
@@ -156,12 +170,7 @@ def ab_terms(jet: WarpedJet, beta: float, N: float, p: int, q: int,
     f2 = np.asarray(jet.f2, dtype=float)
     h = np.asarray(jet.h, dtype=float)
     h1 = np.asarray(jet.h1, dtype=float)
-    if np.any(f >= bN):
-        raise CurveDomainError(f"fiber radius must stay below beta*N={bN}")
-    D, E = _d_and_e(f, f1, bN)
-    if np.any(D < -1e-9):
-        raise CurveDomainError(f"negative phase gap (min D = {np.min(D):.3e})")
-    D = np.maximum(D, 0.0)
+    D, E = _phase_gap(f, f1, bN)
     F = bN * np.arcsin(f / bN)
     cot = np.cos(F / bN) / np.sin(F / bN)
     bracket = f2 * E + f1 * f1 * f / bN ** 2
@@ -179,65 +188,57 @@ def ab_terms(jet: WarpedJet, beta: float, N: float, p: int, q: int,
     return A, B
 
 
+def neck_margins(jet: WarpedJet, beta: float, N: float, p: int, q: int) -> dict:
+    """The margin A - B of every variant, keyed by variant name."""
+    margins = {}
+    for variant in MC_VARIANTS:
+        A, B = ab_terms(jet, beta, N, p, q, variant=variant)
+        margins[variant] = A - B
+    return margins
+
+
 @dataclass(frozen=True)
 class MeanCurvatureReport:
-    """Per-grid-point principal curvatures and margins over the neck."""
+    """Per-grid-point principal curvatures and margins (variant -> A - B) over the neck."""
 
     t: np.ndarray
     curve_pc: np.ndarray
     sphere_p_pc: np.ndarray
     sphere_q_pc: np.ndarray
     mean_curvature: np.ndarray
-    A_reported: np.ndarray
-    B_reported: np.ndarray
-    A_curvature: np.ndarray
-    B_curvature: np.ndarray
-    A_unit: np.ndarray
-    B_unit: np.ndarray
+    margins: dict
     degenerate: np.ndarray
     tol: float
 
-    @property
-    def margin_reported(self):
-        return self.A_reported - self.B_reported
-
-    @property
-    def margin_curvature(self):
-        return self.A_curvature - self.B_curvature
-
-    @property
-    def margin_unit(self):
-        return self.A_unit - self.B_unit
+    def margin_min(self, variant: str) -> float:
+        return float(np.min(self.margins[variant]))
 
     @property
     def margin_min_reported(self) -> float:
-        return float(np.min(self.margin_reported))
+        return self.margin_min("reported")
 
     @property
     def margin_min_curvature(self) -> float:
-        return float(np.min(self.margin_curvature))
+        return self.margin_min("curvature")
 
     @property
     def margin_min_unit(self) -> float:
-        return float(np.min(self.margin_unit))
+        return self.margin_min("unit")
 
     def passed(self, variant: str = "reported") -> bool:
-        m = getattr(self, f"margin_min_{variant}")
-        return m >= -self.tol
+        return self.margin_min(variant) >= -self.tol
 
     def sign_consistent(self, atol: float = 1e-9) -> bool:
         """Mean curvature and the unit-normalized margin agree in sign everywhere."""
         mc = self.mean_curvature
-        mg = self.margin_unit
+        mg = self.margins["unit"]
         ok = ~((mc > atol) & (mg < -atol)) & ~((mc < -atol) & (mg > atol))
         return bool(np.all(ok | self.degenerate))
 
     def to_json(self) -> str:
         return json.dumps({
             "tol": self.tol,
-            "margin_min": {"reported": self.margin_min_reported,
-                           "curvature": self.margin_min_curvature,
-                           "unit": self.margin_min_unit},
+            "margin_min": {v: self.margin_min(v) for v in MC_VARIANTS},
             "mean_curvature_min": float(np.min(self.mean_curvature)),
             "degenerate_samples": int(np.sum(self.degenerate)),
             "samples": int(self.t.size),
@@ -246,8 +247,7 @@ class MeanCurvatureReport:
     def to_csv(self) -> str:
         cols = np.column_stack([
             self.t, self.curve_pc, self.sphere_p_pc, self.sphere_q_pc,
-            self.mean_curvature, self.margin_reported, self.margin_curvature,
-            self.margin_unit])
+            self.mean_curvature, *(self.margins[v] for v in MC_VARIANTS)])
         buf = io.StringIO()
         buf.write("t,curve_pc,sphere_p_pc,sphere_q_pc,mean_curvature,"
                   "margin_reported,margin_curvature,margin_unit\n")
@@ -265,11 +265,8 @@ def z3_mean_curvature(curve: CurveEmbedding, pair, p: int, q: int,
     """
     t = curve.t
     bN = curve.bN
-    f = pair.f(t)
-    f1 = pair.f1(t)
-    f2 = pair.f2(t)
-    h = pair.h(t)
-    h1 = pair.h1(t)
+    jets = pair.jets(t)
+    f, f1, f2, h, h1 = jets.f, jets.f1, jets.f2, jets.h, jets.h1
     D, E = curve.D, curve.E
     mask = curve.mask
     bracket = f2 * E + f1 * f1 * f / bN ** 2
@@ -286,14 +283,10 @@ def z3_mean_curvature(curve: CurveEmbedding, pair, p: int, q: int,
     irregular = (~mask) & ((np.abs(bracket) > 1e-9) | (np.abs(h1) * np.abs(f1) > 1e-9))
     mc = curve_pc + (p - 1) * sphere_p + (q - 1) * sphere_q
 
-    jets = WarpedJet(t=t, f=f, f1=f1, f2=f2, h=h, h1=h1, h2=pair.h2(t))
-    A_p, B_p = ab_terms(jets, curve.beta, curve.N, p, q, variant="reported")
-    A_c, B_c = ab_terms(jets, curve.beta, curve.N, p, q, variant="curvature")
-    A_u, B_u = ab_terms(jets, curve.beta, curve.N, p, q, variant="unit")
     return MeanCurvatureReport(
         t=t, curve_pc=curve_pc, sphere_p_pc=sphere_p, sphere_q_pc=sphere_q,
-        mean_curvature=mc, A_reported=A_p, B_reported=B_p, A_curvature=A_c,
-        B_curvature=B_c, A_unit=A_u, B_unit=B_u, degenerate=irregular, tol=tol)
+        mean_curvature=mc, margins=neck_margins(jets, curve.beta, curve.N, p, q),
+        degenerate=irregular, tol=tol)
 
 
 def z3_mean_curvature_from_pair(pair, p: int, q: int, tol: float = 1e-9,
@@ -307,35 +300,32 @@ def z3_mean_curvature_from_pair(pair, p: int, q: int, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 
 
-def interface_forms(pair, p: int = 2, q: int = 2) -> tuple:
+def interface_forms(jets: WarpedJet, p: int, q: int) -> tuple:
     """Second fundamental forms of the neck boundary slices at a3 and b3.
 
-    Both are block diagonal over (S^{q-1}, S^{p-1}); the a3-form uses the
-    inward normal of the neck (so the collar and fiber coefficients carry a
-    minus sign), the b3-form the outward one, matching the gluing convention
-    where the two sides' forms are summed.
+    ``jets`` is the profile sampled from a3 to b3; only its end samples are
+    read.  Both forms are block diagonal over (S^{q-1}, S^{p-1}); the a3-form
+    uses the inward normal of the neck (so the collar and fiber coefficients
+    carry a minus sign), the b3-form the outward one, matching the gluing
+    convention where the two sides' forms are summed.
     """
-    a3, b3 = pair.a3, pair.b3
-    II_a3 = BlockDiagonalForm((
-        (-float(pair.h1(a3)) / float(pair.h(a3)), q - 1),
-        (-float(pair.f1(a3)) / float(pair.f(a3)), p - 1),
-    ))
-    II_b3 = BlockDiagonalForm((
-        (float(pair.h1(b3)) / float(pair.h(b3)), q - 1),
-        (float(pair.f1(b3)) / float(pair.f(b3)), p - 1),
-    ))
+    II_a3 = BlockDiagonalForm(((-float(jets.h1[0]) / float(jets.h[0]), q - 1),
+                               (-float(jets.f1[0]) / float(jets.f[0]), p - 1)))
+    II_b3 = BlockDiagonalForm(((float(jets.h1[-1]) / float(jets.h[-1]), q - 1),
+                               (float(jets.f1[-1]) / float(jets.f[-1]), p - 1)))
     return II_a3, II_b3
 
 
-def interface_checks(pair, p: int = 2, q: int = 2, tol: float = COEFF_TOL) -> bool:
-    """Both gluing admissibility checks at the ends of the neck.
+def interface_checks(jets: WarpedJet, left, right, p: int, q: int,
+                     tol: float = COEFF_TOL) -> bool:
+    """Both gluing admissibility checks at the ends of a sampled neck.
 
     At a3 the other side is the taper collar with form (lambda/alpha) I on
     the collar block and zero on the fiber block; at b3 it is the embedded
     cap product whose only nonzero block is -cot(R/N)/(beta N) on the fiber.
+    ``left`` and ``right`` are the profile's LeftParams and RightParams.
     """
-    left, right = pair.left, pair.right
-    II_a3, II_b3 = interface_forms(pair, p, q)
+    II_a3, II_b3 = interface_forms(jets, p, q)
     taper_side = BlockDiagonalForm(((left.lam / left.alpha, q - 1), (0.0, p - 1)))
     cap_side = BlockDiagonalForm((
         (0.0, q - 1),
@@ -358,32 +348,23 @@ def z2_patch(eps_profile, k: Callable, r: float, p: int, q: int) -> MetricPatch:
     fiber-radial coordinate s.  Coordinates: (t, s, p-1 fiber angles, q-1
     base angles).
     """
-    d = 2 + (p - 1) + (q - 1)
+    dp = 1 + p
     s_max = (math.pi - POLE_MARGIN) * r / math.sin(eps_profile.eps_end)
 
-    def g(x):
+    def fiber_g(x):
         x = np.asarray(x, dtype=float)
-        tt = x[..., 0]
-        s = x[..., 1]
-        ang_f = x[..., 2:2 + (p - 1)]
-        ang_b = x[..., 2 + (p - 1):]
-        eps = np.asarray(eps_profile.eps(tt))
-        se = np.sin(eps)
-        f = (r / se) * np.sin(s * se / r)
-        out = np.zeros(x.shape[:-1] + (d, d))
+        se = np.sin(np.asarray(eps_profile.eps(x[..., 0])))
+        f = (r / se) * np.sin(x[..., 1] * se / r)
+        out = np.zeros(x.shape[:-1] + (dp, dp))
         out[..., 0, 0] = 1.0
         out[..., 1, 1] = 1.0
-        fdiag = f[..., np.newaxis] ** 2 * _unit_sphere_diag(ang_f)
-        kdiag = np.asarray(k(tt))[..., np.newaxis] ** 2 * _unit_sphere_diag(ang_b)
-        i_f = np.arange(2, 2 + (p - 1))
-        i_b = np.arange(2 + (p - 1), d)
-        out[..., i_f, i_f] = fdiag
-        out[..., i_b, i_b] = kdiag
+        idx = np.arange(2, dp)
+        out[..., idx, idx] = f[..., np.newaxis] ** 2 * _unit_sphere_diag(x[..., 2:])
         return out
 
     domain = ((eps_profile.a2, eps_profile.b2), (1e-4, s_max)) \
-        + tuple(ANGLE_BOX for _ in range(d - 2))
-    return MetricPatch(dim=d, domain=domain, g=g)
+        + tuple(ANGLE_BOX for _ in range(p - 1))
+    return product_line_patch(k, q - 1, MetricPatch(dim=dp, domain=domain, g=fiber_g))
 
 
 @dataclass(frozen=True)
@@ -443,83 +424,64 @@ def z2_mean_curvature(eps_profile, k: Callable, r: float, p: int, q: int,
 # ---------------------------------------------------------------------------
 
 
+def bulk_patch(pair, p: int, q: int, d_min: float) -> tuple:
+    """The neck bulk: metric cylinder line x S^p(beta N) times the collar sphere.
+
+    Coordinates (t~, s, p-1 fiber angles, q-1 collar angles), with collar
+    radius h(t(t~)).  The map t~ -> t is Hermite-interpolated through the
+    1024-point boundary curve on the samples where D >= d_min, which also
+    bound the t~ range of the domain.  Returns (patch, curve, keep), where
+    ``keep`` indexes the curve samples used as interpolation nodes.
+    """
+    bN = pair.right.bN
+    curve = build_curve(pair, pair.right.beta, pair.right.N, grid_n=1024)
+    keep = np.flatnonzero(curve.D >= d_min)
+    if keep.size == 0:
+        raise ValueError("no well-conditioned samples on this profile")
+    keep = keep[np.concatenate([[True], np.diff(curve.t_tilde[keep]) > 1e-9])]
+    tt = curve.t_tilde[keep]
+    t_of_tt = CubicHermiteSpline(tt, curve.t[keep], np.sqrt(1.0 + curve.F1[keep] ** 2))
+    patch = product_line_patch(lambda x: pair.h(t_of_tt(x)), q - 1, cylinder_patch(p, bN))
+    domain = ((tt[0], tt[-1]), (1e-6 * bN, (math.pi - POLE_MARGIN) * bN)) + patch.domain[2:]
+    return replace(patch, domain=domain), curve, keep
+
+
 def oracle_boundary_mean_curvature(pair, p: int, q: int, n_points: int = 7,
                                    d_min: float = 0.02, step=None):
     """Mean curvature of the neck boundary via the generic oracle.
 
-    Builds the bulk patch (cylinder times warped collar sphere) and runs the
-    finite-difference second-fundamental-form computation at sample points
-    where the graph description is well conditioned (D >= d_min); the
-    vertical end regions cannot be differenced and are excluded.
+    Runs the finite-difference second-fundamental-form computation on the
+    :func:`bulk_patch` at sample points where the graph description is well
+    conditioned (D >= d_min); the vertical end regions cannot be differenced
+    and are excluded.
 
     Returns (t_samples, oracle_mc, closed_form_mc).
     """
-    right = pair.right
-    bN = right.bN
-    curve = build_curve(pair, right.beta, right.N, grid_n=1024)
-    healthy = curve.D >= d_min
-    if not np.any(healthy):
-        raise ValueError("no well-conditioned samples on this profile")
-    th = curve.t[healthy]
-    tth = curve.t_tilde[healthy]
+    patch, curve, keep = bulk_patch(pair, p, q, d_min)
+    bN = curve.bN
+    th = curve.t[keep]
+    tth = curve.t_tilde[keep]
     idx = np.unique(np.linspace(0, th.size - 1, n_points).astype(int))
-
-    # Collar radius as a function of t~ (Hermite in the healthy range).
-    uniq = np.concatenate([[True], np.diff(tth) > 1e-12])
-    tt_nodes = tth[uniq]
-    t_nodes = th[uniq]
-    dt_dtt = np.sqrt((1.0 + curve.F1[healthy][uniq] ** 2))
-    t_of_tt = CubicHermiteSpline(tt_nodes, t_nodes, dt_dtt)
-    F_of_tt = CubicHermiteSpline(tt_nodes, curve.F[healthy][uniq],
-                                 curve.F1[healthy][uniq])
-
-    def collar_radius(tt):
-        return pair.h(t_of_tt(np.asarray(tt, dtype=float)))
-
-    d = 2 + (p - 1) + (q - 1)
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        tt = x[..., 0]
-        s = x[..., 1]
-        ang_f = x[..., 2:2 + (p - 1)]
-        ang_b = x[..., 2 + (p - 1):]
-        out = np.zeros(x.shape[:-1] + (d, d))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        fdiag = (bN * np.sin(s / bN))[..., np.newaxis] ** 2 * _unit_sphere_diag(ang_f)
-        hdiag = np.asarray(collar_radius(tt))[..., np.newaxis] ** 2 * _unit_sphere_diag(ang_b)
-        i_f = np.arange(2, 2 + (p - 1))
-        i_b = np.arange(2 + (p - 1), d)
-        out[..., i_f, i_f] = fdiag
-        out[..., i_b, i_b] = hdiag
-        return out
-
-    patch = MetricPatch(
-        dim=d,
-        domain=((tt_nodes[0], tt_nodes[-1]),
-                (POLE_MARGIN * bN, (math.pi - POLE_MARGIN) * bN))
-        + tuple(ANGLE_BOX for _ in range(d - 2)),
-        g=g)
+    F_of_tt = CubicHermiteSpline(tth, curve.F[keep], curve.F1[keep])
 
     def height(xs):
         xs = np.asarray(xs, dtype=float)
         return F_of_tt(xs[..., 0])
 
     hyper = GraphHypersurface(axis=1, height=height, normal_sign=-1)
+    d = patch.dim
     angles = np.full(d - 2, math.pi / 2 + 0.1)
     if step is None:
         # metric varies on the scale bN along (t~, s) but O(1) in the angles
         step = np.concatenate([[1e-4 * bN, 1e-4 * bN], np.full(d - 2, 1e-3)])
 
-    rep_full = z3_mean_curvature(curve, pair, p, q)
-    mc_closed = rep_full.mean_curvature[healthy]
+    mc_closed = z3_mean_curvature(curve, pair, p, q).mean_curvature[keep]
 
     t_out, mc_oracle, mc_cf = [], [], []
     margin = 4.0 * float(np.max(np.atleast_1d(step)[:1]))
     for i in idx:
         tt0 = tth[i]
-        if not (tt_nodes[0] + margin < tt0 < tt_nodes[-1] - margin):
+        if not (tth[0] + margin < tt0 < tth[-1] - margin):
             continue
         base = np.concatenate([[tt0], angles])
         rep = numeric_second_fundamental_form(patch, hyper, base, step=step)

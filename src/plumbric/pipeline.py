@@ -3,9 +3,15 @@
 ``run_construction`` walks a plumbing tree root-to-leaf, builds one neck
 profile per vertex with :func:`plumbric.profiles.search_parameters`, derives
 the next vertex's embedding data from the accepted scales, and aggregates
-every check into a machine-readable certificate.  ``verify`` re-runs all
-sample-determined checks on stored profile files without reconstruction and
-is deterministic (byte-identical output on identical inputs).
+every check into a machine-readable certificate.
+
+The four sample-determined checks come from one kernel in
+:mod:`plumbric.profiles`: :func:`measure_profile` on the check-grid samples,
+then :func:`sample_verdict` with the config tolerances.  Construction judges
+the search's accepted measurement, adds the oracle-only checks (bulk scalar,
+taper, collar attachment) and writes its artifacts from the same samples.
+``verify`` parses stored artifacts and runs the same kernel, so its check
+records equal the constructing step's; its output is deterministic.
 """
 
 from __future__ import annotations
@@ -13,21 +19,21 @@ from __future__ import annotations
 import io
 import json
 import math
+import pathlib
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import BlockDiagonalForm, perelman_form_check
-from .charts import ANGLE_BOX, POLE_MARGIN, _unit_sphere_diag
-from .meancurv import (ab_terms, interface_checks, z2_mean_curvature,
-                       z3_mean_curvature_from_pair)
-from .oracle import MetricPatch, numeric_curvature
+from .meancurv import bulk_patch, z2_mean_curvature
+from .oracle import NonSPDMetricError, OracleDomainError, numeric_curvature
 from .plumbing import (EtaLedger, PlumbingTree, arf_invariant, boundary_sphere_test,
                        clutching_word, eta_ledger, fixed_point_count,
                        intersection_matrix, render_word)
-from .profiles import (EpsilonProfile, InfeasibleProfileError, search_parameters)
-from .warped import WarpedJet, doubly_warped_ricci
+from .profiles import (EpsilonProfile, InfeasibleProfileError, LeftParams,
+                       RightParams, check_record, jets_csv, measure_profile,
+                       sample_verdict, search_parameters)
+from .warped import WarpedJet
 
 __all__ = [
     "NiceCoordinateSpec",
@@ -116,55 +122,13 @@ def _merge_config(config: dict | None) -> dict:
     return cfg
 
 
-def _check(cid: str, passed: bool, value, tolerance, detail: str = "") -> dict:
-    return {"id": cid, "passed": bool(passed), "value": value,
-            "tolerance": tolerance, "detail": detail}
-
-
-def _bulk_patch(pair, p: int, q: int):
-    """Interior metric over the neck: cylinder times the collar sphere."""
-    from .meancurv import build_curve
-    right = pair.right
-    bN = right.bN
-    curve = build_curve(pair, right.beta, right.N, grid_n=1024)
-    healthy = curve.D >= 1e-4
-    tth = curve.t_tilde[healthy]
-    uniq = np.concatenate([[True], np.diff(tth) > 1e-9])
-    tth = tth[uniq]
-    th = curve.t[healthy][uniq]
-    F = curve.F[healthy][uniq]
-    from scipy.interpolate import CubicHermiteSpline
-    t_of_tt = CubicHermiteSpline(tth, th,
-                                 np.sqrt(1.0 + curve.F1[healthy][uniq] ** 2))
-    d = 2 + (p - 1) + (q - 1)
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        tt = x[..., 0]
-        s = x[..., 1]
-        ang_f = x[..., 2:2 + (p - 1)]
-        ang_b = x[..., 2 + (p - 1):]
-        out = np.zeros(x.shape[:-1] + (d, d))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        fdiag = (bN * np.sin(s / bN))[..., np.newaxis] ** 2 * _unit_sphere_diag(ang_f)
-        hv = pair.h(t_of_tt(tt))
-        hdiag = np.asarray(hv)[..., np.newaxis] ** 2 * _unit_sphere_diag(ang_b)
-        i_f = np.arange(2, 2 + (p - 1))
-        i_b = np.arange(2 + (p - 1), d)
-        out[..., i_f, i_f] = fdiag
-        out[..., i_b, i_b] = hdiag
-        return out
-
-    domain = ((tth[0], tth[-1]),
-              (1e-6 * bN, (math.pi - POLE_MARGIN) * bN)) \
-        + tuple(ANGLE_BOX for _ in range(d - 2))
-    patch = MetricPatch(dim=d, domain=domain, g=g)
-    return patch, tth, F
-
 def _bulk_scalar_samples(pair, p: int, q: int, n_points: int) -> list:
-    """Oracle scalar curvature at interior points of the neck bulk."""
-    patch, tts, F = _bulk_patch(pair, p, q)
+    """Oracle scalar curvature at interior points of the neck bulk.
+
+    Samples the chart cannot difference are skipped and not counted.
+    """
+    patch, curve, keep = bulk_patch(pair, p, q, d_min=1e-4)
+    tts, F = curve.t_tilde[keep], curve.F[keep]
     bN = pair.right.bN
     step = np.concatenate([[1e-4 * bN, 1e-4 * bN], np.full(patch.dim - 2, 1e-3)])
     idx = np.unique(np.linspace(2, tts.size - 3, n_points).astype(int))
@@ -175,25 +139,10 @@ def _bulk_scalar_samples(pair, p: int, q: int, n_points: int) -> list:
         point = np.concatenate([[tt0, s0], np.full(patch.dim - 2, math.pi / 2 + 0.1)])
         try:
             rep = numeric_curvature(patch, point, step=step)
-        except Exception:
+        except (OracleDomainError, NonSPDMetricError):
             continue
         out.append(float(rep.scalar))
     return out
-
-
-def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, reports: dict) -> dict:
-    left, right = result.left, result.right
-    return {
-        "vertex": vertex_idx,
-        "spec": spec.as_dict(),
-        "left": {"lambda": left.lam, "a": left.a, "C": left.C, "r": left.r,
-                 "alpha": left.alpha, "b": left.b},
-        "right": {"t1": right.t1, "b3": right.b3, "beta": right.beta,
-                  "rho": right.rho, "N": right.N, "R": right.R},
-        "eps_b2": result.pair.eps_b2,
-        "checks": reports["checks"],
-        "margins": reports["margins"],
-    }
 
 
 def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
@@ -214,13 +163,11 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     steps = []
     passed = True
 
-    order = []
     stack = [(root, v_spec)]
     visited = {root}
     adj = tree._adj
     while stack:
         vi, spec = stack.pop()
-        order.append((vi, spec))
         vert = tree.vertices[vi]
         p_step = vert.rank
         q_step = vert.base_dim
@@ -239,15 +186,13 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
             steps.append({"vertex": vi, "spec": spec.as_dict(),
                           "infeasible": str(exc), "checks": [], "margins": {}})
             break
-        reports = _evaluate_profile_checks(result, p_step, q_step, cfg)
-        rec = _step_record(vi, spec, result, reports)
+        rec = _step_record(vi, spec, result, cfg)
         steps.append(rec)
         if not all(c["passed"] for c in rec["checks"]):
             passed = False
             break
         if out_dir is not None:
-            _write_step_artifacts(out_dir, len(steps) - 1, result, cfg,
-                                  p_step, q_step)
+            _write_step_artifacts(out_dir, len(steps) - 1, result, cfg)
         derived = NiceCoordinateSpec(
             p=q_step, q=p_step, R=result.left.alpha * eps_i,
             N=result.left.alpha, kappa=result.left.alpha * result.left.r,
@@ -262,24 +207,23 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
         steps=steps, config=cfg, seed=int(cfg["seed"]),
         wall_time_s=round(time.perf_counter() - t_start, 3))
     if out_dir is not None:
-        _write_certificate(out_dir, cert)
+        out = pathlib.Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "certificate.json").write_text(certificate_json(cert))
     return cert
 
 
-def _evaluate_profile_checks(result, p: int, q: int, cfg: dict) -> dict:
-    """All per-step checks for an accepted profile."""
+def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, cfg: dict) -> dict:
+    """Certificate record of an accepted step: parameters, checks, margins.
+
+    The four sample-determined records judge the search's own measurement
+    with the config tolerances, exactly as ``verify`` judges the stored
+    samples; the oracle-only checks follow.
+    """
     tol = cfg["tolerances"]
-    pair = result.pair
-    grid_n = int(cfg["grid"])
-    t = pair.grid(grid_n)
-    jets = pair.jets(t)
-    ric = doubly_warped_ricci(jets, p, q)
-    ric_min = float(min(np.min(r) for r in ric))
-    rep = z3_mean_curvature_from_pair(pair, p, q, tol=float(tol["mc_margin"]),
-                                      grid_n=grid_n)
-    margin = getattr(rep, f"margin_min_{cfg['mc_variant']}")
-    bc = result.bc
-    glue = interface_checks(pair, p, q, tol=float(tol["glue"]))
+    p, q = spec.p, spec.q
+    left, right, pair, m = result.left, result.right, result.pair, result.measurement
+    _bc, checks = sample_verdict(m, tol, cfg["mc_variant"])
     bulk = _bulk_scalar_samples(pair, p, q, int(cfg["oracle_points"]))
     bulk_min = min(bulk) if bulk else float("nan")
 
@@ -290,80 +234,56 @@ def _evaluate_profile_checks(result, p: int, q: int, cfg: dict) -> dict:
     if 0.0 < eps_end < math.pi / 2:
         try:
             ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=eps_end)
-            lam = result.left.lam
-            zrep = z2_mean_curvature(ep, lambda tt: 1.0 + lam * np.asarray(tt),
-                                     r=result.left.r, p=p, q=q, n_samples=5)
+            zrep = z2_mean_curvature(ep, lambda tt: 1.0 + left.lam * np.asarray(tt),
+                                     r=left.r, p=p, q=q, n_samples=5)
             taper_ok = zrep.passed
             taper_min = float(np.min(zrep.mean_curvature))
-        except Exception:  # taper check is best effort on extreme scales
+        except (OracleDomainError, NonSPDMetricError):
             taper_ok = False
             taper_min = float("nan")
 
-    checks = [
-        _check("bc_nine_clauses", bc.passed, max(abs(c["residual"]) for c in bc.clauses.values()
-                                                 if not c["one_sided"]),
-               float(tol["bc"]), ",".join(bc.failures) or "all clauses hold"),
-        _check("boundary_ricci_positive", ric_min > float(tol["ricci_min"]),
-               ric_min, float(tol["ricci_min"])),
-        _check("neck_mc_margin", margin >= -float(tol["mc_margin"]), margin,
-               -float(tol["mc_margin"]), f"variant={cfg['mc_variant']}"),
-        _check("glue_interfaces", glue, glue, True),
-        _check("bulk_scalar_positive", bool(bulk) and bulk_min > 0.0, bulk_min, 0.0,
+    checks += [
+        check_record("bulk_scalar_positive", bool(bulk) and bulk_min > 0.0, bulk_min, 0.0,
                f"{len(bulk)} oracle samples"),
-        _check("taper_mc_nonnegative", taper_ok, taper_min,
+        check_record("taper_mc_nonnegative", taper_ok, taper_min,
                -float(tol["mc_margin"])),
     ]
-    checks.append(_check(
+    checks.append(check_record(
         "collar_attachment_hypothesis",
         all(c["passed"] for c in checks[1:]), None, None,
         "boundary Ricci, neck and taper mean curvature, bulk scalar"))
-    margins = {
-        "ricci_min": ric_min,
-        "mc_margin_reported": rep.margin_min_reported,
-        "mc_margin_curvature": rep.margin_min_curvature,
-        "mc_margin_unit": rep.margin_min_unit,
-        "bulk_scalar_min": bulk_min,
-        "taper_mc_min": taper_min,
+    margins = m.summary()
+    margins.update(bulk_scalar_min=bulk_min, taper_mc_min=taper_min)
+    return {
+        "vertex": vertex_idx,
+        "spec": spec.as_dict(),
+        "left": {"lambda": left.lam, "a": left.a, "C": left.C, "r": left.r,
+                 "alpha": left.alpha, "b": left.b},
+        "right": {"t1": right.t1, "b3": right.b3, "beta": right.beta,
+                  "rho": right.rho, "N": right.N, "R": right.R},
+        "eps_b2": pair.eps_b2,
+        "checks": checks,
+        "margins": margins,
     }
-    return {"checks": checks, "margins": margins}
 
 
-def _write_step_artifacts(out_dir, idx: int, result, cfg: dict, p: int, q: int):
-    import pathlib
-
+def _write_step_artifacts(out_dir, idx: int, result, cfg: dict):
+    """Profile CSV, params file and margin CSV, all from the measured samples."""
     out = pathlib.Path(out_dir)
     (out / "profiles").mkdir(parents=True, exist_ok=True)
     (out / "plots-data").mkdir(parents=True, exist_ok=True)
-    pair = result.pair
-    (out / "profiles" / f"step_{idx}.csv").write_text(pair.to_csv(int(cfg["grid"])))
-    params = json.loads(pair.params_json())
-    params["p"] = p
-    params["q"] = q
+    m = result.measurement
+    (out / "profiles" / f"step_{idx}.csv").write_text(jets_csv(m.jets))
+    params = json.loads(result.pair.params_json())
+    params["p"] = m.p
+    params["q"] = m.q
     (out / "profiles" / f"step_{idx}.params.json").write_text(
         json.dumps(params, sort_keys=True, indent=1))
-    (out / "plots-data" / f"step_{idx}_margins.csv").write_text(
-        _margins_csv(result, cfg, p, q))
-
-
-def _margins_csv(result, cfg, p: int, q: int) -> str:
-    pair = result.pair
-    t = pair.grid(int(cfg["grid"]))
-    jets = pair.jets(t)
-    right = pair.right
-    A, B = ab_terms(jets, right.beta, right.N, p, q, variant=cfg["mc_variant"])
+    cols = [m.jets.t, m.jets.f, m.jets.h, m.margins[cfg["mc_variant"]]]
     buf = io.StringIO()
     buf.write("t,f,h,mc_margin\n")
-    np.savetxt(buf, np.column_stack([t, jets.f, jets.h, A - B]), delimiter=",",
-               fmt="%.17g")
-    return buf.getvalue()
-
-
-def _write_certificate(out_dir, cert: ConstructionCertificate):
-    import pathlib
-
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "certificate.json").write_text(certificate_json(cert))
+    np.savetxt(buf, np.column_stack(cols), delimiter=",", fmt="%.17g")
+    (out / "plots-data" / f"step_{idx}_margins.csv").write_text(buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -372,104 +292,59 @@ def _write_certificate(out_dir, cert: ConstructionCertificate):
 
 
 def _parse_profile_csv(text: str):
-    rows = text.strip().splitlines()
-    header = rows[0].split(",")
+    header, _, body = text.lstrip().partition("\n")
+    header = header.strip().split(",")
     expected = ["t", "f", "f1", "f2", "h", "h1", "h2"]
     if header != expected:
         raise SpecError(f"profile CSV columns must be {expected}, got {header}")
-    data = np.loadtxt(io.StringIO("\n".join(rows[1:])), delimiter=",")
+    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
     return {name: data[:, k] for k, name in enumerate(expected)}
 
 
 def verify_samples(samples: dict, params: dict, p: int, q: int,
                    config: dict | None = None) -> ConstructionCertificate:
-    """Re-run all sample-determined checks on stored profile data.
+    """Re-run the sample-determined checks on stored profile data.
 
-    Checks the nine interface clauses against the stored parameters, Ricci
-    positivity and mean-curvature margins on the stored jets, and both
-    gluing checks; deterministic, no reconstruction, no timing data.
+    Builds the typed parameters from ``params`` (out-of-range values raise
+    their named errors), requires the samples to run exactly from a3 to b3,
+    then runs the measurement and verdict that ``run_construction`` runs.
+    The check records equal the constructing step's; deterministic, no
+    reconstruction, no timing data.
     """
     cfg = _merge_config(config)
-    tol = cfg["tolerances"]
+    left, right = params["left"], params["right"]
+    lp = LeftParams(lam=left["lambda"], a=left["a"], C=left["C"], r=left["r"],
+                    a3=left["a3"])
+    rp = RightParams(**right)
     t = samples["t"]
-    f, f1, f2 = samples["f"], samples["f1"], samples["f2"]
-    h, h1, h2 = samples["h"], samples["h1"], samples["h2"]
-    left = params["left"]
-    right = params["right"]
-    lam, a, r = left["lambda"], left["a"], left["r"]
-    alpha = a * math.sqrt(-2.0 * math.log(lam))
-    beta, rho, N, R = right["beta"], right["rho"], right["N"], right["R"]
-    bN = beta * N
-    X_R = R / N
-    eps_b2 = params["eps_b2"]
-
-    bc_tol = float(tol["bc"])
-    clauses = {
-        "eps_b2": (eps_b2, math.asin(alpha * r / bN), False),
-        "h_a3": (float(h[0]), alpha, False),
-        "h1_a3": (float(h1[0]), lam, True),
-        "f_a3": (float(f[0]), alpha * r, False),
-        "f1_a3": (float(f1[0]), 0.0, False),
-        "h_b3": (float(h[-1]), beta * rho, False),
-        "h1_b3": (float(h1[-1]), 0.0, False),
-        "f_b3": (float(f[-1]), bN * math.sin(X_R), False),
-        "f1_b3": (float(f1[-1]), math.cos(X_R), False),
-    }
-    bc_results = {}
-    for name, (actual, target, one_sided) in clauses.items():
-        residual = actual - target
-        ok = residual <= bc_tol if one_sided else abs(residual) <= bc_tol
-        bc_results[name] = {"actual": actual, "target": target,
-                            "residual": residual, "passed": bool(ok)}
-    bc_failures = [k for k, v in bc_results.items() if not v["passed"]]
-
-    jets = WarpedJet(t=t, f=f, f1=f1, f2=f2, h=h, h1=h1, h2=h2)
-    ric = doubly_warped_ricci(jets, p, q)
-    ric_min = float(min(np.min(rr) for rr in ric))
-    A, B = ab_terms(jets, beta, N, p, q, variant=cfg["mc_variant"])
-    margin = float(np.min(A - B))
-
-    II_a3 = BlockDiagonalForm(((-float(h1[0]) / float(h[0]), q - 1),
-                               (-float(f1[0]) / float(f[0]), p - 1)))
-    II_b3 = BlockDiagonalForm(((float(h1[-1]) / float(h[-1]), q - 1),
-                               (float(f1[-1]) / float(f[-1]), p - 1)))
-    taper_side = BlockDiagonalForm(((lam / alpha, q - 1), (0.0, p - 1)))
-    cap_side = BlockDiagonalForm(((0.0, q - 1),
-                                  (-math.cos(X_R) / math.sin(X_R) / bN, p - 1)))
-    glue_tol = float(tol["glue"])
-    glue = (perelman_form_check(II_a3, taper_side, tol=glue_tol)
-            and perelman_form_check(II_b3, cap_side, tol=glue_tol))
-
-    checks = [
-        _check("bc_nine_clauses", not bc_failures,
-               {k: v["residual"] for k, v in bc_results.items()},
-               bc_tol, ",".join(bc_failures) or "all clauses hold"),
-        _check("boundary_ricci_positive", ric_min > float(tol["ricci_min"]),
-               ric_min, float(tol["ricci_min"])),
-        _check("neck_mc_margin", margin >= -float(tol["mc_margin"]), margin,
-               -float(tol["mc_margin"]), f"variant={cfg['mc_variant']}"),
-        _check("glue_interfaces", glue, glue, True),
-    ]
-    step = {"vertex": 0, "left": left, "right": right, "eps_b2": eps_b2,
-            "bc_clauses": bc_results, "checks": checks,
-            "margins": {"ricci_min": ric_min, "mc_margin": margin}}
+    a3 = params["markers"]["a3"]
+    if t[0] != a3 or t[-1] != rp.b3:
+        raise SpecError(f"profile samples run from t = {t[0]!r} to {t[-1]!r}, "
+                        f"not from a3 = {a3!r} to b3 = {rp.b3!r}")
+    m = measure_profile(WarpedJet(**samples), lp, rp, params["eps_b2"], p, q)
+    bc, checks = sample_verdict(m, cfg["tolerances"], cfg["mc_variant"])
+    step = {"vertex": 0, "left": left, "right": right, "eps_b2": params["eps_b2"],
+            "bc_clauses": bc.clauses, "checks": checks, "margins": m.summary()}
     return ConstructionCertificate(
         passed=all(c["passed"] for c in checks), steps=[step], config=cfg,
         seed=int(cfg["seed"]), wall_time_s=None)
 
 
-def verify(profile_path, params_path, p: int | None = None, q: int | None = None,
-           config: dict | None = None) -> ConstructionCertificate:
-    """Load stored profile artifacts and re-run the sample-determined checks."""
-    import pathlib
+def verify(profile_path, params_path, config: dict | None = None) -> ConstructionCertificate:
+    """Load stored profile artifacts and re-run the sample-determined checks.
 
+    The dimensions p and q come from the parameter file; a file without them
+    is rejected.
+    """
     samples = _parse_profile_csv(pathlib.Path(profile_path).read_text())
     params = json.loads(pathlib.Path(params_path).read_text())
     if params.get("schema") != "plumbric-profile-params/1":
         raise SpecError("unrecognized parameter file schema")
-    p = p or int(params.get("p", 4))
-    q = q or int(params.get("q", 4))
-    return verify_samples(samples, params, p, q, config=config)
+    for key in ("p", "q"):
+        if key not in params:
+            raise SpecError(f"parameter file lacks {key!r}")
+    return verify_samples(samples, params, int(params["p"]), int(params["q"]),
+                          config=config)
 
 
 # ---------------------------------------------------------------------------

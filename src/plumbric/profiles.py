@@ -41,6 +41,8 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
+from .caps import COEFF_TOL
+from .meancurv import MC_VARIANTS, interface_checks, neck_margins
 from .steps import (bump_exp, smooth_step, smooth_step_d1, smoothstep7,
                     smoothstep7_d1)
 from .warped import WarpedJet, doubly_warped_ricci
@@ -62,8 +64,12 @@ __all__ = [
     "build_right_profile",
     "assemble_profile",
     "smooth_c1_join",
+    "jets_csv",
     "BcReport",
     "check_bc",
+    "ProfileMeasurement",
+    "measure_profile",
+    "sample_verdict",
     "SearchResult",
     "search_parameters",
 ]
@@ -307,9 +313,10 @@ class PartialProfile:
 
 def build_left_profile(params: LeftParams, t1: float, ode: WarpOde | None = None
                        ) -> PartialProfile:
-    """Left piece h_l = a*h0, f_l = b*fC with the a3-interface conditions.
+    """Left piece h_l = a*h0, f_l = b*fC on [a3, t1].
 
-    Raises :class:`BoundaryConditionError` naming the violated clause.
+    The a3 interface clauses hold by scaling; :func:`check_bc` verifies them
+    on the assembled profile.
     """
     if ode is None:
         ode = integrate_fC(params.C, params.lam, t_end=max(1.2 * t1, t1 + 10.0))
@@ -318,21 +325,11 @@ def build_left_profile(params: LeftParams, t1: float, ode: WarpOde | None = None
     if abs(ode.lam - params.lam) > 1e-12 or abs(ode.C - params.C) > 1e-12:
         raise ProfileError("ODE solution does not match the requested (lambda, C)")
     a, b = params.a, params.b
-    piece = PartialProfile(
+    return PartialProfile(
         t_lo=params.a3, t_hi=t1,
         f=lambda t: b * ode.fc(t), f1=lambda t: b * ode.fc_d1(t), f2=lambda t: b * ode.fc_d2(t),
         h=lambda t: a * ode.h0(t), h1=lambda t: a * ode.h0_d1(t), h2=lambda t: a * ode.h0_d2(t),
     )
-    # Interface clauses at a3 (h(a3)=alpha and f(a3)=alpha*r hold by scaling).
-    if abs(float(piece.h(params.a3)) - params.alpha) > BC_TOL:
-        raise BoundaryConditionError("h_a3", "h(a3) != alpha after integration")
-    if float(piece.h1(params.a3)) > params.lam + BC_TOL:
-        raise BoundaryConditionError("h1_a3", "h'(a3) exceeds lambda")
-    if abs(float(piece.f(params.a3)) - params.alpha * params.r) > BC_TOL:
-        raise BoundaryConditionError("f_a3", "f(a3) != alpha*r after integration")
-    if abs(float(piece.f1(params.a3))) > BC_TOL:
-        raise BoundaryConditionError("f1_a3", "f'(a3) != 0 after integration")
-    return piece
 
 
 def _theta_family(x, c):
@@ -640,13 +637,7 @@ class ProfilePair:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, n: int = 2048) -> str:
-        t = self.grid(n)
-        cols = np.column_stack([t, self.f(t), self.f1(t), self.f2(t),
-                                self.h(t), self.h1(t), self.h2(t)])
-        buf = io.StringIO()
-        buf.write("t,f,f1,f2,h,h1,h2\n")
-        np.savetxt(buf, cols, delimiter=",", fmt="%.17g")
-        return buf.getvalue()
+        return jets_csv(self.jets(self.grid(n)))
 
     def params_json(self) -> str:
         doc = {
@@ -661,6 +652,15 @@ class ProfilePair:
             "eps_b2": self.eps_b2,
         }
         return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def jets_csv(jets: WarpedJet) -> str:
+    """Profile CSV: one row per sample, columns t, f, f1, f2, h, h1, h2."""
+    cols = np.column_stack([jets.t, jets.f, jets.f1, jets.f2, jets.h, jets.h1, jets.h2])
+    buf = io.StringIO()
+    buf.write("t,f,f1,f2,h,h1,h2\n")
+    np.savetxt(buf, cols, delimiter=",", fmt="%.17g")
+    return buf.getvalue()
 
 
 def _blend_piece(left_piece: PartialProfile, right_piece: PartialProfile,
@@ -827,11 +827,8 @@ def smooth_c1_join(pair: ProfilePair, marker: str, window: float | None = None
 
 
 # ---------------------------------------------------------------------------
-# Boundary-condition report
+# Sample checks: one measurement, one verdict
 # ---------------------------------------------------------------------------
-
-BC_CLAUSES = ("eps_b2", "h_a3", "h1_a3", "f_a3", "f1_a3", "h_b3", "h1_b3", "f_b3", "f1_b3")
-
 
 @dataclass(frozen=True)
 class BcReport:
@@ -846,34 +843,27 @@ class BcReport:
     def failures(self) -> list:
         return [name for name, c in self.clauses.items() if not c["passed"]]
 
-    def to_json(self) -> str:
-        return json.dumps({"tol": self.tol, "clauses": self.clauses,
-                           "passed": self.passed}, sort_keys=True, indent=1)
 
+def check_bc(jets: WarpedJet, left: LeftParams, right: RightParams, eps_b2: float,
+             tol: float = BC_TOL) -> BcReport:
+    """Verify the nine interface clauses of a profile sampled from a3 to b3.
 
-def check_bc(pair: ProfilePair, left: LeftParams | None = None,
-             right: RightParams | None = None, tol: float = BC_TOL) -> BcReport:
-    """Verify the nine interface clauses of the assembled profile.
-
-    Left end (a3): the recorded taper end angle, h(a3) = alpha,
-    h'(a3) <= lambda, f(a3) = alpha*r, f'(a3) = 0.  Right end (b3):
-    h(b3) = beta*rho, h'(b3) = 0, f(b3) = beta*N*sin(R/N),
-    f'(b3) = cos(R/N).
+    The first and last samples of ``jets`` are the two ends.  Left end (a3):
+    the recorded taper end angle, h(a3) = alpha, h'(a3) <= lambda,
+    f(a3) = alpha*r, f'(a3) = 0.  Right end (b3): h(b3) = beta*rho,
+    h'(b3) = 0, f(b3) = beta*N*sin(R/N), f'(b3) = cos(R/N).
     """
-    left = left or pair.left
-    right = right or pair.right
-    a3, b3 = pair.a3, pair.b3
     bN, X_R = right.bN, right.angle
     targets = {
-        "eps_b2": (pair.eps_b2, math.asin(left.alpha * left.r / bN), False),
-        "h_a3": (float(pair.h(a3)), left.alpha, False),
-        "h1_a3": (float(pair.h1(a3)), left.lam, True),   # one-sided: actual <= target
-        "f_a3": (float(pair.f(a3)), left.alpha * left.r, False),
-        "f1_a3": (float(pair.f1(a3)), 0.0, False),
-        "h_b3": (float(pair.h(b3)), right.beta * right.rho, False),
-        "h1_b3": (float(pair.h1(b3)), 0.0, False),
-        "f_b3": (float(pair.f(b3)), bN * math.sin(X_R), False),
-        "f1_b3": (float(pair.f1(b3)), math.cos(X_R), False),
+        "eps_b2": (eps_b2, math.asin(left.alpha * left.r / bN), False),
+        "h_a3": (float(jets.h[0]), left.alpha, False),
+        "h1_a3": (float(jets.h1[0]), left.lam, True),   # one-sided: actual <= target
+        "f_a3": (float(jets.f[0]), left.alpha * left.r, False),
+        "f1_a3": (float(jets.f1[0]), 0.0, False),
+        "h_b3": (float(jets.h[-1]), right.beta * right.rho, False),
+        "h1_b3": (float(jets.h1[-1]), 0.0, False),
+        "f_b3": (float(jets.f[-1]), bN * math.sin(X_R), False),
+        "f1_b3": (float(jets.f1[-1]), math.cos(X_R), False),
     }
     clauses = {}
     for name, (actual, target, one_sided) in targets.items():
@@ -882,6 +872,70 @@ def check_bc(pair: ProfilePair, left: LeftParams | None = None,
         clauses[name] = {"actual": actual, "target": target,
                          "residual": residual, "one_sided": one_sided, "passed": bool(ok)}
     return BcReport(clauses=clauses, tol=tol)
+
+
+@dataclass(frozen=True)
+class ProfileMeasurement:
+    """What the sample-determined checks read from a profile on its check grid.
+
+    ``jets`` runs from a3 to b3; its end samples carry the nine interface
+    clauses and both gluing forms.  Over the whole grid, ``ricci_min`` is the
+    least Ricci component and ``margins`` maps each mean-curvature variant
+    to its margin A - B.
+    """
+
+    jets: WarpedJet
+    left: LeftParams
+    right: RightParams
+    eps_b2: float
+    p: int
+    q: int
+    ricci_min: float
+    margins: dict
+
+    def margin_min(self, variant: str) -> float:
+        return float(np.min(self.margins[variant]))
+
+    def summary(self) -> dict:
+        """The certificate's sample-determined margins."""
+        return {"ricci_min": self.ricci_min,
+                **{f"mc_margin_{v}": self.margin_min(v) for v in MC_VARIANTS}}
+
+
+def measure_profile(jets: WarpedJet, left: LeftParams, right: RightParams,
+                    eps_b2: float, p: int, q: int) -> ProfileMeasurement:
+    """Ricci and the three margin variants of a sampled profile, computed once."""
+    ric = doubly_warped_ricci(jets, p, q)
+    return ProfileMeasurement(jets=jets, left=left, right=right, eps_b2=eps_b2, p=p, q=q,
+                              ricci_min=float(min(np.min(r) for r in ric)),
+                              margins=neck_margins(jets, right.beta, right.N, p, q))
+
+
+def check_record(cid: str, passed: bool, value, tolerance, detail: str = "") -> dict:
+    return {"id": cid, "passed": bool(passed), "value": value,
+            "tolerance": tolerance, "detail": detail}
+
+
+def sample_verdict(m: ProfileMeasurement, tol: dict, variant: str) -> tuple:
+    """Judge a measurement: the nine-clause report and four check records.
+
+    ``tol`` holds the ``bc``, ``ricci_min``, ``mc_margin`` and ``glue``
+    tolerances; ``variant`` is the margin variant the certificate claims.
+    """
+    bc = check_bc(m.jets, m.left, m.right, m.eps_b2, tol=float(tol["bc"]))
+    margin = m.margin_min(variant)
+    glue = interface_checks(m.jets, m.left, m.right, m.p, m.q, tol=float(tol["glue"]))
+    checks = [
+        check_record("bc_nine_clauses", bc.passed,
+               max(abs(c["residual"]) for c in bc.clauses.values() if not c["one_sided"]),
+               float(tol["bc"]), ",".join(bc.failures) or "all clauses hold"),
+        check_record("boundary_ricci_positive", m.ricci_min > float(tol["ricci_min"]),
+               m.ricci_min, float(tol["ricci_min"])),
+        check_record("neck_mc_margin", margin >= -float(tol["mc_margin"]), margin,
+               -float(tol["mc_margin"]), f"variant={variant}"),
+        check_record("glue_interfaces", glue, glue, True),
+    ]
+    return bc, checks
 
 
 # ---------------------------------------------------------------------------
@@ -894,11 +948,17 @@ class SearchResult:
     left: LeftParams
     right: RightParams
     pair: ProfilePair
-    ricci_min: float
-    margin_min: float
-    margin_min_reported: float
+    measurement: ProfileMeasurement
     bc: BcReport
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def ricci_min(self) -> float:
+        return self.measurement.ricci_min
+
+    @property
+    def margin_min_reported(self) -> float:
+        return self.measurement.margin_min("reported")
 
 
 def search_parameters(p: int, q: int, R_over_N: float, lam: float,
@@ -915,7 +975,9 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
     destabilizing mean-curvature term by ~s0^2 sin(R/N)/(beta N), so beta is
     sized directly from the margin tolerance; t1 is pushed out until the left
     piece's convexity term C e^{-h0^2} f clears the same budget.  Candidates
-    over (t1, s0, mean-slope) grids are then verified on the full check grid:
+    over (t1, s0, mean-slope) grids are then measured once on the full check
+    grid (:func:`measure_profile`) and accepted when :func:`sample_verdict`
+    passes all four records:
 
     * all three Ricci components of the boundary metric positive,
     * boundary mean-curvature margin >= -mc_margin_tol,
@@ -924,8 +986,6 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
 
     Raises :class:`InfeasibleProfileError` carrying the best margins found.
     """
-    from .meancurv import z3_mean_curvature_from_pair, interface_checks
-
     if p < 3 or q < 3:
         raise ProfileError(f"need p, q >= 3, got p={p}, q={q}")
     if not (0.0 < R_over_N < math.pi / 2):
@@ -952,6 +1012,8 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
     if t1_grid is None:
         t1_grid = [1e5, 1e6, 1e7, 3e7]
 
+    accept_tol = {"bc": BC_TOL, "ricci_min": 0.0, "mc_margin": mc_margin_tol,
+                  "glue": COEFF_TOL}
     best = {"margin": -np.inf, "ricci": -np.inf}
     evals = 0
 
@@ -1007,25 +1069,19 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
                         pair = assemble_profile(left_params, right_params, lp, rp)
                     except (ProfileError, ValueError):
                         continue
-                    bc = check_bc(pair)
-                    if not bc.passed:
+                    m = measure_profile(pair.jets(pair.grid(grid_n)), left_params,
+                                        right_params, pair.eps_b2, p, q)
+                    bc, checks = sample_verdict(m, accept_tol, mc_variant)
+                    bc_ok, ric_ok, margin_ok, glue_ok = (c["passed"] for c in checks)
+                    if not bc_ok:
                         continue
-                    t = pair.grid(grid_n)
-                    jets = pair.jets(t)
-                    ric = doubly_warped_ricci(jets, p, q)
-                    ric_min = float(min(np.min(r) for r in ric))
-                    rep = z3_mean_curvature_from_pair(pair, p, q,
-                                                      tol=mc_margin_tol,
-                                                      grid_n=grid_n)
-                    margin = getattr(rep, f"margin_min_{mc_variant}")
-                    glue_ok = interface_checks(pair, p, q)
-                    if ric_min > 0 and margin > best["margin"]:
-                        best.update(margin=margin, ricci=ric_min)
-                    if ric_min > 0 and margin >= -mc_margin_tol and glue_ok:
+                    margin = m.margin_min(mc_variant)
+                    if ric_ok and margin > best["margin"]:
+                        best.update(margin=margin, ricci=m.ricci_min)
+                    if ric_ok and margin_ok and glue_ok:
                         return SearchResult(
                             left=left_params, right=right_params, pair=pair,
-                            ricci_min=ric_min, margin_min=margin,
-                            margin_min_reported=rep.margin_min_reported, bc=bc,
+                            measurement=m, bc=bc,
                             diagnostics={"evaluations": evals,
                                          "margin_variant": mc_variant})
     raise InfeasibleProfileError(

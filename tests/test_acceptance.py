@@ -111,7 +111,7 @@ class TestCriterion4:
                 assert clause["residual"] <= 1e-8
             else:
                 assert abs(clause["residual"]) <= 1e-8
-        assert interface_checks(res.pair, p, q)
+        assert interface_checks(res.measurement.jets, res.left, res.right, p, q)
         elapsed = time.monotonic() - t0
         assert elapsed < 300.0
         announce(4, f"(p,q)=({p},{q}): Ricci min {res.ricci_min:.2e} > 0, "

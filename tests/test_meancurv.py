@@ -252,8 +252,8 @@ class TestZ2:
 
 class TestInterfaces:
     def test_accepted_profile_interfaces(self, found44):
-        assert interface_checks(found44.pair, 4, 4)
-        II_a3, II_b3 = interface_forms(found44.pair, 4, 4)
+        assert interface_checks(found44.measurement.jets, found44.left, found44.right, 4, 4)
+        II_a3, II_b3 = interface_forms(found44.measurement.jets, 4, 4)
         left, right = found44.left, found44.right
         # collar block of the left form is -a*lambda/alpha, fiber block 0
         assert II_a3.blocks[0][0] == pytest.approx(-left.a * left.lam / left.alpha,

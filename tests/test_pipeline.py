@@ -10,6 +10,7 @@ from plumbric.pipeline import (DEFAULT_CONFIG, NiceCoordinateSpec, SpecError,
                                certificate_json, run_construction, topo_report,
                                verify, verify_samples)
 from plumbric.plumbing import PlumbingTree, PlumbingVertex, tangent_chain
+from plumbric.profiles import BoundaryConditionError, ProfileError
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,76 @@ class TestVerify:
         assert cert.passed
         bc = cert.steps[0]["bc_clauses"]
         assert all(v["passed"] for v in bc.values())
+
+
+class TestVerifyFailsClosed:
+    @staticmethod
+    def _params(out):
+        return json.loads((out / "profiles" / "step_0.params.json").read_text())
+
+    @pytest.mark.parametrize("key", ["p", "q"])
+    def test_missing_dimension_rejected(self, single_run, tmp_path, key):
+        out, _ = single_run
+        params = self._params(out)
+        del params[key]
+        par = tmp_path / "params.json"
+        par.write_text(json.dumps(params))
+        with pytest.raises(SpecError, match=f"'{key}'"):
+            verify(out / "profiles" / "step_0.csv", par)
+
+    @pytest.mark.parametrize("side, key, value, error, match", [
+        ("left", "lambda", 0.7, BoundaryConditionError, "lambda"),
+        ("right", "b3", 0.0, ProfileError, "b3 > t1"),
+    ])
+    def test_out_of_range_params_rejected(self, single_run, tmp_path, side, key,
+                                          value, error, match):
+        out, _ = single_run
+        params = self._params(out)
+        params[side][key] = value
+        par = tmp_path / "params.json"
+        par.write_text(json.dumps(params))
+        with pytest.raises(error, match=match):
+            verify(out / "profiles" / "step_0.csv", par)
+
+    @pytest.mark.parametrize("drop", ["first", "last"])
+    def test_misaligned_grid_rejected(self, single_run, tmp_path, drop):
+        out, _ = single_run
+        header, *rows = (out / "profiles" / "step_0.csv").read_text().splitlines()
+        rows = rows[1:] if drop == "first" else rows[:-1]
+        prof = tmp_path / "step_0.csv"
+        prof.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(SpecError, match="a3 .* b3"):
+            verify(prof, out / "profiles" / "step_0.params.json")
+
+
+class TestVerifyReproducesConstruct:
+    def test_chain_records_equal(self, tmp_path):
+        spec = NiceCoordinateSpec(p=3, q=3, R=math.pi / 4, N=1.0, kappa=0.5)
+        cert = run_construction(tangent_chain(2, 3), spec, out_dir=tmp_path)
+        assert cert.passed and len(cert.steps) == 2
+        for k, step in enumerate(cert.steps):
+            v = verify(tmp_path / "profiles" / f"step_{k}.csv",
+                       tmp_path / "profiles" / f"step_{k}.params.json")
+            assert json.dumps(v.steps[0]["checks"]) == json.dumps(step["checks"][:4])
+            for key in ("ricci_min", "mc_margin_reported", "mc_margin_curvature",
+                        "mc_margin_unit"):
+                assert v.steps[0]["margins"][key] == step["margins"][key]
+
+
+class TestOracleFailures:
+    def test_unexpected_bulk_error_propagates(self, monkeypatch):
+        import plumbric.pipeline as pipeline
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("oracle broke")
+
+        monkeypatch.setattr(pipeline, "numeric_curvature", broken)
+        tree = PlumbingTree(
+            vertices=(PlumbingVertex(base_dim=3, rank=3, euler=2, char_label="v1"),),
+            edges=())
+        spec = NiceCoordinateSpec(p=3, q=3, R=math.pi / 4, N=1.0, kappa=0.5)
+        with pytest.raises(RuntimeError, match="oracle broke"):
+            run_construction(tree, spec)
 
 
 class TestTopo:

@@ -237,7 +237,7 @@ class TestSearch:
 
     def test_bc_fault_detection(self):
         res = search_parameters(4, 4, math.pi / 4, 0.1)
-        report = check_bc(res.pair)
+        report = check_bc(res.measurement.jets, res.left, res.right, res.pair.eps_b2)
         assert report.passed and not report.failures
 
     def test_serialization_roundtrip(self):
