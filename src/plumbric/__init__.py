@@ -23,7 +23,7 @@ from .warped import WarpedJet, doubly_warped_ricci, doubly_warped_scalar
 from .profiles import (EpsilonProfile, InfeasibleProfileError, LeftParams,
                        ProfilePair, RightParams, build_left_profile,
                        build_right_profile, check_bc, integrate_fC, integrate_h0,
-                       search_parameters, smooth_c1_join)
+                       search_parameters)
 from .meancurv import (ab_terms, build_curve, interface_forms, z2_mean_curvature,
                        z3_mean_curvature)
 from .plumbing import (EtaLedger, MilnorPairInput, PlumbingTree, PlumbingVertex,

@@ -52,13 +52,6 @@ class MetricPatch:
     domain: tuple
     g: Callable[[np.ndarray], np.ndarray]
 
-    def contains(self, point, margin: float = 0.0) -> bool:
-        point = np.asarray(point, dtype=float)
-        for x, (lo, hi) in zip(point, self.domain):
-            if x < lo + margin or x > hi - margin:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class CurvatureReport:

@@ -23,9 +23,9 @@ Everything on the right piece is concave (f'' <= 0), which bounds the
 destabilizing curve term f''E + f'^2 f/(beta N)^2 of the mean-curvature
 margin by max(f'^2 f)/(beta N)^2 <= s0^2 sin(R/N)/(beta N): end scales
 beta*N ~ 1e9 therefore pin the worst margin above -1e-9.  The join at t1 is
-C^1 by solving the fiber scale from the slope target (b = s0/fC'(t1));
-``smooth_c1_join`` provides windowed smoothing of the residual curvature
-kinks at t1 and a3, bit-identical outside the declared windows.
+C^1 by solving the fiber scale from the slope target (b = s0/fC'(t1)); f''
+jumps there from the left piece's convex value to the run-out's concave one.
+The certificate covers this C^1 two-piece profile.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,8 +43,7 @@ from scipy.optimize import brentq
 
 from .caps import COEFF_TOL
 from .meancurv import MC_VARIANTS, interface_checks, neck_margins
-from .steps import (bump_exp, smooth_step, smooth_step_d1, smoothstep7,
-                    smoothstep7_d1)
+from .steps import smooth_step, smooth_step_d1, smoothstep7
 from .warped import WarpedJet, doubly_warped_ricci
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "build_left_profile",
     "build_right_profile",
     "assemble_profile",
-    "smooth_c1_join",
     "jets_csv",
     "BcReport",
     "check_bc",
@@ -287,10 +285,6 @@ class EpsilonProfile:
         x = (np.asarray(t, dtype=float) - self.tau1) / (self.tau2 - self.tau1)
         return math.pi / 2 + (self.eps_end - math.pi / 2) * smoothstep7(x)
 
-    def eps_d1(self, t):
-        x = (np.asarray(t, dtype=float) - self.tau1) / (self.tau2 - self.tau1)
-        return (self.eps_end - math.pi / 2) * smoothstep7_d1(x) / (self.tau2 - self.tau1)
-
 
 # ---------------------------------------------------------------------------
 # Pieces
@@ -299,10 +293,8 @@ class EpsilonProfile:
 
 @dataclass(frozen=True)
 class PartialProfile:
-    """Vectorized jets of one profile piece on [t_lo, t_hi]."""
+    """Vectorized jets of one profile piece."""
 
-    t_lo: float
-    t_hi: float
     f: Callable
     f1: Callable
     f2: Callable
@@ -326,7 +318,6 @@ def build_left_profile(params: LeftParams, t1: float, ode: WarpOde | None = None
         raise ProfileError("ODE solution does not match the requested (lambda, C)")
     a, b = params.a, params.b
     return PartialProfile(
-        t_lo=params.a3, t_hi=t1,
         f=lambda t: b * ode.fc(t), f1=lambda t: b * ode.fc_d1(t), f2=lambda t: b * ode.fc_d2(t),
         h=lambda t: a * ode.h0(t), h1=lambda t: a * ode.h0_d1(t), h2=lambda t: a * ode.h0_d2(t),
     )
@@ -345,7 +336,7 @@ def _theta_family_d1(x, c):
     inside = (x > 0.0) & (x < 1.0)
     out = np.zeros_like(x)
     out[inside] = (-smooth_step_d1(x[inside]) - c * (1.0 - smooth_step(x[inside]))) * e[inside]
-    # x <= 0 continues with the initial decay rate so window blends stay sane
+    # x <= 0 takes the x = 0 limit -c, which a sample at t1 hits
     out[x <= 0.0] = -c
     return out
 
@@ -458,36 +449,18 @@ def build_right_profile(left: PartialProfile, params: RightParams,
         raise InfeasibleProfileError(
             f"b3 - t1 = {L} inconsistent with the run-out length {run.length}",
             {"expected_length": run.length, "kappa": run.kappa})
-    fv0 = float(run.f_of_u(run.length)[0])   # radius at t1 per the dense solution
-    fs0 = float(run.sigma(fv0))
-    fdd0 = float(run.sigma_df(fv0) * fs0)
-
-    def _eval(t, comp):
-        t = np.asarray(t, dtype=float)
-        u = b3 - t
-        out = np.empty(t.shape)
-        inside = u <= run.length
-        if np.any(inside):
-            fv = run.f_of_u(np.clip(u[inside], 0.0, run.length))
-            sg = run.sigma(fv)
-            vals = (fv, sg, run.sigma_df(fv) * sg)
-            out[inside] = vals[comp]
-        if np.any(~inside):
-            dt = t[~inside] - t1  # negative: 2-jet continuation for window blends
-            ext = (fv0 + fs0 * dt + 0.5 * fdd0 * dt * dt,
-                   fs0 + fdd0 * dt,
-                   np.full(dt.shape, fdd0))
-            out[~inside] = ext[comp]
-        return out
 
     def f(t):
-        return _eval(t, 0)
+        # u = b3 - t, clamped to the run-out: b3 - t1 may round past its length
+        t = np.asarray(t, dtype=float)
+        return run.f_of_u(np.clip(b3 - t, 0.0, run.length)).reshape(t.shape)
 
     def f1(t):
-        return _eval(t, 1)
+        return run.sigma(f(t))
 
     def f2(t):
-        return _eval(t, 2)
+        fv = f(t)
+        return run.sigma_df(fv) * run.sigma(fv)
 
     # ---- collar radius: short concave rise, then plateau --------------------
     rise = params.beta * params.rho - hl1
@@ -519,41 +492,26 @@ def build_right_profile(left: PartialProfile, params: RightParams,
     cum *= rise / cum[-1]  # absorb the quadrature defect: h(t_h) = beta*rho exactly
     h_spline = CubicHermiteSpline(t_nodes, hl1 + cum, sig_nodes)
     h_end = params.beta * params.rho
-    hdd1 = hs1 * float(_theta_family_d1(np.array([0.0]), c_h)[0]) / span
 
-    def _h_zones(t):
+    def _collar(t, rise_fn, plateau):
+        # rise_fn on the rise t < t_h, the constant plateau from t_h on
         t = np.asarray(t, dtype=float)
-        below = t < t1          # 2-jet continuation used only by window blends
-        above = t >= t_h
-        mid = ~(below | above)
-        return t, below, mid, above
+        mid = t < t_h
+        out = np.full(t.shape, plateau)
+        out[mid] = rise_fn(t[mid])
+        return out
 
     def h(t):
-        t, below, mid, above = _h_zones(t)
-        out = np.empty_like(t)
-        dt = t[below] - t1
-        out[below] = hl1 + hs1 * dt + 0.5 * hdd1 * dt * dt
-        out[mid] = h_spline(t[mid])
-        out[above] = h_end
-        return out
+        return _collar(t, h_spline, h_end)
 
     def h1(t):
-        t, below, mid, above = _h_zones(t)
-        out = np.empty_like(t)
-        out[below] = hs1 + hdd1 * (t[below] - t1)
-        out[mid] = hs1 * _theta_family((t[mid] - t1) / span, c_h)
-        out[above] = 0.0
-        return out
+        return _collar(t, lambda tm: hs1 * _theta_family((tm - t1) / span, c_h), 0.0)
 
     def h2(t):
-        t, below, mid, above = _h_zones(t)
-        out = np.empty_like(t)
-        out[below] = hdd1
-        out[mid] = hs1 * _theta_family_d1((t[mid] - t1) / span, c_h) / span
-        out[above] = 0.0
-        return out
+        return _collar(t, lambda tm: hs1 * _theta_family_d1((tm - t1) / span, c_h) / span,
+                       0.0)
 
-    return PartialProfile(t_lo=t1, t_hi=b3, f=f, f1=f1, f2=f2, h=h, h1=h1, h2=h2)
+    return PartialProfile(f=f, f1=f1, f2=f2, h=h, h1=h1, h2=h2)
 
 
 # ---------------------------------------------------------------------------
@@ -563,22 +521,21 @@ def build_right_profile(left: PartialProfile, params: RightParams,
 
 @dataclass(frozen=True)
 class ProfilePair:
-    """Complete (f, h) profile on [a3, b3] with markers and provenance.
+    """Complete (f, h) profile on [a3, b3]: two pieces joined C^1 at t1.
 
-    The jets are piecewise callables; ``grid`` samples them on the standard
-    check grid (uniform plus refinement inside the smoothing windows).
+    The left piece serves t < t1 and the right piece t >= t1; ``grid``
+    samples them on the uniform check grid.
     """
 
     left: LeftParams
     right: RightParams
-    pieces: tuple          # ordered PartialProfile segments covering [a3, b3]
-    boundaries: tuple      # segment boundaries (len(pieces)+1 floats)
-    windows: tuple = ()    # smoothing windows as (center, half_width)
-    eps_b2: float = float("nan")
+    left_piece: PartialProfile
+    right_piece: PartialProfile
+    eps_b2: float
 
     @property
     def a3(self) -> float:
-        return self.boundaries[0]
+        return self.left.a3
 
     @property
     def t1(self) -> float:
@@ -586,16 +543,13 @@ class ProfilePair:
 
     @property
     def b3(self) -> float:
-        return self.boundaries[-1]
+        return self.right.b3
 
     def _dispatch(self, t, attr):
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape)
-        edges = self.boundaries
-        for i, piece in enumerate(self.pieces):
-            lo = edges[i]
-            hi = edges[i + 1]
-            m = (t >= lo) & (t <= hi) if i == len(self.pieces) - 1 else (t >= lo) & (t < hi)
+        right = t >= self.t1
+        for piece, m in ((self.left_piece, ~right), (self.right_piece, right)):
             if np.any(m):
                 out[m] = getattr(piece, attr)(t[m])
         return out
@@ -618,17 +572,9 @@ class ProfilePair:
     def h2(self, t):
         return self._dispatch(t, "h2")
 
-    def grid(self, n: int = 2048, refine: int = 10) -> np.ndarray:
-        """Uniform n-point grid on [a3, b3] plus refined smoothing windows."""
-        ts = [np.linspace(self.a3, self.b3, n)]
-        base = (self.b3 - self.a3) / (n - 1)
-        for center, w in self.windows:
-            lo = max(self.a3, center - w)
-            hi = min(self.b3, center + w)
-            m = max(8, min(20480, int(np.ceil((hi - lo) / base * refine))))
-            ts.append(np.linspace(lo, hi, m))
-        t = np.unique(np.concatenate(ts))
-        return t
+    def grid(self, n: int = 2048) -> np.ndarray:
+        """Uniform n-point grid whose first and last samples are a3 and b3."""
+        return np.linspace(self.a3, self.b3, n)
 
     def jets(self, t) -> WarpedJet:
         return WarpedJet(t=t, f=self.f(t), f1=self.f1(t), f2=self.f2(t),
@@ -648,7 +594,7 @@ class ProfilePair:
             "right": {"t1": self.right.t1, "b3": self.right.b3, "beta": self.right.beta,
                       "rho": self.right.rho, "N": self.right.N, "R": self.right.R},
             "markers": {"a3": self.a3, "t1": self.t1, "b3": self.b3,
-                        "windows": [list(w) for w in self.windows]},
+                        "windows": []},   # schema key; the profile has no smoothing windows
             "eps_b2": self.eps_b2,
         }
         return json.dumps(doc, sort_keys=True, indent=1)
@@ -663,94 +609,9 @@ def jets_csv(jets: WarpedJet) -> str:
     return buf.getvalue()
 
 
-def _blend_piece(left_piece: PartialProfile, right_piece: PartialProfile,
-                 center: float, w: float, nodes: int = 2049) -> PartialProfile:
-    """Windowed smoothing across ``center`` on [center-w, center+w].
-
-    The second derivative is blended pointwise between the two pieces, so it
-    stays within their extremes over the window, then integrated up from the
-    left edge.  Two interior bump corrections to the blend weight are solved
-    (a 2x2 linear system) so that the integral reproduces the right piece's
-    value and slope at the right edge; the weight stays flat at both edges,
-    hence the result continues each adjacent piece smoothly.
-    """
-    lo = center - w
-    hi = center + w
-    ts = np.linspace(lo, hi, nodes)
-    xs = (ts - lo) / (2.0 * w)
-    s_nodes = smooth_step(xs)
-    bump1 = bump_exp(2.0 * xs) * bump_exp(2.0 * (0.7 - xs))       # support (0, 0.7)
-    bump2 = bump_exp(2.0 * (xs - 0.3)) * bump_exp(2.0 * (1 - xs))  # support (0.3, 1)
-
-    def cumtrap(y):
-        return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(ts))])
-
-    def make(attr_v, attr_d1, attr_d2):
-        fl, fl1, fl2 = (getattr(left_piece, a) for a in (attr_v, attr_d1, attr_d2))
-        fr, fr1, fr2 = (getattr(right_piece, a) for a in (attr_v, attr_d1, attr_d2))
-        l2, r2 = fl2(ts), fr2(ts)
-        delta2 = r2 - l2
-        # Blend weight S + c1 b1 + c2 b2: the two coefficients are solved so
-        # that integrating the blended second derivative from the left edge
-        # reproduces the right piece's value and slope at the right edge,
-        # keeping the weight's edge flatness (bumps vanish to all orders).
-        slope_target = float(np.asarray(fr1(hi))) - float(np.asarray(fl1(lo)))
-        value_target = (float(np.asarray(fr(hi))) - float(np.asarray(fl(lo)))
-                        - float(np.asarray(fl1(lo))) * (hi - lo))
-        base = s_nodes * delta2 + l2
-        wgt = hi - ts
-
-        def integrals(y):
-            return (np.trapezoid(y, ts), np.trapezoid(wgt * y, ts))
-
-        b1_slope, b1_val = integrals(bump1 * delta2)
-        b2_slope, b2_val = integrals(bump2 * delta2)
-        base_slope, base_val = integrals(base)
-        M = np.array([[b1_slope, b2_slope], [b1_val, b2_val]])
-        rhs = np.array([slope_target - base_slope, value_target - base_val])
-        c, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        weight = np.clip(s_nodes + c[0] * bump1 + c[1] * bump2, 0.0, 1.0)
-        beta = weight * delta2 + l2
-        sigma = float(np.asarray(fl1(lo))) + cumtrap(beta)
-        sigma_sp = CubicHermiteSpline(ts, sigma, beta)
-        F_nodes = float(np.asarray(fl(lo))) + cumtrap(sigma)
-        F_sp = CubicHermiteSpline(ts, F_nodes, sigma)
-
-        def val(t):
-            return F_sp(np.asarray(t, dtype=float))
-
-        def d1(t):
-            return sigma_sp(np.asarray(t, dtype=float))
-
-        def d2(t):
-            return sigma_sp(np.asarray(t, dtype=float), 1)
-
-        return val, d1, d2
-
-    f, f1, f2 = make("f", "f1", "f2")
-    h, h1, h2 = make("h", "h1", "h2")
-    return PartialProfile(t_lo=lo, t_hi=center + w,
-                          f=f, f1=f1, f2=f2, h=h, h1=h1, h2=h2)
-
-
-def _a3_extension(left: LeftParams) -> PartialProfile:
-    """Collar-side continuation at a3: constant fiber radius, linear collar."""
-    alpha, lam, b = left.alpha, left.lam, left.b
-
-    def const(v):
-        return lambda t: np.full(np.shape(np.asarray(t, dtype=float)), v, dtype=float)
-
-    return PartialProfile(
-        t_lo=-np.inf, t_hi=left.a3,
-        f=const(b), f1=const(0.0), f2=const(0.0),
-        h=lambda t: alpha + lam * (np.asarray(t, dtype=float) - left.a3),
-        h1=const(lam), h2=const(0.0),
-    )
-
-
 def assemble_profile(left_params: LeftParams, right_params: RightParams,
                      left: PartialProfile, right: PartialProfile) -> ProfilePair:
-    """Join the raw pieces into a C^1 profile (no smoothing windows yet)."""
+    """Join the raw pieces into the C^1 profile, checking the jets agree at t1."""
     t1 = right_params.t1
     scale = max(1.0, right_params.bN * 1e-10)
     gap_f = abs(float(left.f(t1)) - float(right.f(t1)))
@@ -762,68 +623,7 @@ def assemble_profile(left_params: LeftParams, right_params: RightParams,
         raise ProfileError(f"pieces are not C^1 at t1 (worst jet gap {worst:.3e})")
     eps_b2 = math.asin(left_params.alpha * left_params.r / right_params.bN)
     return ProfilePair(left=left_params, right=right_params,
-                       pieces=(left, right),
-                       boundaries=(left_params.a3, t1, right_params.b3),
-                       eps_b2=eps_b2)
-
-
-def smooth_c1_join(pair: ProfilePair, marker: str, window: float | None = None
-                   ) -> ProfilePair:
-    """Smooth the profile across ``marker`` ("t1" or "a3") with a window blend.
-
-    The output agrees with the input outside [marker-w, marker+w] sample for
-    sample; inside, first and second derivatives interpolate between the two
-    pieces' values (bounded by their extremes up to the blend's cross terms).
-    """
-    if marker == "t1":
-        center = pair.t1
-        try:
-            idx = pair.boundaries.index(center)
-        except ValueError:
-            raise ProfileError("t1 is not a piece boundary of this profile") from None
-        if idx == 0 or idx == len(pair.boundaries) - 1:
-            raise ProfileError("t1 is not an interior piece boundary of this profile")
-        left_piece = pair.pieces[idx - 1]
-        right_piece = pair.pieces[idx]
-        default = 0.05 * min(center - pair.a3, pair.b3 - center)
-    elif marker == "a3":
-        center = pair.a3
-        left_piece = _a3_extension(pair.left)
-        right_piece = pair.pieces[0]
-        default = 0.05 * (pair.t1 - pair.a3)
-    else:
-        raise ValueError(f"unknown marker {marker!r} (expected 't1' or 'a3')")
-    w = default if window is None else float(window)
-    if w <= 0:
-        raise ProfileError("smoothing window must be positive")
-    lo = center - w
-    hi = center + w
-    if marker == "t1" and (lo <= pair.a3 or hi >= pair.b3):
-        raise ProfileError("smoothing window exceeds the piece domains")
-    if marker == "a3" and hi >= pair.t1:
-        raise ProfileError("smoothing window exceeds the left piece domain")
-
-    blend = _blend_piece(left_piece, right_piece, center, w)
-
-    pieces = []
-    boundaries = [pair.a3]
-    for i, piece in enumerate(pair.pieces):
-        plo, phi = pair.boundaries[i], pair.boundaries[i + 1]
-        if phi <= lo or plo >= hi:
-            pieces.append(piece)
-            boundaries.append(phi)
-            continue
-        if plo < lo:
-            pieces.append(piece)
-            boundaries.append(lo)
-        if boundaries[-1] < hi and (not pieces or pieces[-1] is not blend):
-            pieces.append(blend)
-            boundaries.append(min(hi, pair.b3))
-        if phi > hi:
-            pieces.append(piece)
-            boundaries.append(phi)
-    windows = pair.windows + ((center, w),)
-    return replace(pair, pieces=tuple(pieces), boundaries=tuple(boundaries), windows=windows)
+                       left_piece=left, right_piece=right, eps_b2=eps_b2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ Two families are provided:
 
 * ``smooth_step`` -- the classical C-infinity step built from exp(-1/x).
   It is identically 0 for x <= 0 and identically 1 for x >= 1, with *all*
-  derivatives vanishing at both ends.  Blends built from it agree with the
-  blended pieces to every order outside the transition window, which is what
-  makes windowed profile surgery exact outside the window.
+  derivatives vanishing at both ends.  The collar rise of the right profile
+  piece decays through it, so the rise meets its plateau to every order.
 * ``smoothstep7`` -- the degree-7 polynomial step (three vanishing
   derivatives at each end).  Cheaper and adequate where only C^3 contact is
   needed, e.g. the fiber-angle taper.
@@ -21,9 +20,7 @@ __all__ = [
     "bump_exp_d1",
     "smooth_step",
     "smooth_step_d1",
-    "smooth_step_d2",
     "smoothstep7",
-    "smoothstep7_d1",
 ]
 
 
@@ -82,27 +79,8 @@ def smooth_step_d1(x):
     return out
 
 
-def smooth_step_d2(x, eps=1e-6):
-    """Second derivative of :func:`smooth_step`, by central differences of d1.
-
-    The closed form is unwieldy; d1 is analytic and smooth, so a central
-    difference at step ``eps`` is accurate to ~1e-12 where it matters.
-    """
-    x = np.asarray(x, dtype=float)
-    return (smooth_step_d1(x + eps) - smooth_step_d1(x - eps)) / (2.0 * eps)
-
-
 def smoothstep7(x):
     """Degree-7 smoothstep: 35x^4 - 84x^5 + 70x^6 - 20x^7, clamped to [0, 1]."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     return x ** 4 * (35.0 + x * (-84.0 + x * (70.0 - 20.0 * x)))
 
-
-def smoothstep7_d1(x):
-    """Derivative of :func:`smoothstep7` (140 x^3 (1-x)^3 inside [0, 1])."""
-    x = np.asarray(x, dtype=float)
-    inside = (x > 0.0) & (x < 1.0)
-    out = np.zeros_like(x)
-    xi = x[inside]
-    out[inside] = 140.0 * xi ** 3 * (1.0 - xi) ** 3
-    return out

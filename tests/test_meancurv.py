@@ -23,7 +23,7 @@ class SyntheticPair:
     def __init__(self, a3=0.0, b3=4.0):
         self.a3, self.b3 = a3, b3
 
-    def grid(self, n=2048, refine=10):
+    def grid(self, n=2048):
         return np.linspace(self.a3, self.b3, n)
 
     def f(self, t):

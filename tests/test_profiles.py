@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from plumbric.pipeline import NiceCoordinateSpec, run_construction
+from plumbric.plumbing import PlumbingTree, PlumbingVertex
 from plumbric.profiles import (A3, BoundaryConditionError, EpsilonProfile,
-                               InfeasibleProfileError, LeftParams, PartialProfile,
-                               ProfilePair, RightParams, build_left_profile,
+                               InfeasibleProfileError, LeftParams, build_left_profile,
                                check_bc, integrate_fC, integrate_h0,
-                               search_parameters, smooth_c1_join, solve_runout)
+                               search_parameters, solve_runout)
 
 RNG = np.random.default_rng(7)
 
@@ -119,83 +120,6 @@ class TestRunout:
             solve_runout(v0=1.0, s0=0.5, bN=50.0, X_R=math.pi / 4)
 
 
-def toy_pair(kink=0.3):
-    """Small synthetic C^1 profile with an f''-kink at t1 for smoothing tests."""
-    t1, b3 = 1.0, 3.0
-
-    def mk(fv, f1v, f2v, hv, h1v, h2v):
-        return PartialProfile(t_lo=0.0, t_hi=b3,
-                              f=fv, f1=f1v, f2=f2v, h=hv, h1=h1v, h2=h2v)
-
-    # left: f = 1 + t + kink/2 (t-1)^2, right: f = 1 + t - kink/2 (t-1)^2
-    left = mk(lambda t: 1 + np.asarray(t) + 0.5 * kink * (np.asarray(t) - t1) ** 2,
-              lambda t: 1 + kink * (np.asarray(t) - t1),
-              lambda t: np.full(np.shape(t), kink, dtype=float),
-              lambda t: 2.0 + 0.1 * np.asarray(t),
-              lambda t: np.full(np.shape(t), 0.1, dtype=float),
-              lambda t: np.zeros(np.shape(t)))
-    right = mk(lambda t: 1 + np.asarray(t) - 0.5 * kink * (np.asarray(t) - t1) ** 2,
-               lambda t: 1 - kink * (np.asarray(t) - t1),
-               lambda t: np.full(np.shape(t), -kink, dtype=float),
-               lambda t: 2.0 + 0.1 * np.asarray(t),
-               lambda t: np.full(np.shape(t), 0.1, dtype=float),
-               lambda t: np.zeros(np.shape(t)))
-    # scales consistent with the synthetic values h(0) = 2, f(0) = 1.15
-    a_scale = 2.0 / math.sqrt(-2.0 * math.log(0.1))
-    lp = LeftParams(lam=0.1, a=a_scale, C=0.5, r=(1 + 0.5 * kink) / 2.0)
-    rp = RightParams(t1=t1, b3=b3, beta=10.0, rho=0.1, N=1.0, R=math.pi / 4)
-    return ProfilePair(left=lp, right=rp, pieces=(left, right),
-                       boundaries=(0.0, t1, b3), eps_b2=0.1)
-
-
-class TestSmoothing:
-    def test_identity_join(self):
-        pair = toy_pair(kink=0.0)
-        sm = smooth_c1_join(pair, "t1", window=0.2)
-        t = np.linspace(0.0, 3.0, 301)
-        assert np.allclose(sm.f(t), pair.f(t), atol=1e-14)
-        assert np.allclose(sm.f1(t), pair.f1(t), atol=1e-13)
-
-    def test_identical_outside_window(self):
-        pair = toy_pair()
-        sm = smooth_c1_join(pair, "t1", window=0.2)
-        t_out = np.concatenate([np.linspace(0.0, 0.79, 80),
-                                np.linspace(1.21, 3.0, 80)])
-        assert np.array_equal(sm.f(t_out), pair.f(t_out))
-        assert np.array_equal(sm.h(t_out), pair.h(t_out))
-
-    def test_second_derivative_bounded_and_single_sign_change(self):
-        pair = toy_pair(kink=0.3)
-        sm = smooth_c1_join(pair, "t1", window=0.2)
-        t = np.linspace(0.801, 1.199, 2001)
-        f2 = sm.f2(t)
-        # within piecewise extremes, with a small slack for the blend cross terms
-        slack = 0.05 * 0.6
-        assert f2.max() <= 0.3 + slack
-        assert f2.min() >= -0.3 - slack
-        signs = np.sign(f2[np.abs(f2) > 1e-9])
-        assert np.count_nonzero(np.diff(signs) != 0) == 1
-
-    def test_window_shrink_convergence(self):
-        pair = toy_pair(kink=0.3)
-        t = np.linspace(0.5, 1.5, 1001)
-        sup1 = np.max(np.abs(smooth_c1_join(pair, "t1", window=0.2).f(t) - pair.f(t)))
-        sup2 = np.max(np.abs(smooth_c1_join(pair, "t1", window=0.1).f(t) - pair.f(t)))
-        assert sup2 < 0.6 * sup1
-
-    def test_window_too_large(self):
-        pair = toy_pair()
-        with pytest.raises(Exception):
-            smooth_c1_join(pair, "t1", window=5.0)
-
-    def test_a3_marker_keeps_interface_values(self):
-        pair = toy_pair()
-        sm = smooth_c1_join(pair, "a3", window=0.04)
-        lp = pair.left
-        assert float(sm.h(0.0)) == pytest.approx(float(pair.h(0.0)), abs=1e-12)
-        assert float(sm.f1(0.0)) <= 1e-10 + float(pair.f1(0.0))
-
-
 class TestEpsilonProfile:
     def test_shape(self):
         ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.4)
@@ -247,6 +171,25 @@ class TestSearch:
         doc = json.loads(res.pair.params_json())
         assert doc["schema"] == "plumbric-profile-params/1"
         assert doc["right"]["beta"] == res.right.beta
+
+    def test_two_piece_grid_jets_and_params(self, tmp_path):
+        res = search_parameters(4, 4, math.pi / 4, 0.1)
+        pair = res.pair
+        t = pair.grid(1024)
+        # verify aligns the profile CSV on exact a3 and b3 end samples
+        assert np.array_equal(t, np.linspace(res.left.a3, res.right.b3, 1024))
+        assert t[0] == res.left.a3 and t[-1] == res.right.b3
+        jets = pair.jets(t)
+        for name in ("f", "f1", "f2", "h", "h1", "h2"):
+            assert np.array_equal(getattr(jets, name), getattr(pair, name)(t)), name
+        tree = PlumbingTree(
+            vertices=(PlumbingVertex(base_dim=4, rank=4, euler=2, char_label="v1"),),
+            edges=())
+        spec = NiceCoordinateSpec(p=4, q=4, R=math.pi / 4, N=1.0, kappa=0.5)
+        assert run_construction(tree, spec, out_dir=tmp_path).passed
+        doc = json.loads((tmp_path / "profiles" / "step_0.params.json").read_text())
+        assert doc["schema"] == "plumbric-profile-params/1"
+        assert doc["markers"]["windows"] == []
 
 
 class TestRegressionFixture:
