@@ -12,14 +12,21 @@ the search's accepted measurement, adds the oracle-only checks (bulk scalar,
 taper, collar attachment) and writes its artifacts from the same samples.
 ``verify`` parses stored artifacts and runs the same kernel, so its check
 records equal the constructing step's; its output is deterministic.
+
+A step reads only (p, q, R/N, kappa) from its vertex; everything else is
+fixed for the run.  So each distinct (p, q, R/N, kappa) is searched and
+checked once per run.  The certificate still lists one step per vertex, and
+a repeated vertex's artifacts are copies of its first occurrence's.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
 import pathlib
+import shutil
 import time
 from dataclasses import dataclass
 
@@ -155,6 +162,13 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     collar bound alpha*r (the taper-side embeddings the construction leaves
     behind).  Infeasibility of any step marks the certificate failed and
     stops the traversal.
+
+    Each distinct (p, q, R/N, kappa) is searched and checked once per call: a
+    vertex whose inputs repeat an earlier vertex's gets a copy of that step's
+    record with its own ``vertex`` and ``spec``, and copies of its artifact
+    files.  On the tangent chains measured so far the derived inputs repeat
+    from the second or third vertex on, so a long chain runs two or three
+    searches.
     """
     t_start = time.perf_counter()
     cfg = _merge_config(config)
@@ -163,6 +177,8 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     steps = []
     passed = True
 
+    # (p, q, R/N, kappa) -> (index of its accepted step, derived child spec)
+    done = {}
     stack = [(root, v_spec)]
     visited = {root}
     adj = tree._adj
@@ -175,28 +191,39 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
             raise SpecError(
                 f"vertex {vi} has (rank, base) = ({p_step}, {q_step}) but the "
                 f"supplied embedding data is for (p, q) = ({spec.p}, {spec.q})")
-        try:
-            result = search_parameters(
-                p_step, q_step, spec.R / spec.N, float(cfg["lambda"]),
-                kappa=spec.kappa, mc_margin_tol=float(tol["mc_margin"]),
-                mc_variant=cfg["mc_variant"], grid_n=int(cfg["grid"]),
-                config=cfg.get("search") or None)
-        except InfeasibleProfileError as exc:
-            passed = False
-            steps.append({"vertex": vi, "spec": spec.as_dict(),
-                          "infeasible": str(exc), "checks": [], "margins": {}})
-            break
-        rec = _step_record(vi, spec, result, cfg)
-        steps.append(rec)
-        if not all(c["passed"] for c in rec["checks"]):
-            passed = False
-            break
-        if out_dir is not None:
-            _write_step_artifacts(out_dir, len(steps) - 1, result, cfg)
-        derived = NiceCoordinateSpec(
-            p=q_step, q=p_step, R=result.left.alpha * eps_i,
-            N=result.left.alpha, kappa=result.left.alpha * result.left.r,
-            provenance="derived")
+        key = (p_step, q_step, spec.R / spec.N, spec.kappa)
+        if key in done:
+            first, derived = done[key]
+            rec = copy.deepcopy(steps[first])
+            rec["vertex"] = vi
+            rec["spec"] = spec.as_dict()
+            steps.append(rec)
+            if out_dir is not None:
+                _copy_step_artifacts(out_dir, first, len(steps) - 1)
+        else:
+            try:
+                result = search_parameters(
+                    p_step, q_step, spec.R / spec.N, float(cfg["lambda"]),
+                    kappa=spec.kappa, mc_margin_tol=float(tol["mc_margin"]),
+                    mc_variant=cfg["mc_variant"], grid_n=int(cfg["grid"]),
+                    config=cfg.get("search") or None)
+            except InfeasibleProfileError as exc:
+                passed = False
+                steps.append({"vertex": vi, "spec": spec.as_dict(),
+                              "infeasible": str(exc), "checks": [], "margins": {}})
+                break
+            rec = _step_record(vi, spec, result, cfg)
+            steps.append(rec)
+            if not all(c["passed"] for c in rec["checks"]):
+                passed = False
+                break
+            if out_dir is not None:
+                _write_step_artifacts(out_dir, len(steps) - 1, result, cfg)
+            derived = NiceCoordinateSpec(
+                p=q_step, q=p_step, R=result.left.alpha * eps_i,
+                N=result.left.alpha, kappa=result.left.alpha * result.left.r,
+                provenance="derived")
+            done[key] = (len(steps) - 1, derived)
         for w in adj[vi]:
             if w not in visited:
                 visited.add(w)
@@ -284,6 +311,14 @@ def _write_step_artifacts(out_dir, idx: int, result, cfg: dict):
     buf.write("t,f,h,mc_margin\n")
     np.savetxt(buf, np.column_stack(cols), delimiter=",", fmt="%.17g")
     (out / "plots-data" / f"step_{idx}_margins.csv").write_text(buf.getvalue())
+
+
+def _copy_step_artifacts(out_dir, src: int, dst: int):
+    """Write step dst's three artifacts as copies of step src's."""
+    out = pathlib.Path(out_dir)
+    for name in ("profiles/step_{}.csv", "profiles/step_{}.params.json",
+                 "plots-data/step_{}_margins.csv"):
+        shutil.copyfile(out / name.format(src), out / name.format(dst))
 
 
 # ---------------------------------------------------------------------------

@@ -483,11 +483,11 @@ def eta_ledger(ledger: EtaLedger) -> EtaLedgerResult:
     n = ledger.n
     unit = eta_local_contribution(n)
     etas = {l: -2 * ledger.fixed_point_counts[l] * unit for l in ledger.lengths}
-    collisions = []
-    ls = list(ledger.lengths)
-    for i in range(len(ls)):
-        for j in range(i + 1, len(ls)):
-            if etas[ls[i]] == etas[ls[j]]:
-                collisions.append((ls[i], ls[j]))
+    groups = {}
+    for l in ledger.lengths:
+        groups.setdefault(etas[l], []).append(l)
+    # The lengths increase strictly, so sorted pairs come in pairwise-scan order.
+    collisions = sorted((a, b) for group in groups.values()
+                        for i, a in enumerate(group) for b in group[i + 1:])
     return EtaLedgerResult(n=n, etas=etas, cv_coefficient=-2,
                            distinct=not collisions, collisions=tuple(collisions))

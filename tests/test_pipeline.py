@@ -175,6 +175,93 @@ class TestVerifyReproducesConstruct:
                 assert v.steps[0]["margins"][key] == step["margins"][key]
 
 
+def _counting_search(monkeypatch):
+    """Count the calls of the search that run_construction makes."""
+    import plumbric.pipeline as pipeline
+
+    calls = []
+    search = pipeline.search_parameters
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "search_parameters", counted)
+    return calls
+
+
+class TestRepeatedVertexInputs:
+    """On this tangent chain every vertex after the second has the second's
+    (p, q, R/N, kappa): its step is searched and checked once per run."""
+
+    # R/N != epsilon_i, so the root's step differs from the repeated one.
+    SPEC = NiceCoordinateSpec(p=3, q=3, R=1.1, N=1.0, kappa=0.5)
+    CONFIG = {"lambda": 0.3}
+    ARTIFACTS = ("profiles/step_{}.csv", "profiles/step_{}.params.json",
+                 "plots-data/step_{}_margins.csv")
+
+    @pytest.fixture(scope="class")
+    def chain8(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("chain8")
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_search(mp)
+            cert = run_construction(tangent_chain(8, 3), self.SPEC, self.CONFIG,
+                                    out_dir=out)
+        return out, cert, calls
+
+    def test_two_searches_for_eight_vertices(self, chain8):
+        _out, cert, calls = chain8
+        assert cert.passed and len(cert.steps) == 8
+        assert all(c["passed"] for step in cert.steps for c in step["checks"])
+        assert len(calls) == 2
+
+    def test_repeated_records_equal_fresh_runs(self, chain8):
+        _out, cert, _calls = chain8
+        assert [s["vertex"] for s in cert.steps] == list(range(8))
+        for k, step in enumerate(cert.steps[2:], start=2):
+            assert step["spec"]["provenance"] == "derived"
+            one = PlumbingTree(vertices=(tangent_chain(8, 3).vertices[k],), edges=())
+            fresh = run_construction(one, NiceCoordinateSpec(**step["spec"]),
+                                     self.CONFIG).steps[0]
+            assert fresh["vertex"] == 0
+            fresh["vertex"] = step["vertex"]
+            assert json.dumps(fresh) == json.dumps(step), k
+
+    def test_repeated_artifacts_are_copies_that_verify(self, chain8):
+        out, _cert, _calls = chain8
+        assert ((out / "profiles/step_0.csv").read_bytes()
+                != (out / "profiles/step_1.csv").read_bytes())
+        for k in range(2, 8):
+            for name in self.ARTIFACTS:
+                assert ((out / name.format(k)).read_bytes()
+                        == (out / name.format(1)).read_bytes()), (k, name)
+            v = verify(out / "profiles" / f"step_{k}.csv",
+                       out / "profiles" / f"step_{k}.params.json")
+            assert v.passed, k
+
+    def test_reuse_keys_on_the_ratio_and_keeps_each_spec(self, chain8, monkeypatch):
+        # A root with step 1's R/N and kappa but twice its R and N needs no
+        # search of its own after the first, and each step keeps its spec.
+        _out, cert, _calls = chain8
+        s1 = NiceCoordinateSpec(**cert.steps[1]["spec"])
+        root = NiceCoordinateSpec(p=3, q=3, R=2 * s1.R, N=2 * s1.N, kappa=s1.kappa)
+        calls = _counting_search(monkeypatch)
+        cert3 = run_construction(tangent_chain(3, 3), root, self.CONFIG)
+        assert cert3.passed and len(calls) == 1
+        assert cert3.steps[0]["spec"] == root.as_dict()
+        assert [s["spec"] for s in cert3.steps[1:]] == [cert.steps[1]["spec"]] * 2
+        for step in cert3.steps:
+            assert json.dumps(step["checks"]) == json.dumps(cert.steps[1]["checks"])
+
+    def test_sixty_four_chain(self, monkeypatch):
+        # The 8l family at l = 8.
+        calls = _counting_search(monkeypatch)
+        cert = run_construction(tangent_chain(64, 3), self.SPEC, self.CONFIG)
+        assert cert.passed and len(cert.steps) == 64
+        assert all(c["passed"] for step in cert.steps for c in step["checks"])
+        assert len(calls) == 2
+
+
 class TestOracleFailures:
     def test_unexpected_bulk_error_propagates(self, monkeypatch):
         import plumbric.pipeline as pipeline

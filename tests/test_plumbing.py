@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plumbric.plumbing import (EtaLedger, MilnorPairInput, NonUnimodularFormError,
+from plumbric.plumbing import (EtaLedger, EtaLedgerResult, MilnorPairInput, NonUnimodularFormError,
                                PlumbingTree, PlumbingVertex, TreeStructureError,
                                arf_invariant, arf_of_refinement, bareiss_det,
                                boundary_sphere_test, clutching_word, eta_ledger,
@@ -221,6 +221,44 @@ class TestEta:
     def test_degenerate_ledger_detected(self):
         with pytest.raises(ValueError):
             EtaLedger(k=1, lengths=(1, 2), fixed_point_counts={1: 3, 2: 3})
+
+    @staticmethod
+    def _pairwise_result(led):
+        """The O(L^2) reference: compare every pair of lengths."""
+        res = eta_ledger(led)
+        ls = led.lengths
+        pairs = tuple((a, b) for i, a in enumerate(ls) for b in ls[i + 1:]
+                      if res.etas[a] == res.etas[b])
+        return EtaLedgerResult(n=res.n, etas=res.etas, cv_coefficient=-2,
+                               distinct=not pairs, collisions=pairs)
+
+    @pytest.mark.parametrize("convention", ["reported", "chain"])
+    @pytest.mark.parametrize("l_max", [1, 9, 800])
+    def test_collisions_match_pairwise_reference(self, convention, l_max):
+        lengths = tuple(range(1, l_max + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            counts = {l: fixed_point_count(8 * l, convention) for l in lengths}
+        led = EtaLedger(k=2, lengths=lengths, fixed_point_counts=counts)
+        res = eta_ledger(led)
+        ref = self._pairwise_result(led)
+        assert res.collisions == ref.collisions == ()
+        assert res.to_json() == ref.to_json()
+
+    def test_collision_order_matches_pairwise_reference(self):
+        # Colliding counts are rejected by EtaLedger's constructor; build the
+        # ledger past it so the grouping's pair order is exercised.
+        lengths = tuple(range(1, 41))
+        led = object.__new__(EtaLedger)
+        for name, value in (("k", 1), ("lengths", lengths),
+                            ("fixed_point_counts", {l: (l * 7) % 5 for l in lengths}),
+                            ("manifold_constant", "C_V")):
+            object.__setattr__(led, name, value)
+        res = eta_ledger(led)
+        ref = self._pairwise_result(led)
+        assert len(res.collisions) == 5 * 28 == len(ref.collisions)
+        assert res.collisions == ref.collisions
+        assert res.to_json() == ref.to_json()
 
     def test_result_serialization(self):
         led = EtaLedger(k=2, lengths=(1, 2), fixed_point_counts={1: 3, 2: 5})
