@@ -40,7 +40,6 @@ the bulk scalar-curvature samples and ``oracle_boundary_mean_curvature``.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -245,14 +244,11 @@ class MeanCurvatureReport:
         }, sort_keys=True, indent=1)
 
     def to_csv(self) -> str:
-        cols = np.column_stack([
-            self.t, self.curve_pc, self.sphere_p_pc, self.sphere_q_pc,
-            self.mean_curvature, *(self.margins[v] for v in MC_VARIANTS)])
-        buf = io.StringIO()
-        buf.write("t,curve_pc,sphere_p_pc,sphere_q_pc,mean_curvature,"
-                  "margin_reported,margin_curvature,margin_unit\n")
-        np.savetxt(buf, cols, delimiter=",", fmt="%.17g")
-        return buf.getvalue()
+        from .profiles import csv_text   # profiles imports this module
+        return csv_text({
+            "t": self.t, "curve_pc": self.curve_pc, "sphere_p_pc": self.sphere_p_pc,
+            "sphere_q_pc": self.sphere_q_pc, "mean_curvature": self.mean_curvature,
+            **{f"margin_{v}": self.margins[v] for v in MC_VARIANTS}})
 
 
 def z3_mean_curvature(curve: CurveEmbedding, pair, p: int, q: int,

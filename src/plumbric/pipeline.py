@@ -37,9 +37,9 @@ from .oracle import NonSPDMetricError, OracleDomainError, numeric_curvature
 from .plumbing import (EtaLedger, PlumbingTree, arf_invariant, boundary_sphere_test,
                        clutching_word, eta_ledger, fixed_point_count,
                        intersection_matrix, render_word)
-from .profiles import (EpsilonProfile, InfeasibleProfileError, LeftParams,
-                       RightParams, check_record, jets_csv, measure_profile,
-                       sample_verdict, search_parameters)
+from .profiles import (PROFILE_COLUMNS, EpsilonProfile, InfeasibleProfileError,
+                       LeftParams, RightParams, check_record, csv_blocks,
+                       measure_profile, sample_verdict, search_parameters)
 from .warped import WarpedJet
 
 __all__ = [
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 SCHEMA = "plumbric-certificate/1"
+
+MARGIN_COLUMNS = ("t", "f", "h", "mc_margin")  # plots-data/step_k_margins.csv
 
 DEFAULT_CONFIG = {
     "lambda": 0.1,
@@ -295,22 +297,27 @@ def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, cfg: dict) -
 
 
 def _write_step_artifacts(out_dir, idx: int, result, cfg: dict):
-    """Profile CSV, params file and margin CSV, all from the measured samples."""
+    """Profile CSV, params file and margin CSV, all from the measured samples.
+
+    The two CSVs are written together, block by block, so the columns they
+    share (t, f, h) are formatted once.
+    """
     out = pathlib.Path(out_dir)
     (out / "profiles").mkdir(parents=True, exist_ok=True)
     (out / "plots-data").mkdir(parents=True, exist_ok=True)
     m = result.measurement
-    (out / "profiles" / f"step_{idx}.csv").write_text(jets_csv(m.jets))
+    cols = {name: getattr(m.jets, name) for name in PROFILE_COLUMNS}
+    cols["mc_margin"] = m.margins[cfg["mc_variant"]]
+    with open(out / "profiles" / f"step_{idx}.csv", "w") as prof, \
+            open(out / "plots-data" / f"step_{idx}_margins.csv", "w") as marg:
+        for prof_text, marg_text in csv_blocks(cols, PROFILE_COLUMNS, MARGIN_COLUMNS):
+            prof.write(prof_text)
+            marg.write(marg_text)
     params = json.loads(result.pair.params_json())
     params["p"] = m.p
     params["q"] = m.q
     (out / "profiles" / f"step_{idx}.params.json").write_text(
         json.dumps(params, sort_keys=True, indent=1))
-    cols = [m.jets.t, m.jets.f, m.jets.h, m.margins[cfg["mc_variant"]]]
-    buf = io.StringIO()
-    buf.write("t,f,h,mc_margin\n")
-    np.savetxt(buf, np.column_stack(cols), delimiter=",", fmt="%.17g")
-    (out / "plots-data" / f"step_{idx}_margins.csv").write_text(buf.getvalue())
 
 
 def _copy_step_artifacts(out_dir, src: int, dst: int):
@@ -327,13 +334,37 @@ def _copy_step_artifacts(out_dir, src: int, dst: int):
 
 
 def _parse_profile_csv(text: str):
+    """Columns of a profile CSV; a body that is not a numeric table of the
+    profile's columns raises a ``SpecError`` naming its first bad row."""
     header, _, body = text.lstrip().partition("\n")
     header = header.strip().split(",")
-    expected = ["t", "f", "f1", "f2", "h", "h1", "h2"]
+    expected = list(PROFILE_COLUMNS)
     if header != expected:
         raise SpecError(f"profile CSV columns must be {expected}, got {header}")
-    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    if not body.strip():
+        raise SpecError("profile CSV has a header but no rows")
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(expected):
+        raise _bad_profile_row(body, len(expected))
     return {name: data[:, k] for k, name in enumerate(expected)}
+
+
+def _bad_profile_row(body: str, ncol: int) -> SpecError:
+    """The error naming the first row (1 = the line after the header) that
+    fails to parse on its own or has other than ``ncol`` fields."""
+    for i, line in enumerate(body.split("\n"), 1):
+        if not line:
+            continue   # loadtxt skips empty lines
+        try:
+            n = np.loadtxt([line], delimiter=",", ndmin=2, comments=None).shape[1]
+        except ValueError:
+            return SpecError(f"profile CSV row {i} is not numeric: {line!r}")
+        if n != ncol:
+            return SpecError(f"profile CSV row {i} has {n} fields, not {ncol}")
+    return SpecError("profile CSV body is not a numeric table")
 
 
 def verify_samples(samples: dict, params: dict, p: int, q: int,

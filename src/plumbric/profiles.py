@@ -30,7 +30,6 @@ The certificate covers this C^1 two-piece profile.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -62,6 +61,10 @@ __all__ = [
     "build_left_profile",
     "build_right_profile",
     "assemble_profile",
+    "PROFILE_COLUMNS",
+    "CSV_BLOCK_ROWS",
+    "csv_blocks",
+    "csv_text",
     "jets_csv",
     "BcReport",
     "check_bc",
@@ -75,6 +78,9 @@ __all__ = [
 A3 = 0.0  # the left end of the neck interval; only differences of t matter
 
 BC_TOL = 1e-8
+
+PROFILE_COLUMNS = ("t", "f", "f1", "f2", "h", "h1", "h2")  # the profile CSV's columns
+CSV_BLOCK_ROWS = 4096  # rows formatted per block by csv_blocks
 
 
 class ProfileError(ValueError):
@@ -600,13 +606,43 @@ class ProfilePair:
         return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def _format_column(col: np.ndarray) -> list:
+    """``"%.17g" % x`` for every entry of a 1-D float column, in one ``%``."""
+    vals = col.tolist()
+    return (("%.17g\n" * len(vals)) % tuple(vals)).split("\n")[:-1]
+
+
+def csv_blocks(columns: dict, *tables):
+    """Text of CSV tables that share columns, streamed a block of rows at a time.
+
+    ``columns`` maps names to equal-length 1-D arrays and each table is a
+    sequence of those names.  The first tuple yielded holds each table's header
+    line; each later one holds the next ``CSV_BLOCK_ROWS`` rows of each table.
+    Within a block every column is formatted once, however many tables use it.
+    Each table's text is byte-equal to a header line followed by
+    ``np.savetxt(..., delimiter=",", fmt="%.17g")`` of its stacked columns.
+    """
+    arrays = {name: np.asarray(columns[name], dtype=np.float64)
+              for table in tables for name in table}
+    shapes = {a.shape for a in arrays.values()}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise ValueError(f"CSV columns must be 1-D and of equal length, got shapes {shapes}")
+    n = next(iter(shapes))[0]
+    yield tuple(",".join(table) + "\n" for table in tables)
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        text = {name: _format_column(a[lo:lo + CSV_BLOCK_ROWS]) for name, a in arrays.items()}
+        yield tuple("\n".join(map(",".join, zip(*(text[name] for name in table)))) + "\n"
+                    for table in tables)
+
+
+def csv_text(columns: dict) -> str:
+    """One CSV table of all ``columns``, in their order, as a string."""
+    return "".join(text for (text,) in csv_blocks(columns, tuple(columns)))
+
+
 def jets_csv(jets: WarpedJet) -> str:
     """Profile CSV: one row per sample, columns t, f, f1, f2, h, h1, h2."""
-    cols = np.column_stack([jets.t, jets.f, jets.f1, jets.f2, jets.h, jets.h1, jets.h2])
-    buf = io.StringIO()
-    buf.write("t,f,f1,f2,h,h1,h2\n")
-    np.savetxt(buf, cols, delimiter=",", fmt="%.17g")
-    return buf.getvalue()
+    return csv_text({name: getattr(jets, name) for name in PROFILE_COLUMNS})
 
 
 def assemble_profile(left_params: LeftParams, right_params: RightParams,

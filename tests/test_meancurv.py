@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from csv_reference import first_difference, savetxt_csv
 from plumbric.caps import BlockDiagonalForm, perelman_form_check
 from plumbric.meancurv import (CurveDomainError, ab_terms, build_curve,
                                interface_checks, interface_forms,
@@ -212,6 +213,15 @@ class TestZ3:
         lines = rep.to_csv().splitlines()
         assert lines[0].startswith("t,curve_pc")
         assert len(lines) >= 256
+
+    def test_report_csv_matches_savetxt(self, found44):
+        rep = z3_mean_curvature_from_pair(found44.pair, 4, 4, grid_n=5000)
+        ref = savetxt_csv(
+            "t,curve_pc,sphere_p_pc,sphere_q_pc,mean_curvature,"
+            "margin_reported,margin_curvature,margin_unit",
+            [rep.t, rep.curve_pc, rep.sphere_p_pc, rep.sphere_q_pc, rep.mean_curvature,
+             rep.margins["reported"], rep.margins["curvature"], rep.margins["unit"]])
+        assert first_difference(rep.to_csv(), ref) is None
 
     def test_oracle_cross_check(self, found44):
         ts, mco, mcc = oracle_boundary_mean_curvature(found44.pair, 4, 4, n_points=4)

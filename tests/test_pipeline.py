@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from csv_reference import first_difference, savetxt_csv
+from plumbric import pipeline
 from plumbric.cli import main as cli_main
 from plumbric.pipeline import (DEFAULT_CONFIG, NiceCoordinateSpec, SpecError,
                                certificate_json, run_construction, topo_report,
                                verify, verify_samples)
 from plumbric.plumbing import PlumbingTree, PlumbingVertex, tangent_chain
-from plumbric.profiles import BoundaryConditionError, ProfileError
+from plumbric.profiles import CSV_BLOCK_ROWS, BoundaryConditionError, ProfileError
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +161,54 @@ class TestVerifyFailsClosed:
         prof.write_text("\n".join([header, *rows]) + "\n")
         with pytest.raises(SpecError, match="a3 .* b3"):
             verify(prof, out / "profiles" / "step_0.params.json")
+
+    @pytest.mark.parametrize("body, match", [
+        ("", "no rows"),
+        ("0,1,2,3,4,5,6\n0,1,2,3,4,5\n", "row 2 has 6 fields, not 7"),
+        ("0,1,2,3,4,5,6\n0,1,2,x,4,5,6\n", "row 2 is not numeric"),
+        ("0,1,2,3,4,5\n0,1,2,3,4,5\n", "row 1 has 6 fields, not 7"),
+    ], ids=["header_only", "ragged_row", "non_numeric", "six_columns"])
+    def test_malformed_profile_body_rejected(self, single_run, tmp_path, body, match):
+        out, _ = single_run
+        prof = tmp_path / "step_0.csv"
+        prof.write_text("t,f,f1,f2,h,h1,h2\n" + body)
+        with pytest.raises(SpecError, match=match) as info:
+            verify(prof, out / "profiles" / "step_0.params.json")
+        assert type(info.value) is SpecError
+
+
+class TestStreamedArtifacts:
+    def test_block_plus_one_rows(self, tmp_path, monkeypatch):
+        written = []
+        write = pipeline._write_step_artifacts
+
+        def capture(out, idx, result, cfg):
+            written.append(result)
+            write(out, idx, result, cfg)
+
+        monkeypatch.setattr(pipeline, "_write_step_artifacts", capture)
+        tree = PlumbingTree(
+            vertices=(PlumbingVertex(base_dim=3, rank=3, euler=2, char_label="v"),),
+            edges=())
+        spec = NiceCoordinateSpec(p=3, q=3, R=math.pi / 4, N=1.0, kappa=0.5)
+        cert = run_construction(tree, spec, config={"grid": CSV_BLOCK_ROWS + 1},
+                                out_dir=tmp_path)
+        assert cert.passed and len(written) == 1
+        m = written[0].measurement
+        jets = m.jets
+        assert jets.t.size == CSV_BLOCK_ROWS + 1
+        prof = (tmp_path / "profiles" / "step_0.csv").read_text()
+        margins = (tmp_path / "plots-data" / "step_0_margins.csv").read_text()
+        assert first_difference(prof, savetxt_csv("t,f,f1,f2,h,h1,h2", [
+            jets.t, jets.f, jets.f1, jets.f2, jets.h, jets.h1, jets.h2])) is None
+        assert first_difference(margins, savetxt_csv("t,f,h,mc_margin", [
+            jets.t, jets.f, jets.h, m.margins[cert.config["mc_variant"]]])) is None
+        prof_tfh = "\n".join(",".join(row.split(",")[i] for i in (0, 1, 4))
+                             for row in prof.splitlines())
+        margins_tfh = "\n".join(row.rsplit(",", 1)[0] for row in margins.splitlines())
+        assert first_difference(prof_tfh, margins_tfh) is None
+        assert verify(tmp_path / "profiles" / "step_0.csv",
+                      tmp_path / "profiles" / "step_0.params.json").passed
 
 
 class TestVerifyReproducesConstruct:

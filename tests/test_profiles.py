@@ -1,14 +1,17 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from csv_reference import first_difference, savetxt_csv
 from plumbric.pipeline import NiceCoordinateSpec, run_construction
 from plumbric.plumbing import PlumbingTree, PlumbingVertex
-from plumbric.profiles import (A3, BoundaryConditionError, EpsilonProfile,
-                               InfeasibleProfileError, LeftParams, build_left_profile,
-                               check_bc, integrate_fC, integrate_h0,
+from plumbric.profiles import (A3, CSV_BLOCK_ROWS, BoundaryConditionError,
+                               EpsilonProfile, InfeasibleProfileError, LeftParams,
+                               build_left_profile, check_bc, csv_blocks, csv_text,
+                               integrate_fC, integrate_h0, jets_csv,
                                search_parameters, solve_runout)
 
 RNG = np.random.default_rng(7)
@@ -190,6 +193,64 @@ class TestSearch:
         doc = json.loads((tmp_path / "profiles" / "step_0.params.json").read_text())
         assert doc["schema"] == "plumbric-profile-params/1"
         assert doc["markers"]["windows"] == []
+
+
+def table_csv(columns: dict) -> str:
+    return savetxt_csv(",".join(columns), list(columns.values()))
+
+
+SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308,
+                    -1e308, 1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1 / 3])
+ROW_COUNTS = [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+              2 * CSV_BLOCK_ROWS + 1]
+
+
+def sample_columns(n: int, names) -> dict:
+    """Columns that cycle through the special values, mixed with random
+    magnitudes from 1e-300 to 1e300 of either sign."""
+    rng = np.random.default_rng(n)
+    out = {}
+    for k, name in enumerate(names):
+        col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        col[k::3] = np.resize(np.roll(SPECIAL, k), col[k::3].size)
+        out[name] = col
+    return out
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_profile_csv_matches_savetxt(self, n):
+        cols = sample_columns(n, ("t", "f", "f1", "f2", "h", "h1", "h2"))
+        # a namespace, not a WarpedJet: the special values include f, h <= 0
+        assert first_difference(jets_csv(SimpleNamespace(**cols)), table_csv(cols)) is None
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_shared_columns_stream_two_tables(self, n):
+        cols = sample_columns(n, ("t", "f", "h", "m"))
+        tables = (("t", "f", "h"), ("h", "t", "m"))
+        blocks = list(csv_blocks(cols, *tables))
+        assert len(blocks) == 1 + -(-n // CSV_BLOCK_ROWS)
+        for k, table in enumerate(tables):
+            text = "".join(b[k] for b in blocks)
+            assert first_difference(text, table_csv({c: cols[c] for c in table})) is None
+
+    def test_single_column_and_non_float_input(self):
+        ints = np.arange(-3, 4)
+        assert csv_text({"k": ints}) == table_csv({"k": ints.astype(float)})
+        assert csv_text({"x": SPECIAL}) == table_csv({"x": SPECIAL})
+
+    def test_unequal_or_2d_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            csv_text({"a": np.zeros(3), "b": np.zeros(4)})
+        with pytest.raises(ValueError, match="1-D"):
+            csv_text({"a": np.zeros((3, 2))})
+
+    def test_pair_to_csv_matches_savetxt(self):
+        pair = search_parameters(4, 4, math.pi / 4, 0.1).pair
+        t = pair.grid(300)
+        ref = table_csv({"t": t, **{name: getattr(pair, name)(t)
+                                    for name in ("f", "f1", "f2", "h", "h1", "h2")}})
+        assert first_difference(pair.to_csv(300), ref) is None
 
 
 class TestRegressionFixture:
