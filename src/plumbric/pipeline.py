@@ -174,6 +174,10 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     """
     t_start = time.perf_counter()
     cfg = _merge_config(config)
+    # "search" stays in the config, empty, so certificates keep their bytes
+    if cfg["search"] != {}:
+        raise SpecError("config 'search' takes no options (the parameter search "
+                        f"is fixed), got {cfg['search']!r}")
     tol = cfg["tolerances"]
     eps_i = float(cfg["epsilon_i"])
     steps = []
@@ -207,8 +211,7 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
                 result = search_parameters(
                     p_step, q_step, spec.R / spec.N, float(cfg["lambda"]),
                     kappa=spec.kappa, mc_margin_tol=float(tol["mc_margin"]),
-                    mc_variant=cfg["mc_variant"], grid_n=int(cfg["grid"]),
-                    config=cfg.get("search") or None)
+                    mc_variant=cfg["mc_variant"], grid_n=int(cfg["grid"]))
             except InfeasibleProfileError as exc:
                 passed = False
                 steps.append({"vertex": vi, "spec": spec.as_dict(),

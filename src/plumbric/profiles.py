@@ -21,8 +21,10 @@ on [a3, b3] (a3 is normalized to 0).  The profile is built from two pieces:
 
 Everything on the right piece is concave (f'' <= 0), which bounds the
 destabilizing curve term f''E + f'^2 f/(beta N)^2 of the mean-curvature
-margin by max(f'^2 f)/(beta N)^2 <= s0^2 sin(R/N)/(beta N): end scales
-beta*N ~ 1e9 therefore pin the worst margin above -1e-9.  The join at t1 is
+margin by max(f'^2 f)/(beta N)^2 <= s0^2 sin(R/N)/(beta N).  The search
+sizes beta N from the tolerance, beta N = max(1.2/mc_margin_tol, 50 f(t1)),
+so the worst margin is a fixed fraction of the tolerance (margin/tol near
+-0.28 for tolerances down to 1e-12), not a value shown nonnegative.  The join at t1 is
 C^1 by solving the fiber scale from the slope target (b = s0/fC'(t1)); f''
 jumps there from the left piece's convex value to the run-out's concave one.
 The certificate covers this C^1 two-piece profile.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,6 +84,12 @@ BC_TOL = 1e-8
 
 PROFILE_COLUMNS = ("t", "f", "f1", "f2", "h", "h1", "h2")  # the profile CSV's columns
 CSV_BLOCK_ROWS = 4096  # rows formatted per block by csv_blocks
+
+# The parameter search's fixed choices (see search_parameters).
+SEARCH_A = 0.2                     # collar scale: h(a3) = a sqrt(-2 ln lam), h'(a3) = a lam
+SEARCH_T1 = (1e5, 1e6, 1e7, 3e7)   # join points t1, nearest first
+THETA_RISE = 0.03                  # collar rise: beta rho = (1 + THETA_RISE) h(t1)
+BN_TOL = 3.0 * 0.4                 # beta N * mc_margin_tol: 3x the 0.4/(beta N) deficit bound
 
 
 class ProfileError(ValueError):
@@ -140,11 +149,6 @@ class WarpOde:
 
     def fc_d2(self, t):
         return self.C * np.exp(-self.h0(t) ** 2) * self.fc(t)
-
-    def extended(self, t_end: float) -> "WarpOde":
-        if t_end <= self.t_end:
-            return self
-        return _integrate(self.lam, self.C, t_end)
 
 
 def _integrate(lam: float, C: float, t_end: float, rtol: float = 1e-10) -> WarpOde:
@@ -314,12 +318,12 @@ def build_left_profile(params: LeftParams, t1: float, ode: WarpOde | None = None
     """Left piece h_l = a*h0, f_l = b*fC on [a3, t1].
 
     The a3 interface clauses hold by scaling; :func:`check_bc` verifies them
-    on the assembled profile.
+    on the assembled profile.  A supplied ``ode`` must cover [a3, t1].
     """
     if ode is None:
         ode = integrate_fC(params.C, params.lam, t_end=max(1.2 * t1, t1 + 10.0))
     elif ode.t_end < t1:
-        ode = ode.extended(1.2 * t1)
+        raise ProfileError(f"ODE solution ends at {ode.t_end}, before t1 = {t1}")
     if abs(ode.lam - params.lam) > 1e-12 or abs(ode.C - params.C) > 1e-12:
         raise ProfileError("ODE solution does not match the requested (lambda, C)")
     a, b = params.a, params.b
@@ -415,8 +419,7 @@ def solve_runout(v0: float, s0: float, bN: float, X_R: float) -> Runout:
     return Runout(v0, s0, bN, X_R)
 
 
-def build_right_profile(left: PartialProfile, params: RightParams,
-                        plateau_frac_cap: float = 0.5) -> PartialProfile:
+def build_right_profile(left: PartialProfile, params: RightParams) -> PartialProfile:
     """Right piece on [t1, b3]: concave slope run-out for the fiber radius,
     short concave rise then plateau for the collar radius.
 
@@ -429,7 +432,8 @@ def build_right_profile(left: PartialProfile, params: RightParams,
 
     The collar radius rises to beta*rho over an initial window and is
     constant afterwards, so h(b3) = beta*rho and h'(b3) = 0 hold exactly
-    (callers pick rho slightly above h(t1)/beta).
+    (callers pick rho slightly above h(t1)/beta).  The rise may take at most
+    half of [t1, b3].
     """
     t1, b3, bN, X_R = params.t1, params.b3, params.bN, params.angle
     L = b3 - t1
@@ -475,9 +479,9 @@ def build_right_profile(left: PartialProfile, params: RightParams,
             f"need beta*rho > h(t1): beta*rho={params.beta * params.rho}, h(t1)={hl1}")
     j_target = 0.35
     span = rise / (hs1 * j_target)
-    if span > plateau_frac_cap * L:
+    if span > 0.5 * L:
         raise InfeasibleProfileError(
-            f"collar rise needs span {span:.3e} > {plateau_frac_cap} L; "
+            f"collar rise needs span {span:.3e} > 0.5 L; "
             "reduce rho", {"span": span})
     t_h = t1 + span
     xs_h = np.linspace(0.0, 1.0, 4097)
@@ -798,29 +802,40 @@ class SearchResult:
 
 
 def search_parameters(p: int, q: int, R_over_N: float, lam: float,
-                      budget: int = 64,
                       kappa: float | None = None,
                       mc_margin_tol: float = 1e-9,
                       mc_variant: str = "reported",
-                      grid_n: int = 2048,
-                      config: dict | None = None) -> SearchResult:
-    """Search admissible neck-profile parameters for given dimensions.
+                      grid_n: int = 2048) -> SearchResult:
+    """Scan the (C, t1, s0) candidates for an admissible neck profile.
 
-    The decisive scales: the handoff slope s0 fixes the fiber scale
-    b = s0/fC'(t1); global concavity of the right piece bounds the
-    destabilizing mean-curvature term by ~s0^2 sin(R/N)/(beta N), so beta is
-    sized directly from the margin tolerance; t1 is pushed out until the left
-    piece's convexity term C e^{-h0^2} f clears the same budget.  Candidates
-    over (t1, s0, mean-slope) grids are then measured once on the full check
-    grid (:func:`measure_profile`) and accepted when :func:`sample_verdict`
-    passes all four records:
+    The handoff slope s0 fixes the fiber scale b = s0/fC'(t1), and the end
+    scale is sized from the margin tolerance, beta N = max(1.2/max(mc_margin_tol,
+    1e-12), 50 f(t1)); so the worst margin over the tolerance sits near -0.28
+    for any tolerance down to 1e-12, and is not shown nonnegative.
+    Candidates run C over two curvature values, t1 over :data:`SEARCH_T1`
+    and s0 over four join slopes, in that nesting.  Each goes through the
+    gates below in order and is dropped at the first it fails:
 
-    * all three Ricci components of the boundary metric positive,
-    * boundary mean-curvature margin >= -mc_margin_tol,
-    * all nine interface clauses within 1e-8,
-    * both interface gluing checks.
+    * ``s0_window``: cos(R/N) + delta < s0 < 1, delta = 0.02 (1 - cos(R/N));
+    * ``fiber_ricci``: fiber Ricci at the neck start, b^2 C lam^2 <= 0.85 (p-2);
+    * ``neck_start_margin``: b^2 C lam^2 <= 0.8 (p-1);
+    * ``join_convexity``: the left piece's convexity at t1 inside the
+      stabilizing fiber budget (p-1) D^2 / f;
+    * ``collar_cap``: the collar end rho = h(t1)(1 + THETA_RISE)/beta below
+      0.9 sin(R/N) h(t1)/f(t1), and below 0.99 kappa when kappa is given;
+    * ``runout``: a concave run-out exists through the join state.
 
-    Raises :class:`InfeasibleProfileError` carrying the best margins found.
+    A candidate that passes them is built and measured once on the full
+    check grid (:func:`measure_profile`), and accepted when
+    :func:`sample_verdict` passes all four records: the nine interface
+    clauses, boundary Ricci > 0, the mean-curvature margin >= -mc_margin_tol
+    and both gluing checks.  Otherwise the build error (``build``) or the
+    first failed check id rejects it and the scan goes on.
+
+    ``diagnostics`` holds ``evaluations`` (candidates built and measured)
+    and ``rejected``, one (C, t1, s0, gate) per dropped candidate.  Raises
+    :class:`InfeasibleProfileError` with both, and the rejections counted
+    by gate, when no candidate is accepted.
     """
     if p < 3 or q < 3:
         raise ProfileError(f"need p, q >= 3, got p={p}, q={q}")
@@ -828,100 +843,69 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
         raise ProfileError(f"need R/N in (0, pi/2), got {R_over_N}")
     if not (0.0 < lam < 0.5):
         raise ProfileError(f"need lambda < 1/2, got {lam}")
-    cfg = dict(config or {})
-    N = float(cfg.get("N", 1.0))
-    R = R_over_N * N
     cosX, sinX = math.cos(R_over_N), math.sin(R_over_N)
     delta = 0.02 * (1.0 - cosX)
-
-    a = float(cfg.get("a", 0.2))
-    C_grid = cfg.get("C_grid", [min(0.95, 0.95 * (q - 1) / (p - 1)),
-                                min(0.8, 0.8 * (q - 1) / (p - 1))])
-    s0_grid = cfg.get("s0_grid", [0.78, 0.75, 0.72, cosX + 1.1 * delta])
-    t1_grid = cfg.get("t1_grid")
-    theta_rise_grid = cfg.get("theta_rise_grid", [0.03, 0.1])
-    # Concavity bounds the margin deficit by ~ max(f'^2 f)/(beta N)^2; size
-    # beta so that bound sits three-fold inside the tolerance.
-    slack = float(cfg.get("margin_slack", 3.0))
-    bN_floor = slack * 0.4 / max(mc_margin_tol, 1e-12)
-
-    if t1_grid is None:
-        t1_grid = [1e5, 1e6, 1e7, 3e7]
-
+    bN_floor = BN_TOL / max(mc_margin_tol, 1e-12)
     accept_tol = {"bc": BC_TOL, "ricci_min": 0.0, "mc_margin": mc_margin_tol,
                   "glue": COEFF_TOL}
-    best = {"margin": -np.inf, "ricci": -np.inf}
+    rejected = []
     evals = 0
 
-    for C in C_grid:
-        ode = integrate_fC(C, lam, t_end=1.2 * max(t1_grid))
-        for t1 in t1_grid:
+    for C in (min(0.95, 0.95 * (q - 1) / (p - 1)), min(0.8, 0.8 * (q - 1) / (p - 1))):
+        ode = integrate_fC(C, lam, t_end=1.2 * SEARCH_T1[-1])
+        for t1 in SEARCH_T1:
             h0_t1 = float(ode.h0(t1))
             fc_t1 = float(ode.fc(t1))
             fc1_t1 = float(ode.fc_d1(t1))
-            for s0 in s0_grid:
-                if not (cosX + delta < s0 < 1.0):
-                    continue
+            hl1 = SEARCH_A * h0_t1
+            for s0 in (0.78, 0.75, 0.72, cosX + 1.1 * delta):
                 b = s0 / fc1_t1
                 v0 = b * fc_t1
-                # Gates: fiber Ricci at the neck start needs
-                # (p-2)/b^2 > C lam^2; the neck-start margin needs
-                # b C lam^2 <= (p-1)/b; the join-side convexity must sit
-                # inside the stabilizing fiber budget (p-1) D^2 / f.
-                if b * b * C * lam * lam > 0.85 * (p - 2):
-                    continue
-                if b * b * C * lam * lam > 0.8 * (p - 1):
-                    continue
-                D_t1 = 1.0 - s0 * s0
-                if v0 * v0 * C * math.exp(-h0_t1 * h0_t1) > 0.5 * (p - 1) * D_t1 * D_t1:
-                    continue
                 bN = max(bN_floor, 50.0 * v0)
-                beta = bN / N
-                try:
-                    left_params = LeftParams.from_b(lam, a, C, b)
-                except BoundaryConditionError:
-                    continue
-                hl1 = a * h0_t1
-                rho_cap = 0.9 * sinX * hl1 / v0 * N
+                rho = hl1 * (1.0 + THETA_RISE) / bN
+                rho_cap = 0.9 * sinX * hl1 / v0
                 if kappa is not None:
                     rho_cap = min(rho_cap, 0.99 * kappa)
-                try:
-                    run = solve_runout(v0, s0, bN, R_over_N)
-                except (ProfileError, ValueError):
-                    continue
-                b3 = t1 + run.length
-                for theta_rise in theta_rise_grid:
-                    if evals >= budget:
-                        break
-                    evals += 1
-                    rho = hl1 * (1.0 + theta_rise) / beta
-                    if rho >= rho_cap:
-                        continue
+                D_t1 = 1.0 - s0 * s0
+                gates = (
+                    ("s0_window", cosX + delta < s0 < 1.0),
+                    ("fiber_ricci", b * b * C * lam * lam <= 0.85 * (p - 2)),
+                    ("neck_start_margin", b * b * C * lam * lam <= 0.8 * (p - 1)),
+                    ("join_convexity", v0 * v0 * C * math.exp(-h0_t1 * h0_t1)
+                     <= 0.5 * (p - 1) * D_t1 * D_t1),
+                    ("collar_cap", rho < rho_cap),
+                )
+                gate = next((name for name, ok in gates if not ok), None)
+                if gate is None:
                     try:
-                        right_params = RightParams(t1=t1, b3=b3, beta=beta,
-                                                   rho=rho, N=N, R=R)
+                        run = solve_runout(v0, s0, bN, R_over_N)
+                    except (ProfileError, ValueError):
+                        gate = "runout"
+                if gate is None:
+                    evals += 1
+                    try:
+                        left_params = LeftParams.from_b(lam, SEARCH_A, C, b)
+                        right_params = RightParams(t1=t1, b3=t1 + run.length, beta=bN,
+                                                   rho=rho, N=1.0, R=R_over_N)
                         lp = build_left_profile(left_params, t1, ode=ode)
                         rp = build_right_profile(lp, right_params)
                         pair = assemble_profile(left_params, right_params, lp, rp)
                     except (ProfileError, ValueError):
-                        continue
+                        gate = "build"
+                if gate is None:
                     m = measure_profile(pair.jets(pair.grid(grid_n)), left_params,
                                         right_params, pair.eps_b2, p, q)
                     bc, checks = sample_verdict(m, accept_tol, mc_variant)
-                    bc_ok, ric_ok, margin_ok, glue_ok = (c["passed"] for c in checks)
-                    if not bc_ok:
-                        continue
-                    margin = m.margin_min(mc_variant)
-                    if ric_ok and margin > best["margin"]:
-                        best.update(margin=margin, ricci=m.ricci_min)
-                    if ric_ok and margin_ok and glue_ok:
+                    gate = next((c["id"] for c in checks if not c["passed"]), None)
+                    if gate is None:
                         return SearchResult(
                             left=left_params, right=right_params, pair=pair,
                             measurement=m, bc=bc,
-                            diagnostics={"evaluations": evals,
-                                         "margin_variant": mc_variant})
+                            diagnostics={"evaluations": evals, "rejected": rejected})
+                rejected.append((C, t1, s0, gate))
+    counts = Counter(gate for *_, gate in rejected)
     raise InfeasibleProfileError(
-        f"no admissible profile within budget ({evals} candidates); "
-        f"best margin {best['margin']:.3e}, best Ricci min {best['ricci']:.3e}",
-        {"best_margin": best["margin"], "best_ricci": best["ricci"],
-         "evaluations": evals})
+        f"no admissible profile: {len(rejected)} candidates rejected "
+        f"({evals} evaluated); by gate: "
+        + ", ".join(f"{gate} {n}" for gate, n in counts.items()),
+        {"evaluations": evals, "rejected": rejected})

@@ -3,14 +3,18 @@
 ``bench/tracing.py`` lists its targets as (module, attribute) pairs, where an
 attribute ``Cls.meth`` names a method.  A deletion or rename in ``src/`` that
 drops one of them breaks ``bench/run_bench.py --trace 1``; this test makes the
-tier-1 suite fail first.
+tier-1 suite fail first.  The search's candidate counter reads a diagnostics key,
+so a test also runs it on a real search result and a real infeasible error.
 """
 
 import importlib
 import importlib.util
+import math
 import pathlib
 
 import pytest
+
+from plumbric.profiles import InfeasibleProfileError, search_parameters
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -22,7 +26,8 @@ def _load_tracing():
     return module
 
 
-TARGETS = _load_tracing().TARGETS
+TRACING_MODULE = _load_tracing()
+TARGETS = TRACING_MODULE.TARGETS
 
 
 @pytest.mark.parametrize("mod_name,attr", [(m, a) for m, a, _n, _e in TARGETS],
@@ -33,3 +38,18 @@ def test_target_resolves(mod_name, attr):
         assert hasattr(obj, part), f"plumbric.{mod_name} has no {attr}"
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_search_counts_read_the_search_diagnostics():
+    # a renamed diagnostics key would read 0 candidates without failing the run
+    search_counts = TRACING_MODULE._search_counts
+    res = search_parameters(4, 4, math.pi / 4, 0.1)
+    counts = search_counts((), res, None)
+    assert counts == {"candidates": res.diagnostics["evaluations"], "accepted": 1}
+    assert counts["candidates"] > 0
+    # below the 1e-12 floor of the beta N sizing every measured margin fails
+    with pytest.raises(InfeasibleProfileError) as err:
+        search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-14, grid_n=64)
+    counts = search_counts((), None, err.value)
+    assert counts == {"candidates": err.value.diagnostics["evaluations"], "accepted": 0}
+    assert counts["candidates"] > 0

@@ -390,11 +390,25 @@ class TestCertificateInvariants:
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
     def test_infeasible_step_fails_cleanly(self):
+        # at R/N = pi/4, lambda = 0.1 every (5, 3) candidate fails a gate
+        tree = PlumbingTree(
+            vertices=(PlumbingVertex(base_dim=3, rank=5, euler=0, char_label="v1"),),
+            edges=())
+        spec = NiceCoordinateSpec(p=5, q=3, R=math.pi / 4, N=1.0, kappa=0.5)
+        cert = run_construction(tree, spec, config={"lambda": 0.1})
+        assert not cert.passed
+        text = cert.steps[0]["infeasible"]
+        assert "32 candidates rejected (0 evaluated)" in text
+        assert "by gate: fiber_ricci 32" in text
+        assert "best margin" not in text
+
+    @pytest.mark.parametrize("search,named", [({"theta_rise_grid": [0.1]}, "theta_rise_grid"),
+                                              ({"t1_grid": [50.0]}, "t1_grid"),
+                                              (None, "None")])
+    def test_search_options_rejected(self, search, named):
         tree = PlumbingTree(
             vertices=(PlumbingVertex(base_dim=4, rank=4, euler=2, char_label="v1"),),
             edges=())
         spec = NiceCoordinateSpec(p=4, q=4, R=math.pi / 4, N=1.0, kappa=0.5)
-        cert = run_construction(tree, spec,
-                                config={"search": {"t1_grid": [50.0]}})
-        assert not cert.passed
-        assert "infeasible" in cert.steps[0]
+        with pytest.raises(SpecError, match=f"config 'search' .*{named}"):
+            run_construction(tree, spec, config={"search": search})

@@ -10,8 +10,8 @@ from plumbric.pipeline import NiceCoordinateSpec, run_construction
 from plumbric.plumbing import PlumbingTree, PlumbingVertex
 from plumbric.profiles import (A3, CSV_BLOCK_ROWS, BoundaryConditionError,
                                EpsilonProfile, InfeasibleProfileError, LeftParams,
-                               build_left_profile, check_bc, csv_blocks, csv_text,
-                               integrate_fC, integrate_h0, jets_csv,
+                               ProfileError, build_left_profile, check_bc, csv_blocks,
+                               csv_text, integrate_fC, integrate_h0, jets_csv,
                                search_parameters, solve_runout)
 
 RNG = np.random.default_rng(7)
@@ -91,6 +91,12 @@ class TestLeftPiece:
         lp = build_left_profile(LeftParams(lam=0.1, a=0.5, C=0.5, r=0.05), 5.0)
         assert float(lp.h1(A3)) == pytest.approx(0.05, abs=1e-10)
 
+    def test_short_ode_rejected(self):
+        params = LeftParams(lam=0.1, a=0.5, C=0.5, r=0.05)
+        ode = integrate_fC(params.C, params.lam, t_end=4.0)
+        with pytest.raises(ProfileError, match="before t1"):
+            build_left_profile(params, 5.0, ode=ode)
+
     def test_a_gate(self):
         with pytest.raises(BoundaryConditionError) as err:
             LeftParams(lam=0.1, a=1.5, C=0.5, r=0.05)
@@ -138,13 +144,13 @@ class TestEpsilonProfile:
         assert np.all(np.diff(e[inside]) < 0)
 
     def test_gates(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ProfileError):
             EpsilonProfile(a2=0.0, b2=1.0, eps_end=2.0)
 
 
 class TestSearch:
     def test_lambda_gate(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ProfileError):
             search_parameters(4, 4, math.pi / 4, 0.6)
 
     def test_found_profile_has_all_properties(self):
@@ -261,6 +267,8 @@ class TestRegressionFixture:
         for key, rec in fix.items():
             res = search_parameters(rec["p"], rec["q"], rec["R_over_N"],
                                     rec["lambda"])
+            # the first candidate that passes the gates is accepted
+            assert res.diagnostics["evaluations"] == 1
             assert res.left.a == pytest.approx(rec["left"]["a"], rel=1e-12)
             assert res.left.C == pytest.approx(rec["left"]["C"], rel=1e-12)
             assert res.left.r == pytest.approx(rec["left"]["r"], rel=1e-9)
