@@ -13,24 +13,25 @@ from .pipeline import (NiceCoordinateSpec, certificate_json, run_construction,
 from .plumbing import EtaLedger, PlumbingTree, eta_ledger, fixed_point_count
 
 
-def _load_config(path, seed=None, grid=None, tol=None) -> dict:
+def _load_config(path, grid=None, tol=None) -> tuple:
+    """The run config of a config file with the flag overrides, and the
+    file's construct-only keys ``v_spec`` and ``root``."""
     cfg = {}
     if path:
         cfg = json.loads(pathlib.Path(path).read_text())
-    if seed is not None:
-        cfg["seed"] = seed
+    cli_keys = {k: cfg.pop(k) for k in ("v_spec", "root") if k in cfg}
     if grid is not None:
         cfg["grid"] = grid
     if tol is not None:
         cfg.setdefault("tolerances", {})["mc_margin"] = tol
-    return cfg
+    return cfg, cli_keys
 
 
 def _cmd_construct(args) -> int:
     tree = PlumbingTree.from_json(pathlib.Path(args.tree).read_text())
-    cfg = _load_config(args.config, args.seed, args.grid, args.tol)
-    vs = cfg.pop("v_spec", {})
-    root = int(cfg.pop("root", 0))
+    cfg, cli_keys = _load_config(args.config, args.grid, args.tol)
+    vs = cli_keys.get("v_spec", {})
+    root = int(cli_keys.get("root", 0))
     vert = tree.vertices[root]
     spec = NiceCoordinateSpec(
         p=int(vs.get("p", vert.rank)), q=int(vs.get("q", vert.base_dim)),
@@ -44,7 +45,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config, args.seed, args.grid, args.tol)
+    cfg, _cli_keys = _load_config(args.config, tol=args.tol)
     cert = verify(args.profiles, args.params, config=cfg)
     text = certificate_json(cert)
     if args.out:
@@ -107,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--tree", required=True, help="plumbing tree JSON file")
     pc.add_argument("--config", help="configuration JSON file")
     pc.add_argument("--out", help="output directory (default plumbric-out)")
-    pc.add_argument("--seed", type=int)
-    pc.add_argument("--grid", type=int)
+    pc.add_argument("--grid", type=int, help="check-grid points per vertex")
     pc.add_argument("--tol", type=float, help="mean-curvature margin tolerance")
     pc.set_defaults(func=_cmd_construct)
 
@@ -117,9 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--params", required=True, help="parameter JSON file")
     pv.add_argument("--config", help="configuration JSON file")
     pv.add_argument("--out", help="directory for the verification certificate")
-    pv.add_argument("--seed", type=int)
-    pv.add_argument("--grid", type=int)
-    pv.add_argument("--tol", type=float)
+    pv.add_argument("--tol", type=float, help="mean-curvature margin tolerance")
     pv.set_defaults(func=_cmd_verify)
 
     pt = sub.add_parser("topo", help="exact invariants of a plumbing tree")

@@ -7,16 +7,19 @@ every check into a machine-readable certificate.
 
 The four sample-determined checks come from one kernel in
 :mod:`plumbric.profiles`: :func:`measure_profile` on the check-grid samples,
-then :func:`sample_verdict` with the config tolerances.  Construction judges
+then :func:`sample_verdict` with the margin tolerance.  Construction judges
 the search's accepted measurement, adds the oracle-only checks (bulk scalar,
-taper, collar attachment) and writes its artifacts from the same samples.
-``verify`` parses stored artifacts and runs the same kernel, so its check
-records equal the constructing step's; its output is deterministic.
+taper, collar attachment) and last the vertex's collar-ball bound, and writes
+its artifacts from the same samples.  ``verify`` parses stored artifacts and
+runs the same kernel, so its check records equal the constructing step's; its
+output is deterministic.
 
-A step reads only (p, q, R/N, kappa) from its vertex; everything else is
-fixed for the run.  So each distinct (p, q, R/N, kappa) is searched and
-checked once per run.  The certificate still lists one step per vertex, and
-a repeated vertex's artifacts are copies of its first occurrence's.
+The config has three settings: ``lambda``, ``grid`` and
+``tolerances.mc_margin``; an unknown key is rejected.  A step's profile
+depends only on (p, q, R/N) of its vertex; kappa enters only its last record,
+``collar_ball_bound``.  So each distinct (p, q, R/N) is searched and checked
+once per run: a repeated vertex copies the first occurrence's records and
+artifacts and recomputes only its own ``collar_ball_bound``.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ from .oracle import NonSPDMetricError, OracleDomainError, numeric_curvature
 from .plumbing import (EtaLedger, PlumbingTree, arf_invariant, boundary_sphere_test,
                        clutching_word, eta_ledger, fixed_point_count,
                        intersection_matrix, render_word)
-from .profiles import (PROFILE_COLUMNS, EpsilonProfile, InfeasibleProfileError,
-                       LeftParams, RightParams, check_record, csv_blocks,
-                       measure_profile, sample_verdict, search_parameters)
+from .profiles import (MC_TOL_FLOOR, MC_VARIANT, PARAMS_SCHEMA, PROFILE_COLUMNS,
+                       EpsilonProfile, InfeasibleProfileError, LeftParams,
+                       RightParams, check_record, csv_blocks, measure_profile,
+                       sample_verdict, search_parameters)
 from .warped import WarpedJet
 
 __all__ = [
@@ -53,24 +57,17 @@ __all__ = [
     "certificate_json",
 ]
 
-SCHEMA = "plumbric-certificate/1"
+SCHEMA = "plumbric-certificate/2"
 
 MARGIN_COLUMNS = ("t", "f", "h", "mc_margin")  # plots-data/step_k_margins.csv
+
+EPSILON_I = math.pi / 4  # a child's cap radius is alpha*EPSILON_I in the sphere of scale alpha
+BULK_SAMPLES = 4         # oracle points of the bulk scalar-curvature check
 
 DEFAULT_CONFIG = {
     "lambda": 0.1,
     "grid": 2048,
-    "seed": 0,
-    "epsilon_i": math.pi / 4,
-    "tolerances": {
-        "mc_margin": 1e-9,
-        "bc": 1e-8,
-        "ricci_min": 0.0,
-        "glue": 1e-9,
-    },
-    "mc_variant": "reported",
-    "oracle_points": 4,
-    "search": {},
+    "tolerances": {"mc_margin": 1e-9},
 }
 
 
@@ -108,11 +105,10 @@ class ConstructionCertificate:
     passed: bool
     steps: list
     config: dict
-    seed: int
     wall_time_s: float | None = None
 
     def as_dict(self):
-        return {"schema": SCHEMA, "passed": self.passed, "seed": self.seed,
+        return {"schema": SCHEMA, "passed": self.passed,
                 "wall_time_s": self.wall_time_s, "config": self.config,
                 "steps": self.steps}
 
@@ -122,25 +118,38 @@ def certificate_json(cert: ConstructionCertificate) -> str:
 
 
 def _merge_config(config: dict | None) -> dict:
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
-    for k, v in (config or {}).items():
-        if isinstance(v, dict) and isinstance(cfg.get(k), dict):
-            cfg[k].update(v)
-        else:
-            cfg[k] = v
+    """DEFAULT_CONFIG overridden by ``config``; unknown keys, at the top level
+    or under ``tolerances``, and an unusable margin tolerance raise a
+    ``SpecError`` that names them."""
+    config = dict(config or {})
+    tols = config.pop("tolerances", {})
+    if not isinstance(tols, dict):
+        raise SpecError(f"config 'tolerances' must be an object, got {tols!r}")
+    unknown = {k: v for k, v in config.items() if k not in DEFAULT_CONFIG}
+    unknown.update((f"tolerances.{k}", v) for k, v in tols.items()
+                   if k not in DEFAULT_CONFIG["tolerances"])
+    if unknown:
+        raise SpecError("unknown config keys: "
+                        + ", ".join(f"{k}={v!r}" for k, v in sorted(unknown.items()))
+                        + " (the config takes lambda, grid and tolerances.mc_margin)")
+    cfg = {**DEFAULT_CONFIG, **config,
+           "tolerances": {**DEFAULT_CONFIG["tolerances"], **tols}}
+    tol = cfg["tolerances"]["mc_margin"]
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= MC_TOL_FLOOR):
+        raise SpecError(f"tolerances.mc_margin must be a finite number >= {MC_TOL_FLOOR:g}, "
+                        f"the floor of the beta N sizing, got {tol!r}")
     return cfg
 
 
-def _bulk_scalar_samples(pair, p: int, q: int, n_points: int) -> list:
-    """Oracle scalar curvature at interior points of the neck bulk.
-
-    Samples the chart cannot difference are skipped and not counted.
+def _bulk_scalar_samples(pair, p: int, q: int) -> tuple:
+    """Oracle scalar curvature at interior points of the neck bulk, and the
+    number of points tried.  Points the chart cannot difference are dropped.
     """
     patch, curve, keep = bulk_patch(pair, p, q, d_min=1e-4)
     tts, F = curve.t_tilde[keep], curve.F[keep]
     bN = pair.right.bN
     step = np.concatenate([[1e-4 * bN, 1e-4 * bN], np.full(patch.dim - 2, 1e-3)])
-    idx = np.unique(np.linspace(2, tts.size - 3, n_points).astype(int))
+    idx = np.unique(np.linspace(2, tts.size - 3, BULK_SAMPLES).astype(int))
     out = []
     for i in idx:
         tt0 = float(tts[i])
@@ -151,7 +160,7 @@ def _bulk_scalar_samples(pair, p: int, q: int, n_points: int) -> list:
         except (OracleDomainError, NonSPDMetricError):
             continue
         out.append(float(rep.scalar))
-    return out
+    return out, idx.size
 
 
 def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
@@ -160,30 +169,25 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     """Build one neck profile per vertex, root-to-leaf, and certify every check.
 
     The embedding data consumed by each child vertex is derived from its parent's
-    accepted scales: cap radius alpha*eps_i in the sphere of scale alpha and
+    accepted scales: cap radius alpha*EPSILON_I in the sphere of scale alpha and
     collar bound alpha*r (the taper-side embeddings the construction leaves
-    behind).  Infeasibility of any step marks the certificate failed and
-    stops the traversal.
+    behind).  Infeasibility or a failed check of any step marks the
+    certificate failed and stops the traversal.
 
-    Each distinct (p, q, R/N, kappa) is searched and checked once per call: a
-    vertex whose inputs repeat an earlier vertex's gets a copy of that step's
-    record with its own ``vertex`` and ``spec``, and copies of its artifact
-    files.  On the tangent chains measured so far the derived inputs repeat
-    from the second or third vertex on, so a long chain runs two or three
-    searches.
+    Each distinct (p, q, R/N) is searched and checked once per call: a vertex
+    whose (p, q, R/N) repeats an earlier vertex's gets a copy of that step's
+    record with its own ``vertex``, ``spec`` and ``collar_ball_bound``, and
+    copies of its artifact files.  On 64 tangent 8-chains (dimensions 3-9,
+    four values each of R/N and lambda) this runs 116 searches, one or two
+    per chain, where a key with kappa ran 131.
     """
     t_start = time.perf_counter()
     cfg = _merge_config(config)
-    # "search" stays in the config, empty, so certificates keep their bytes
-    if cfg["search"] != {}:
-        raise SpecError("config 'search' takes no options (the parameter search "
-                        f"is fixed), got {cfg['search']!r}")
-    tol = cfg["tolerances"]
-    eps_i = float(cfg["epsilon_i"])
+    mc_tol = float(cfg["tolerances"]["mc_margin"])
     steps = []
     passed = True
 
-    # (p, q, R/N, kappa) -> (index of its accepted step, derived child spec)
+    # (p, q, R/N) -> (index of its accepted step, derived child spec)
     done = {}
     stack = [(root, v_spec)]
     visited = {root}
@@ -197,46 +201,45 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
             raise SpecError(
                 f"vertex {vi} has (rank, base) = ({p_step}, {q_step}) but the "
                 f"supplied embedding data is for (p, q) = ({spec.p}, {spec.q})")
-        key = (p_step, q_step, spec.R / spec.N, spec.kappa)
+        key = (p_step, q_step, spec.R / spec.N)
         if key in done:
             first, derived = done[key]
             rec = copy.deepcopy(steps[first])
             rec["vertex"] = vi
             rec["spec"] = spec.as_dict()
-            steps.append(rec)
-            if out_dir is not None:
-                _copy_step_artifacts(out_dir, first, len(steps) - 1)
+            rec["checks"][-1] = _collar_ball_record(rec["right"]["rho"], spec.kappa)
         else:
             try:
-                result = search_parameters(
-                    p_step, q_step, spec.R / spec.N, float(cfg["lambda"]),
-                    kappa=spec.kappa, mc_margin_tol=float(tol["mc_margin"]),
-                    mc_variant=cfg["mc_variant"], grid_n=int(cfg["grid"]))
+                result = search_parameters(p_step, q_step, spec.R / spec.N,
+                                           float(cfg["lambda"]), mc_margin_tol=mc_tol,
+                                           grid_n=int(cfg["grid"]))
             except InfeasibleProfileError as exc:
                 passed = False
                 steps.append({"vertex": vi, "spec": spec.as_dict(),
                               "infeasible": str(exc), "checks": [], "margins": {}})
                 break
-            rec = _step_record(vi, spec, result, cfg)
-            steps.append(rec)
-            if not all(c["passed"] for c in rec["checks"]):
-                passed = False
-                break
-            if out_dir is not None:
-                _write_step_artifacts(out_dir, len(steps) - 1, result, cfg)
+            rec = _step_record(vi, spec, result, mc_tol)
+            first = len(steps)
             derived = NiceCoordinateSpec(
-                p=q_step, q=p_step, R=result.left.alpha * eps_i,
+                p=q_step, q=p_step, R=result.left.alpha * EPSILON_I,
                 N=result.left.alpha, kappa=result.left.alpha * result.left.r,
                 provenance="derived")
-            done[key] = (len(steps) - 1, derived)
+        steps.append(rec)
+        if not all(c["passed"] for c in rec["checks"]):
+            passed = False
+            break
+        if out_dir is not None and key in done:
+            _copy_step_artifacts(out_dir, first, len(steps) - 1)
+        elif out_dir is not None:
+            _write_step_artifacts(out_dir, first, result)
+        done[key] = (first, derived)
         for w in adj[vi]:
             if w not in visited:
                 visited.add(w)
                 stack.append((w, derived))
 
     cert = ConstructionCertificate(
-        passed=passed and len(steps) == tree.n,
-        steps=steps, config=cfg, seed=int(cfg["seed"]),
+        passed=passed and len(steps) == tree.n, steps=steps, config=cfg,
         wall_time_s=round(time.perf_counter() - t_start, 3))
     if out_dir is not None:
         out = pathlib.Path(out_dir)
@@ -245,18 +248,24 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     return cert
 
 
-def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, cfg: dict) -> dict:
+def _collar_ball_record(rho: float, kappa: float) -> dict:
+    """The vertex's collar-ball bound: the collar end rho below 0.99 kappa."""
+    return check_record("collar_ball_bound", rho < 0.99 * kappa, rho, 0.99 * kappa,
+                        f"rho < 0.99 kappa, kappa = {kappa!r}")
+
+
+def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: float) -> dict:
     """Certificate record of an accepted step: parameters, checks, margins.
 
     The four sample-determined records judge the search's own measurement
-    with the config tolerances, exactly as ``verify`` judges the stored
-    samples; the oracle-only checks follow.
+    with the margin tolerance, exactly as ``verify`` judges the stored
+    samples; the oracle-only checks follow, and the vertex's collar-ball
+    bound comes last.
     """
-    tol = cfg["tolerances"]
     p, q = spec.p, spec.q
     left, right, pair, m = result.left, result.right, result.pair, result.measurement
-    _bc, checks = sample_verdict(m, tol, cfg["mc_variant"])
-    bulk = _bulk_scalar_samples(pair, p, q, int(cfg["oracle_points"]))
+    _bc, checks = sample_verdict(m, mc_tol)
+    bulk, tried = _bulk_scalar_samples(pair, p, q)
     bulk_min = min(bulk) if bulk else float("nan")
 
     # Taper-region boundary via the generic oracle at the accepted scales.
@@ -276,14 +285,15 @@ def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, cfg: dict) -
 
     checks += [
         check_record("bulk_scalar_positive", bool(bulk) and bulk_min > 0.0, bulk_min, 0.0,
-               f"{len(bulk)} oracle samples"),
-        check_record("taper_mc_nonnegative", taper_ok, taper_min,
-               -float(tol["mc_margin"])),
+               f"{len(bulk)} of {tried} oracle samples; "
+               f"{tried - len(bulk)} dropped by the chart"),
+        check_record("taper_mc_nonnegative", taper_ok, taper_min, -mc_tol),
     ]
     checks.append(check_record(
         "collar_attachment_hypothesis",
         all(c["passed"] for c in checks[1:]), None, None,
         "boundary Ricci, neck and taper mean curvature, bulk scalar"))
+    checks.append(_collar_ball_record(right.rho, spec.kappa))
     margins = m.summary()
     margins.update(bulk_scalar_min=bulk_min, taper_mc_min=taper_min)
     return {
@@ -299,7 +309,7 @@ def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, cfg: dict) -
     }
 
 
-def _write_step_artifacts(out_dir, idx: int, result, cfg: dict):
+def _write_step_artifacts(out_dir, idx: int, result):
     """Profile CSV, params file and margin CSV, all from the measured samples.
 
     The two CSVs are written together, block by block, so the columns they
@@ -310,7 +320,7 @@ def _write_step_artifacts(out_dir, idx: int, result, cfg: dict):
     (out / "plots-data").mkdir(parents=True, exist_ok=True)
     m = result.measurement
     cols = {name: getattr(m.jets, name) for name in PROFILE_COLUMNS}
-    cols["mc_margin"] = m.margins[cfg["mc_variant"]]
+    cols["mc_margin"] = m.margins[MC_VARIANT]
     with open(out / "profiles" / f"step_{idx}.csv", "w") as prof, \
             open(out / "plots-data" / f"step_{idx}_margins.csv", "w") as marg:
         for prof_text, marg_text in csv_blocks(cols, PROFILE_COLUMNS, MARGIN_COLUMNS):
@@ -391,24 +401,25 @@ def verify_samples(samples: dict, params: dict, p: int, q: int,
         raise SpecError(f"profile samples run from t = {t[0]!r} to {t[-1]!r}, "
                         f"not from a3 = {a3!r} to b3 = {rp.b3!r}")
     m = measure_profile(WarpedJet(**samples), lp, rp, params["eps_b2"], p, q)
-    bc, checks = sample_verdict(m, cfg["tolerances"], cfg["mc_variant"])
+    bc, checks = sample_verdict(m, float(cfg["tolerances"]["mc_margin"]))
     step = {"vertex": 0, "left": left, "right": right, "eps_b2": params["eps_b2"],
             "bc_clauses": bc.clauses, "checks": checks, "margins": m.summary()}
     return ConstructionCertificate(
         passed=all(c["passed"] for c in checks), steps=[step], config=cfg,
-        seed=int(cfg["seed"]), wall_time_s=None)
+        wall_time_s=None)
 
 
 def verify(profile_path, params_path, config: dict | None = None) -> ConstructionCertificate:
     """Load stored profile artifacts and re-run the sample-determined checks.
 
-    The dimensions p and q come from the parameter file; a file without them
-    is rejected.
+    The dimensions p and q come from the parameter file; a file without them,
+    or of another schema than ``PARAMS_SCHEMA``, is rejected.
     """
     samples = _parse_profile_csv(pathlib.Path(profile_path).read_text())
     params = json.loads(pathlib.Path(params_path).read_text())
-    if params.get("schema") != "plumbric-profile-params/1":
-        raise SpecError("unrecognized parameter file schema")
+    if params.get("schema") != PARAMS_SCHEMA:
+        raise SpecError(f"parameter file schema {params.get('schema')!r} is not "
+                        f"{PARAMS_SCHEMA!r}")
     for key in ("p", "q"):
         if key not in params:
             raise SpecError(f"parameter file lacks {key!r}")

@@ -28,6 +28,11 @@ so the worst margin is a fixed fraction of the tolerance (margin/tol near
 C^1 by solving the fiber scale from the slope target (b = s0/fC'(t1)); f''
 jumps there from the left piece's convex value to the run-out's concave one.
 The certificate covers this C^1 two-piece profile.
+
+The search's inputs are (p, q, R/N, lambda), the margin tolerance and the
+check grid.  Each candidate's run-out is solved once, at the search's own
+join state, and the right piece is built from it.  A vertex's collar-ball
+bound kappa enters no search: the certificate checks rho < 0.99 kappa.
 """
 
 from __future__ import annotations
@@ -80,7 +85,10 @@ __all__ = [
 
 A3 = 0.0  # the left end of the neck interval; only differences of t matter
 
-BC_TOL = 1e-8
+BC_TOL = 1e-8        # the nine interface clauses
+MC_TOL_FLOOR = 1e-12  # least margin tolerance the beta N sizing follows
+MC_VARIANT = "reported"  # the margin variant the certificate claims
+PARAMS_SCHEMA = "plumbric-profile-params/2"
 
 PROFILE_COLUMNS = ("t", "f", "f1", "f2", "h", "h1", "h2")  # the profile CSV's columns
 CSV_BLOCK_ROWS = 4096  # rows formatted per block by csv_blocks
@@ -397,7 +405,6 @@ class Runout:
         u_nodes = self.length - cum
         self._f_of_u = CubicHermiteSpline(u_nodes[::-1], fs[::-1],
                                           -self.sigma(fs[::-1]))
-        self.v0_reached = v0
 
     def E(self, f):
         return 1.0 - (np.asarray(f, dtype=float) / self.bN) ** 2
@@ -419,42 +426,27 @@ def solve_runout(v0: float, s0: float, bN: float, X_R: float) -> Runout:
     return Runout(v0, s0, bN, X_R)
 
 
-def build_right_profile(left: PartialProfile, params: RightParams) -> PartialProfile:
-    """Right piece on [t1, b3]: concave slope run-out for the fiber radius,
-    short concave rise then plateau for the collar radius.
+def build_right_profile(left: PartialProfile, params: RightParams, run: Runout
+                        ) -> PartialProfile:
+    """Right piece on [t1, b3]: the fiber radius follows ``run``, the collar
+    radius rises concavely and then plateaus.
 
-    The fiber profile is the :class:`Runout` through the end state
-    (beta N sin(R/N), cos(R/N)) at b3 whose exponent is fixed by the left
-    piece's join state; the end jets hold to machine precision and the phase
-    gap D = 1 - (f/(beta N))^2 - f'^2 stays nonnegative along the whole
-    family.  ``params.b3`` must equal the length the run-out needs (the
-    search computes it from :func:`solve_runout`).
+    ``run`` is the :class:`Runout` from the join state (f(t1), f'(t1)) to the
+    end state (beta N sin(R/N), cos(R/N)) at b3; its constructor checks the
+    slope and radius windows, the end jets hold to machine precision and the
+    phase gap D = 1 - (f/(beta N))^2 - f'^2 stays nonnegative along it.
+    ``params.b3 - params.t1`` must equal its length (the search builds the
+    run-out once per candidate and sets b3 from it).
 
     The collar radius rises to beta*rho over an initial window and is
     constant afterwards, so h(b3) = beta*rho and h'(b3) = 0 hold exactly
     (callers pick rho slightly above h(t1)/beta).  The rise may take at most
     half of [t1, b3].
     """
-    t1, b3, bN, X_R = params.t1, params.b3, params.bN, params.angle
+    t1, b3 = params.t1, params.b3
     L = b3 - t1
-    v0 = float(left.f(t1))
-    s0 = float(left.f1(t1))
     hl1 = float(left.h(t1))
     hs1 = float(left.h1(t1))
-    cosX, sinX = math.cos(X_R), math.sin(X_R)
-
-    if not (cosX < s0 < 1.0):
-        raise InfeasibleProfileError(
-            f"slope window empty: f'(t1)={s0} not in (cos(R/N), 1)=({cosX}, 1)",
-            {"s0": s0})
-    if not (v0 < bN * sinX):
-        raise InfeasibleProfileError(
-            f"fiber radius too large: f(t1)={v0} >= beta*N*sin(R/N)={bN * sinX}")
-    if not (params.beta > hl1 / params.rho):
-        raise InfeasibleProfileError(
-            f"beta={params.beta} too small: need beta > h(t1)/rho = {hl1 / params.rho}")
-
-    run = solve_runout(v0, s0, bN, X_R)
     if abs(run.length - L) > 1e-6 * max(1.0, L):
         raise InfeasibleProfileError(
             f"b3 - t1 = {L} inconsistent with the run-out length {run.length}",
@@ -597,14 +589,13 @@ class ProfilePair:
 
     def params_json(self) -> str:
         doc = {
-            "schema": "plumbric-profile-params/1",
+            "schema": PARAMS_SCHEMA,
             "left": {"lambda": self.left.lam, "a": self.left.a, "C": self.left.C,
                      "r": self.left.r, "a3": self.left.a3,
                      "alpha": self.left.alpha, "b": self.left.b},
             "right": {"t1": self.right.t1, "b3": self.right.b3, "beta": self.right.beta,
                       "rho": self.right.rho, "N": self.right.N, "R": self.right.R},
-            "markers": {"a3": self.a3, "t1": self.t1, "b3": self.b3,
-                        "windows": []},   # schema key; the profile has no smoothing windows
+            "markers": {"a3": self.a3, "t1": self.t1, "b3": self.b3},
             "eps_b2": self.eps_b2,
         }
         return json.dumps(doc, sort_keys=True, indent=1)
@@ -756,23 +747,24 @@ def check_record(cid: str, passed: bool, value, tolerance, detail: str = "") -> 
             "tolerance": tolerance, "detail": detail}
 
 
-def sample_verdict(m: ProfileMeasurement, tol: dict, variant: str) -> tuple:
+def sample_verdict(m: ProfileMeasurement, mc_margin_tol: float) -> tuple:
     """Judge a measurement: the nine-clause report and four check records.
 
-    ``tol`` holds the ``bc``, ``ricci_min``, ``mc_margin`` and ``glue``
-    tolerances; ``variant`` is the margin variant the certificate claims.
+    The clauses use :data:`BC_TOL`, Ricci must exceed 0, the
+    :data:`MC_VARIANT` margin must reach -mc_margin_tol and the gluing forms
+    use ``COEFF_TOL``; the search and the certificate judge with these same
+    values.
     """
-    bc = check_bc(m.jets, m.left, m.right, m.eps_b2, tol=float(tol["bc"]))
-    margin = m.margin_min(variant)
-    glue = interface_checks(m.jets, m.left, m.right, m.p, m.q, tol=float(tol["glue"]))
+    bc = check_bc(m.jets, m.left, m.right, m.eps_b2, tol=BC_TOL)
+    margin = m.margin_min(MC_VARIANT)
+    glue = interface_checks(m.jets, m.left, m.right, m.p, m.q, tol=COEFF_TOL)
     checks = [
         check_record("bc_nine_clauses", bc.passed,
                max(abs(c["residual"]) for c in bc.clauses.values() if not c["one_sided"]),
-               float(tol["bc"]), ",".join(bc.failures) or "all clauses hold"),
-        check_record("boundary_ricci_positive", m.ricci_min > float(tol["ricci_min"]),
-               m.ricci_min, float(tol["ricci_min"])),
-        check_record("neck_mc_margin", margin >= -float(tol["mc_margin"]), margin,
-               -float(tol["mc_margin"]), f"variant={variant}"),
+               BC_TOL, ",".join(bc.failures) or "all clauses hold"),
+        check_record("boundary_ricci_positive", m.ricci_min > 0.0, m.ricci_min, 0.0),
+        check_record("neck_mc_margin", margin >= -mc_margin_tol, margin,
+               -mc_margin_tol, f"variant={MC_VARIANT}"),
         check_record("glue_interfaces", glue, glue, True),
     ]
     return bc, checks
@@ -802,16 +794,17 @@ class SearchResult:
 
 
 def search_parameters(p: int, q: int, R_over_N: float, lam: float,
-                      kappa: float | None = None,
                       mc_margin_tol: float = 1e-9,
-                      mc_variant: str = "reported",
                       grid_n: int = 2048) -> SearchResult:
     """Scan the (C, t1, s0) candidates for an admissible neck profile.
 
     The handoff slope s0 fixes the fiber scale b = s0/fC'(t1), and the end
     scale is sized from the margin tolerance, beta N = max(1.2/max(mc_margin_tol,
-    1e-12), 50 f(t1)); so the worst margin over the tolerance sits near -0.28
-    for any tolerance down to 1e-12, and is not shown nonnegative.
+    MC_TOL_FLOOR), 50 f(t1)); so the worst margin over the tolerance sits near
+    -0.28 for any tolerance down to 1e-12, and is not shown nonnegative.
+    The result depends on (p, q, R/N, lam, mc_margin_tol, grid_n) only: the
+    collar-ball bound kappa of a vertex is a check of the certificate
+    (``collar_ball_bound``), not an input of the search.
     Candidates run C over two curvature values, t1 over :data:`SEARCH_T1`
     and s0 over four join slopes, in that nesting.  Each goes through the
     gates below in order and is dropped at the first it fails:
@@ -822,15 +815,17 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
     * ``join_convexity``: the left piece's convexity at t1 inside the
       stabilizing fiber budget (p-1) D^2 / f;
     * ``collar_cap``: the collar end rho = h(t1)(1 + THETA_RISE)/beta below
-      0.9 sin(R/N) h(t1)/f(t1), and below 0.99 kappa when kappa is given;
+      0.9 sin(R/N) h(t1)/f(t1);
     * ``runout``: a concave run-out exists through the join state.
 
-    A candidate that passes them is built and measured once on the full
+    The run-out the last gate solves is the one the profile is built from,
+    so each candidate that passes the five cheap gates solves one run-out.
+    A candidate that passes them all is built and measured once on the full
     check grid (:func:`measure_profile`), and accepted when
     :func:`sample_verdict` passes all four records: the nine interface
-    clauses, boundary Ricci > 0, the mean-curvature margin >= -mc_margin_tol
-    and both gluing checks.  Otherwise the build error (``build``) or the
-    first failed check id rejects it and the scan goes on.
+    clauses, boundary Ricci > 0, the :data:`MC_VARIANT` mean-curvature margin
+    >= -mc_margin_tol and both gluing checks.  Otherwise the build error
+    (``build``) or the first failed check id rejects it and the scan goes on.
 
     ``diagnostics`` holds ``evaluations`` (candidates built and measured)
     and ``rejected``, one (C, t1, s0, gate) per dropped candidate.  Raises
@@ -845,9 +840,7 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
         raise ProfileError(f"need lambda < 1/2, got {lam}")
     cosX, sinX = math.cos(R_over_N), math.sin(R_over_N)
     delta = 0.02 * (1.0 - cosX)
-    bN_floor = BN_TOL / max(mc_margin_tol, 1e-12)
-    accept_tol = {"bc": BC_TOL, "ricci_min": 0.0, "mc_margin": mc_margin_tol,
-                  "glue": COEFF_TOL}
+    bN_floor = BN_TOL / max(mc_margin_tol, MC_TOL_FLOOR)
     rejected = []
     evals = 0
 
@@ -863,9 +856,6 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
                 v0 = b * fc_t1
                 bN = max(bN_floor, 50.0 * v0)
                 rho = hl1 * (1.0 + THETA_RISE) / bN
-                rho_cap = 0.9 * sinX * hl1 / v0
-                if kappa is not None:
-                    rho_cap = min(rho_cap, 0.99 * kappa)
                 D_t1 = 1.0 - s0 * s0
                 gates = (
                     ("s0_window", cosX + delta < s0 < 1.0),
@@ -873,7 +863,7 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
                     ("neck_start_margin", b * b * C * lam * lam <= 0.8 * (p - 1)),
                     ("join_convexity", v0 * v0 * C * math.exp(-h0_t1 * h0_t1)
                      <= 0.5 * (p - 1) * D_t1 * D_t1),
-                    ("collar_cap", rho < rho_cap),
+                    ("collar_cap", rho < 0.9 * sinX * hl1 / v0),
                 )
                 gate = next((name for name, ok in gates if not ok), None)
                 if gate is None:
@@ -888,14 +878,14 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
                         right_params = RightParams(t1=t1, b3=t1 + run.length, beta=bN,
                                                    rho=rho, N=1.0, R=R_over_N)
                         lp = build_left_profile(left_params, t1, ode=ode)
-                        rp = build_right_profile(lp, right_params)
+                        rp = build_right_profile(lp, right_params, run)
                         pair = assemble_profile(left_params, right_params, lp, rp)
                     except (ProfileError, ValueError):
                         gate = "build"
                 if gate is None:
                     m = measure_profile(pair.jets(pair.grid(grid_n)), left_params,
                                         right_params, pair.eps_b2, p, q)
-                    bc, checks = sample_verdict(m, accept_tol, mc_variant)
+                    bc, checks = sample_verdict(m, mc_margin_tol)
                     gate = next((c["id"] for c in checks if not c["passed"]), None)
                     if gate is None:
                         return SearchResult(

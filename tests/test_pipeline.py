@@ -8,11 +8,12 @@ import pytest
 from csv_reference import first_difference, savetxt_csv
 from plumbric import pipeline
 from plumbric.cli import main as cli_main
-from plumbric.pipeline import (DEFAULT_CONFIG, NiceCoordinateSpec, SpecError,
+from plumbric.pipeline import (DEFAULT_CONFIG, EPSILON_I, NiceCoordinateSpec, SpecError,
                                certificate_json, run_construction, topo_report,
                                verify, verify_samples)
 from plumbric.plumbing import PlumbingTree, PlumbingVertex, tangent_chain
-from plumbric.profiles import CSV_BLOCK_ROWS, BoundaryConditionError, ProfileError
+from plumbric.profiles import (CSV_BLOCK_ROWS, MC_VARIANT, BoundaryConditionError,
+                               ProfileError)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,8 @@ class TestConstruction:
         ids = [c["id"] for c in cert.steps[0]["checks"]]
         assert ids == ["bc_nine_clauses", "boundary_ricci_positive", "neck_mc_margin",
                        "glue_interfaces", "bulk_scalar_positive",
-                       "taper_mc_nonnegative", "collar_attachment_hypothesis"]
+                       "taper_mc_nonnegative", "collar_attachment_hypothesis",
+                       "collar_ball_bound"]
         assert all(c["passed"] for c in cert.steps[0]["checks"])
 
     def test_artifacts_written(self, single_run):
@@ -65,7 +67,7 @@ class TestConstruction:
         alpha = step0["left"]["alpha"]
         assert cert.steps[1]["spec"]["N"] == pytest.approx(alpha)
         assert cert.steps[1]["spec"]["R"] == pytest.approx(
-            alpha * DEFAULT_CONFIG["epsilon_i"])
+            alpha * EPSILON_I)
         assert cert.steps[1]["spec"]["kappa"] == pytest.approx(
             alpha * step0["left"]["r"])
 
@@ -128,6 +130,17 @@ class TestVerifyFailsClosed:
     def _params(out):
         return json.loads((out / "profiles" / "step_0.params.json").read_text())
 
+    def test_schema_1_params_rejected(self, single_run, tmp_path):
+        out, _ = single_run
+        params = self._params(out)
+        params["schema"] = "plumbric-profile-params/1"
+        params["markers"]["windows"] = []
+        par = tmp_path / "params.json"
+        par.write_text(json.dumps(params))
+        with pytest.raises(SpecError, match="'plumbric-profile-params/1' is not "
+                                            "'plumbric-profile-params/2'"):
+            verify(out / "profiles" / "step_0.csv", par)
+
     @pytest.mark.parametrize("key", ["p", "q"])
     def test_missing_dimension_rejected(self, single_run, tmp_path, key):
         out, _ = single_run
@@ -182,9 +195,9 @@ class TestStreamedArtifacts:
         written = []
         write = pipeline._write_step_artifacts
 
-        def capture(out, idx, result, cfg):
+        def capture(out, idx, result):
             written.append(result)
-            write(out, idx, result, cfg)
+            write(out, idx, result)
 
         monkeypatch.setattr(pipeline, "_write_step_artifacts", capture)
         tree = PlumbingTree(
@@ -202,7 +215,7 @@ class TestStreamedArtifacts:
         assert first_difference(prof, savetxt_csv("t,f,f1,f2,h,h1,h2", [
             jets.t, jets.f, jets.f1, jets.f2, jets.h, jets.h1, jets.h2])) is None
         assert first_difference(margins, savetxt_csv("t,f,h,mc_margin", [
-            jets.t, jets.f, jets.h, m.margins[cert.config["mc_variant"]]])) is None
+            jets.t, jets.f, jets.h, m.margins[MC_VARIANT]])) is None
         prof_tfh = "\n".join(",".join(row.split(",")[i] for i in (0, 1, 4))
                              for row in prof.splitlines())
         margins_tfh = "\n".join(row.rsplit(",", 1)[0] for row in margins.splitlines())
@@ -242,7 +255,7 @@ def _counting_search(monkeypatch):
 
 class TestRepeatedVertexInputs:
     """On this tangent chain every vertex after the second has the second's
-    (p, q, R/N, kappa): its step is searched and checked once per run."""
+    (p, q, R/N): its step is searched and checked once per run."""
 
     # R/N != epsilon_i, so the root's step differs from the repeated one.
     SPEC = NiceCoordinateSpec(p=3, q=3, R=1.1, N=1.0, kappa=0.5)
@@ -311,6 +324,22 @@ class TestRepeatedVertexInputs:
         assert all(c["passed"] for step in cert.steps for c in step["checks"])
         assert len(calls) == 2
 
+    def test_kappa_is_checked_not_searched(self, monkeypatch):
+        # Every vertex has R/N = pi/4; the root's kappa differs from its
+        # children's, yet one search serves all three.
+        calls = _counting_search(monkeypatch)
+        root = NiceCoordinateSpec(p=3, q=3, R=math.pi / 4, N=1.0, kappa=0.5)
+        cert = run_construction(tangent_chain(3, 3), root, self.CONFIG)
+        assert cert.passed and len(calls) == 1
+        kappas = [s["spec"]["kappa"] for s in cert.steps]
+        assert kappas[0] == 0.5 and kappas[1] == kappas[2] != 0.5
+        for step, kappa in zip(cert.steps, kappas):
+            bound = step["checks"][-1]
+            assert bound["id"] == "collar_ball_bound" and bound["passed"]
+            assert bound["value"] == step["right"]["rho"]
+            assert bound["tolerance"] == 0.99 * kappa
+            assert json.dumps(step["checks"][:-1]) == json.dumps(cert.steps[0]["checks"][:-1])
+
 
 class TestOracleFailures:
     def test_unexpected_bulk_error_propagates(self, monkeypatch):
@@ -357,7 +386,7 @@ class TestCli:
                        "--config", str(cfg_file), "--out", str(out)])
         assert rc == 0
         capsys.readouterr()
-        rc = cli_main(["verify",
+        rc = cli_main(["verify", "--config", str(cfg_file),
                        "--profiles", str(out / "profiles" / "step_0.csv"),
                        "--params", str(out / "profiles" / "step_0.params.json")])
         assert rc == 0
@@ -410,5 +439,55 @@ class TestCertificateInvariants:
             vertices=(PlumbingVertex(base_dim=4, rank=4, euler=2, char_label="v1"),),
             edges=())
         spec = NiceCoordinateSpec(p=4, q=4, R=math.pi / 4, N=1.0, kappa=0.5)
-        with pytest.raises(SpecError, match=f"config 'search' .*{named}"):
+        with pytest.raises(SpecError, match=f"unknown config keys: search=.*{named}"):
             run_construction(tree, spec, config={"search": search})
+
+    def test_collar_ball_bound_fails_closed(self):
+        # rho ~ 1e-9 is far above 0.99 kappa: the profile is built and its
+        # other checks pass, and the certificate fails on the bound
+        tree = PlumbingTree(
+            vertices=(PlumbingVertex(base_dim=4, rank=4, euler=2, char_label="v1"),),
+            edges=())
+        spec = NiceCoordinateSpec(p=4, q=4, R=math.pi / 4, N=1.0, kappa=1e-12)
+        cert = run_construction(tree, spec)
+        assert not cert.passed
+        failed = [c["id"] for c in cert.steps[0]["checks"] if not c["passed"]]
+        assert failed == ["collar_ball_bound"]
+
+
+class TestConfig:
+    SINGLE = PlumbingTree(
+        vertices=(PlumbingVertex(base_dim=4, rank=4, euler=2, char_label="v1"),), edges=())
+    SPEC = NiceCoordinateSpec(p=4, q=4, R=math.pi / 4, N=1.0, kappa=0.5)
+
+    @pytest.mark.parametrize("config,named", [
+        ({"seed": 0}, "seed"), ({"mc_variant": "unit"}, "mc_variant"),
+        ({"lamda": 0.2}, "lamda"), ({"tolerances": {"bc": 1e-8}}, "tolerances.bc"),
+        ({"epsilon_i": 0.5, "oracle_points": 8}, "epsilon_i=0.5, oracle_points"),
+    ], ids=["seed", "mc_variant", "lamda", "tolerances.bc", "two_keys"])
+    def test_unknown_keys_rejected(self, config, named):
+        with pytest.raises(SpecError, match=f"unknown config keys: {named}"):
+            run_construction(self.SINGLE, self.SPEC, config=config)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9, 1e-14, "1e-9"])
+    def test_unusable_margin_tolerance_rejected(self, tol):
+        with pytest.raises(SpecError, match="tolerances.mc_margin .* >= 1e-12"):
+            run_construction(self.SINGLE, self.SPEC, config={"tolerances": {"mc_margin": tol}})
+
+    # One changed value per setting; the keys must be exactly the config's settings.
+    CHANGED = {"lambda": {"lambda": 0.2}, "grid": {"grid": 257},
+               "tolerances.mc_margin": {"tolerances": {"mc_margin": 1e-10}}}
+
+    def test_changed_values_cover_the_config(self):
+        settings = set()
+        for k, v in DEFAULT_CONFIG.items():
+            settings |= {f"{k}.{sub}" for sub in v} if isinstance(v, dict) else {k}
+        assert settings == set(self.CHANGED)
+
+    @pytest.mark.parametrize("setting", list(CHANGED))
+    def test_every_setting_moves_the_steps(self, setting):
+        # a setting that nothing reads leaves every step record as it was
+        base = {"grid": 256}
+        steps = [json.dumps(run_construction(self.SINGLE, self.SPEC, config=c).steps)
+                 for c in (base, {**base, **self.CHANGED[setting]})]
+        assert steps[0] != steps[1]

@@ -178,7 +178,7 @@ class TestSearch:
         csv = res.pair.to_csv(128)
         assert csv.splitlines()[0] == "t,f,f1,f2,h,h1,h2"
         doc = json.loads(res.pair.params_json())
-        assert doc["schema"] == "plumbric-profile-params/1"
+        assert doc["schema"] == "plumbric-profile-params/2"
         assert doc["right"]["beta"] == res.right.beta
 
     def test_two_piece_grid_jets_and_params(self, tmp_path):
@@ -197,8 +197,8 @@ class TestSearch:
         spec = NiceCoordinateSpec(p=4, q=4, R=math.pi / 4, N=1.0, kappa=0.5)
         assert run_construction(tree, spec, out_dir=tmp_path).passed
         doc = json.loads((tmp_path / "profiles" / "step_0.params.json").read_text())
-        assert doc["schema"] == "plumbric-profile-params/1"
-        assert doc["markers"]["windows"] == []
+        assert doc["schema"] == "plumbric-profile-params/2"
+        assert sorted(doc["markers"]) == ["a3", "b3", "t1"]
 
 
 def table_csv(columns: dict) -> str:
@@ -257,6 +257,47 @@ class TestCsvWriter:
         ref = table_csv({"t": t, **{name: getattr(pair, name)(t)
                                     for name in ("f", "f1", "f2", "h", "h1", "h2")}})
         assert first_difference(pair.to_csv(300), ref) is None
+
+
+def _fixture_inputs():
+    import pathlib
+    fix = json.loads((pathlib.Path(__file__).parent / "fixtures"
+                      / "search_regression.json").read_text())
+    return [(r["p"], r["q"], r["R_over_N"], r["lambda"]) for r in fix.values()]
+
+
+class TestOneRunoutPerCandidate:
+    # the last two inputs are ones where the left piece's f'(t1) and the
+    # search's join slope differ by 1 ulp
+    @pytest.mark.parametrize("p,q,rn,lam", _fixture_inputs() + [
+        (5, 5, 1.1, 0.3), (4, 6, math.pi / 4, 0.35)])
+    def test_runout_solved_once_per_gated_candidate(self, monkeypatch, p, q, rn, lam):
+        import plumbric.profiles as profiles
+
+        runs = []
+        solve = profiles.solve_runout
+
+        def counted(*args):
+            runs.append(solve(*args))
+            return runs[-1]
+
+        built = []
+        build = profiles.build_right_profile
+
+        def build_counted(left, params, run):
+            built.append(run)
+            return build(left, params, run)
+
+        monkeypatch.setattr(profiles, "solve_runout", counted)
+        monkeypatch.setattr(profiles, "build_right_profile", build_counted)
+        res = search_parameters(p, q, rn, lam, grid_n=256)
+        diag = res.diagnostics
+        # a candidate through the five cheap gates is either rejected by
+        # ``runout`` or evaluated, and solves one run-out either way
+        gated = diag["evaluations"] + sum(g == "runout" for *_, g in diag["rejected"])
+        assert len(runs) == gated >= 1
+        assert built and all(any(b is r for r in runs) for b in built)
+        assert res.right.b3 == res.right.t1 + built[-1].length
 
 
 class TestRegressionFixture:
