@@ -1,8 +1,10 @@
 """Coordinate-patch builders feeding the curvature oracle.
 
-All charts use polar-type coordinates away from poles; the warped sphere
-factors are represented in nested-angle (hyperspherical) coordinates, which
-keep every metric here diagonal.  Grid sampling should stay at least
+Every warped-product chart is built from two pieces: :func:`flat_patch`, the
+Euclidean metric on a coordinate box, and :func:`warped_patch`, which warps a
+round sphere factor over a base patch with a radius that depends on the base
+point.  The sphere factors use nested-angle (hyperspherical) coordinates, so
+every metric here is diagonal.  Grid sampling should stay at least
 POLE_MARGIN radians away from the angle endpoints.
 """
 
@@ -15,12 +17,13 @@ from .oracle import MetricPatch
 __all__ = [
     "POLE_MARGIN",
     "ANGLE_BOX",
+    "flat_patch",
+    "warped_patch",
     "euclidean_patch",
     "sphere_stereographic",
     "sphere_polar",
     "cylinder_patch",
     "doubly_warped_patch",
-    "product_line_patch",
     "scaled_patch",
 ]
 
@@ -42,15 +45,42 @@ def _unit_sphere_diag(angles: np.ndarray) -> np.ndarray:
     return diag
 
 
-def euclidean_patch(d: int, half_width: float = 1.0) -> MetricPatch:
-    """Flat metric on a centered coordinate box."""
+def flat_patch(domain) -> MetricPatch:
+    """Flat metric on the coordinate box ``domain`` (one (lo, hi) per coordinate)."""
+    d = len(domain)
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        eye = np.eye(d)
-        return np.broadcast_to(eye, x.shape[:-1] + (d, d)).copy()
+        return np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d)).copy()
 
-    return MetricPatch(dim=d, domain=tuple((-half_width, half_width) for _ in range(d)), g=g)
+    return MetricPatch(dim=d, domain=tuple(domain), g=g)
+
+
+def warped_patch(base: MetricPatch, radius_of_base_point, fiber_dim: int) -> MetricPatch:
+    """base + radius^2 ds_{fiber_dim}^2: a round sphere factor warped over ``base``.
+
+    The new coordinates are (base coordinates..., fiber angles...).
+    ``radius_of_base_point`` takes base points of shape (..., base.dim) and
+    returns the fiber radius there.
+    """
+    db = base.dim
+    d = db + fiber_dim
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (d, d))
+        out[..., :db, :db] = base.g(x[..., :db])
+        rad = np.asarray(radius_of_base_point(x[..., :db]))
+        idx = np.arange(db, d)
+        out[..., idx, idx] = rad[..., np.newaxis] ** 2 * _unit_sphere_diag(x[..., db:])
+        return out
+
+    return MetricPatch(dim=d, domain=base.domain + (ANGLE_BOX,) * fiber_dim, g=g)
+
+
+def euclidean_patch(d: int, half_width: float = 1.0) -> MetricPatch:
+    """Flat metric on a centered coordinate box."""
+    return flat_patch(((-half_width, half_width),) * d)
 
 
 def sphere_stereographic(n: int, r: float, half_width: float = 0.8) -> MetricPatch:
@@ -69,17 +99,8 @@ def sphere_stereographic(n: int, r: float, half_width: float = 0.8) -> MetricPat
 
 
 def sphere_polar(n: int, r: float) -> MetricPatch:
-    """Round n-sphere of radius r in nested-angle coordinates."""
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        diag = r ** 2 * _unit_sphere_diag(x)
-        out = np.zeros(x.shape[:-1] + (n, n))
-        idx = np.arange(n)
-        out[..., idx, idx] = diag
-        return out
-
-    return MetricPatch(dim=n, domain=tuple(ANGLE_BOX for _ in range(n)), g=g)
+    """Round n-sphere of radius r in nested-angle coordinates (warped over a point)."""
+    return warped_patch(flat_patch(()), lambda xb: np.full(xb.shape[:-1], r), n)
 
 
 def cylinder_patch(p: int, radius: float, t_half_width: float = 1.0) -> MetricPatch:
@@ -88,24 +109,9 @@ def cylinder_patch(p: int, radius: float, t_half_width: float = 1.0) -> MetricPa
     Coordinates: (t, s, p-1 nested angles); s is the geodesic distance from a
     pole of the sphere factor.
     """
-    d = 2 + (p - 1)
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        s = x[..., 1]
-        angles = x[..., 2:]
-        out = np.zeros(x.shape[:-1] + (d, d))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        warp = (radius * np.sin(s / radius)) ** 2
-        diag = warp[..., np.newaxis] * _unit_sphere_diag(angles)
-        idx = np.arange(2, d)
-        out[..., idx, idx] = diag
-        return out
-
     s_box = (POLE_MARGIN * radius, (np.pi - POLE_MARGIN) * radius)
-    domain = ((-t_half_width, t_half_width), s_box) + tuple(ANGLE_BOX for _ in range(p - 1))
-    return MetricPatch(dim=d, domain=domain, g=g)
+    return warped_patch(flat_patch(((-t_half_width, t_half_width), s_box)),
+                        lambda xb: radius * np.sin(xb[..., 1] / radius), p - 1)
 
 
 def doubly_warped_patch(f, h, p: int, q: int, t_domain) -> MetricPatch:
@@ -114,51 +120,9 @@ def doubly_warped_patch(f, h, p: int, q: int, t_domain) -> MetricPatch:
     Coordinates: (t, q-1 angles for the first factor, p-1 angles for the
     second).  ``f`` and ``h`` must accept numpy arrays.
     """
-    d = 1 + (q - 1) + (p - 1)
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        t = x[..., 0]
-        u = x[..., 1:q]
-        v = x[..., q:]
-        out = np.zeros(x.shape[:-1] + (d, d))
-        out[..., 0, 0] = 1.0
-        hdiag = np.asarray(h(t))[..., np.newaxis] ** 2 * _unit_sphere_diag(u)
-        fdiag = np.asarray(f(t))[..., np.newaxis] ** 2 * _unit_sphere_diag(v)
-        iu = np.arange(1, q)
-        iv = np.arange(q, d)
-        out[..., iu, iu] = hdiag
-        out[..., iv, iv] = fdiag
-        return out
-
-    domain = (tuple(t_domain),) + tuple(ANGLE_BOX for _ in range(d - 1))
-    return MetricPatch(dim=d, domain=domain, g=g)
-
-
-def product_line_patch(fiber_radius_of_t, fiber_dim: int, base_patch: MetricPatch
-                       ) -> MetricPatch:
-    """Warp a round sphere factor of given dimension over an existing patch.
-
-    The new coordinates are (base coordinates..., fiber angles...); the fiber
-    radius is a function of the *first* base coordinate only.
-    """
-    db = base_patch.dim
-    d = db + fiber_dim
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        xb = x[..., :db]
-        ang = x[..., db:]
-        out = np.zeros(x.shape[:-1] + (d, d))
-        out[..., :db, :db] = base_patch.g(xb)
-        rad = np.asarray(fiber_radius_of_t(x[..., 0]))
-        diag = rad[..., np.newaxis] ** 2 * _unit_sphere_diag(ang)
-        idx = np.arange(db, d)
-        out[..., idx, idx] = diag
-        return out
-
-    domain = base_patch.domain + tuple(ANGLE_BOX for _ in range(fiber_dim))
-    return MetricPatch(dim=d, domain=domain, g=g)
+    line = flat_patch((tuple(t_domain),))
+    return warped_patch(warped_patch(line, lambda xb: h(xb[..., 0]), q - 1),
+                        lambda xb: f(xb[..., 0]), p - 1)
 
 
 def scaled_patch(patch: MetricPatch, lam: float) -> MetricPatch:

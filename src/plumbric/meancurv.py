@@ -30,12 +30,16 @@ radius, which is what makes the arc tail the clean end geometry.  The "unit"
 margin equals (mean curvature) * E * sqrt(D) pointwise wherever D > 0, which
 is asserted as the cross-consistency identity.
 
+One pass, ``_neck_terms``, computes D, E, F, cot(F/bN) and bracket; the
+curve (``build_curve``) and every variant's (A, B) (``ab_terms``) read it.
+
 The certificate's sample checks read their pieces from here, all on a
 profile already sampled on the check grid: ``neck_margins`` (every variant's
 A - B) and ``interface_forms`` / ``interface_checks`` (the gluing forms at the
-end samples).  ``bulk_patch`` is the one neck-bulk metric, composed from
-``charts.cylinder_patch`` and ``charts.product_line_patch``; it serves both
-the bulk scalar-curvature samples and ``oracle_boundary_mean_curvature``.
+end samples).  ``bulk_patch`` is the one neck-bulk metric, the collar sphere
+warped (``charts.warped_patch``) over ``charts.cylinder_patch``, with the
+oracle's finite-difference step for it; it serves both the bulk
+scalar-curvature samples and ``oracle_boundary_mean_curvature``.
 """
 
 from __future__ import annotations
@@ -50,8 +54,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .caps import BlockDiagonalForm, perelman_form_check, COEFF_TOL
 from .oracle import MetricPatch, GraphHypersurface, numeric_second_fundamental_form
-from .charts import (ANGLE_BOX, POLE_MARGIN, _unit_sphere_diag, cylinder_patch,
-                     product_line_patch)
+from .charts import POLE_MARGIN, cylinder_patch, flat_patch, warped_patch
 from .warped import WarpedJet
 
 __all__ = [
@@ -78,10 +81,12 @@ class CurveDomainError(ValueError):
     """Fiber radius incompatible with the ambient sphere (arcsin domain)."""
 
 
-def _phase_gap(f, f1, bN):
-    """(D, E) with E = 1 - (f/bN)^2 and D = E - f'^2 clamped at 0.
+def _neck_terms(f, f1, f2, bN):
+    """(D, E, F, cot(F/bN), bracket) of a fiber-radius jet in S^p(bN).
 
-    Rejects fiber radii at or beyond bN and phase gaps below -1e-9.
+    E = 1 - (f/bN)^2, D = E - f'^2 clamped at 0, F = bN arcsin(f/bN) and
+    bracket = f''E + f'^2 f/bN^2.  Rejects fiber radii at or beyond bN and
+    phase gaps below -1e-9.
     """
     if np.any(f >= bN):
         raise CurveDomainError(
@@ -92,7 +97,10 @@ def _phase_gap(f, f1, bN):
     if np.any(D < -1e-9):
         raise CurveDomainError(
             f"profile leaves the cylinder-graph domain (min D = {np.min(D):.3e})")
-    return np.maximum(D, 0.0), E
+    F = bN * np.arcsin(f / bN)
+    cot = np.cos(F / bN) / np.sin(F / bN)
+    bracket = f2 * E + f1 * f1 * f / bN ** 2
+    return np.maximum(D, 0.0), E, F, cot, bracket
 
 
 @dataclass(frozen=True)
@@ -132,15 +140,12 @@ def build_curve(pair, beta: float, N: float, grid_n: int = 2048,
     t = pair.grid(grid_n)
     f = pair.f(t)
     f1 = pair.f1(t)
-    f2 = pair.f2(t)
-    D, E = _phase_gap(f, f1, bN)
+    D, E, F, _cot, bracket = _neck_terms(f, f1, pair.f2(t), bN)
     mask = D > d_floor
     if not np.any(mask):
         raise CurveDomainError(
             "profile is phase-degenerate everywhere (an exact ambient arc): "
             "no graph description exists")
-    F = bN * np.arcsin(f / bN)
-    bracket = f2 * E + f1 * f1 * f / bN ** 2
 
     F1 = np.full_like(f, np.inf)
     F2 = np.full_like(f, np.nan)
@@ -155,45 +160,33 @@ def build_curve(pair, beta: float, N: float, grid_n: int = 2048,
                           mask=mask, beta=beta, N=N)
 
 
-def ab_terms(jet: WarpedJet, beta: float, N: float, p: int, q: int,
-             variant: str = "reported"):
-    """Margin terms (A, B): the boundary mean curvature is >= 0 iff A - B >= 0.
+def ab_terms(jet: WarpedJet, beta: float, N: float, p: int, q: int) -> dict:
+    """Margin terms (A, B) of every variant: the boundary mean curvature is
+    >= 0 iff A - B >= 0 under that variant's reading.
 
-    ``variant`` selects the algebraic normalization (see module docstring);
-    all variants share A's stabilizing fiber-sphere term and B's curve term
-    ``bracket``.  Requires f < beta*N and D >= 0 up to roundoff.
+    Returns ``{variant: (A, B)}`` in :data:`MC_VARIANTS` order (the variants
+    are the algebraic normalizations of the module docstring).  All of them
+    share A's stabilizing fiber-sphere term and B's curve term ``bracket``,
+    computed once.  Requires f < beta*N and D >= 0 up to roundoff.
     """
     bN = beta * N
-    f = np.asarray(jet.f, dtype=float)
     f1 = np.asarray(jet.f1, dtype=float)
-    f2 = np.asarray(jet.f2, dtype=float)
     h = np.asarray(jet.h, dtype=float)
     h1 = np.asarray(jet.h1, dtype=float)
-    D, E = _phase_gap(f, f1, bN)
-    F = bN * np.arcsin(f / bN)
-    cot = np.cos(F / bN) / np.sin(F / bN)
-    bracket = f2 * E + f1 * f1 * f / bN ** 2
-    if variant == "reported":
-        A = (p - 1) * D ** 2 * np.sqrt(E) * cot / bN
-        B = bracket + (q - 1) * D * E * f1 * h1 * h
-    elif variant == "curvature":
-        A = (p - 1) * D * np.sqrt(E) * cot / bN
-        B = bracket + (q - 1) * E * f1 * h1 * h
-    elif variant == "unit":
-        A = (p - 1) * D * np.sqrt(E) * cot / bN
-        B = bracket + (q - 1) * E * f1 * h1 / h
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return A, B
+    D, E, _F, cot, bracket = _neck_terms(np.asarray(jet.f, dtype=float), f1,
+                                         np.asarray(jet.f2, dtype=float), bN)
+    rootE = np.sqrt(E)
+    A = (p - 1) * D * rootE * cot / bN
+    collar = (q - 1) * E * f1 * h1
+    return {"reported": ((p - 1) * D ** 2 * rootE * cot / bN,
+                         bracket + (q - 1) * D * E * f1 * h1 * h),
+            "curvature": (A, bracket + collar * h),
+            "unit": (A, bracket + collar / h)}
 
 
 def neck_margins(jet: WarpedJet, beta: float, N: float, p: int, q: int) -> dict:
     """The margin A - B of every variant, keyed by variant name."""
-    margins = {}
-    for variant in MC_VARIANTS:
-        A, B = ab_terms(jet, beta, N, p, q, variant=variant)
-        margins[variant] = A - B
-    return margins
+    return {variant: A - B for variant, (A, B) in ab_terms(jet, beta, N, p, q).items()}
 
 
 @dataclass(frozen=True)
@@ -262,17 +255,15 @@ def z3_mean_curvature(curve: CurveEmbedding, pair, p: int, q: int,
     t = curve.t
     bN = curve.bN
     jets = pair.jets(t)
-    f, f1, f2, h, h1 = jets.f, jets.f1, jets.f2, jets.h, jets.h1
-    D, E = curve.D, curve.E
+    f1, h, h1 = jets.f1, jets.h, jets.h1
+    D, E, _F, cot, bracket = _neck_terms(jets.f, f1, jets.f2, bN)
     mask = curve.mask
-    bracket = f2 * E + f1 * f1 * f / bN ** 2
-    cot = np.cos(curve.F / bN) / np.sin(curve.F / bN)
 
-    curve_pc = np.zeros_like(f)
+    curve_pc = np.zeros_like(f1)
     curve_pc[mask] = -bracket[mask] / (np.sqrt(D[mask]) * E[mask])
-    sphere_p = np.zeros_like(f)
+    sphere_p = np.zeros_like(f1)
     sphere_p[mask] = np.sqrt(D[mask] / E[mask]) * cot[mask] / bN
-    sphere_q = np.zeros_like(f)
+    sphere_q = np.zeros_like(f1)
     sphere_q[mask] = -f1[mask] * h1[mask] / (h[mask] * np.sqrt(D[mask]))
     # Degenerate samples with residual curve or collar data cannot be
     # represented as a graph; flag them instead of inventing values.
@@ -344,23 +335,15 @@ def z2_patch(eps_profile, k: Callable, r: float, p: int, q: int) -> MetricPatch:
     fiber-radial coordinate s.  Coordinates: (t, s, p-1 fiber angles, q-1
     base angles).
     """
-    dp = 1 + p
     s_max = (math.pi - POLE_MARGIN) * r / math.sin(eps_profile.eps_end)
 
-    def fiber_g(x):
-        x = np.asarray(x, dtype=float)
-        se = np.sin(np.asarray(eps_profile.eps(x[..., 0])))
-        f = (r / se) * np.sin(x[..., 1] * se / r)
-        out = np.zeros(x.shape[:-1] + (dp, dp))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        idx = np.arange(2, dp)
-        out[..., idx, idx] = f[..., np.newaxis] ** 2 * _unit_sphere_diag(x[..., 2:])
-        return out
+    def fiber_radius(xb):
+        se = np.sin(np.asarray(eps_profile.eps(xb[..., 0])))
+        return (r / se) * np.sin(xb[..., 1] * se / r)
 
-    domain = ((eps_profile.a2, eps_profile.b2), (1e-4, s_max)) \
-        + tuple(ANGLE_BOX for _ in range(p - 1))
-    return product_line_patch(k, q - 1, MetricPatch(dim=dp, domain=domain, g=fiber_g))
+    fiber = warped_patch(flat_patch(((eps_profile.a2, eps_profile.b2), (1e-4, s_max))),
+                         fiber_radius, p - 1)
+    return warped_patch(fiber, lambda xb: k(xb[..., 0]), q - 1)
 
 
 @dataclass(frozen=True)
@@ -426,8 +409,11 @@ def bulk_patch(pair, p: int, q: int, d_min: float) -> tuple:
     Coordinates (t~, s, p-1 fiber angles, q-1 collar angles), with collar
     radius h(t(t~)).  The map t~ -> t is Hermite-interpolated through the
     1024-point boundary curve on the samples where D >= d_min, which also
-    bound the t~ range of the domain.  Returns (patch, curve, keep), where
-    ``keep`` indexes the curve samples used as interpolation nodes.
+    bound the t~ range of the domain.  Returns (patch, curve, keep, step):
+    ``keep`` indexes the curve samples used as interpolation nodes, and
+    ``step`` is the oracle's finite-difference step on this chart, 1e-4 bN
+    along (t~, s), where the metric varies on the scale bN, and 1e-3 along
+    the angles.
     """
     bN = pair.right.bN
     curve = build_curve(pair, pair.right.beta, pair.right.N, grid_n=1024)
@@ -437,24 +423,24 @@ def bulk_patch(pair, p: int, q: int, d_min: float) -> tuple:
     keep = keep[np.concatenate([[True], np.diff(curve.t_tilde[keep]) > 1e-9])]
     tt = curve.t_tilde[keep]
     t_of_tt = CubicHermiteSpline(tt, curve.t[keep], np.sqrt(1.0 + curve.F1[keep] ** 2))
-    patch = product_line_patch(lambda x: pair.h(t_of_tt(x)), q - 1, cylinder_patch(p, bN))
+    patch = warped_patch(cylinder_patch(p, bN), lambda xb: pair.h(t_of_tt(xb[..., 0])), q - 1)
     domain = ((tt[0], tt[-1]), (1e-6 * bN, (math.pi - POLE_MARGIN) * bN)) + patch.domain[2:]
-    return replace(patch, domain=domain), curve, keep
+    step = np.concatenate([[1e-4 * bN, 1e-4 * bN], np.full(patch.dim - 2, 1e-3)])
+    return replace(patch, domain=domain), curve, keep, step
 
 
 def oracle_boundary_mean_curvature(pair, p: int, q: int, n_points: int = 7,
-                                   d_min: float = 0.02, step=None):
+                                   d_min: float = 0.02):
     """Mean curvature of the neck boundary via the generic oracle.
 
     Runs the finite-difference second-fundamental-form computation on the
     :func:`bulk_patch` at sample points where the graph description is well
-    conditioned (D >= d_min); the vertical end regions cannot be differenced
-    and are excluded.
+    conditioned (D >= d_min), with the chart's own step; the vertical end
+    regions cannot be differenced and are excluded.
 
     Returns (t_samples, oracle_mc, closed_form_mc).
     """
-    patch, curve, keep = bulk_patch(pair, p, q, d_min)
-    bN = curve.bN
+    patch, curve, keep, step = bulk_patch(pair, p, q, d_min)
     th = curve.t[keep]
     tth = curve.t_tilde[keep]
     idx = np.unique(np.linspace(0, th.size - 1, n_points).astype(int))
@@ -465,16 +451,12 @@ def oracle_boundary_mean_curvature(pair, p: int, q: int, n_points: int = 7,
         return F_of_tt(xs[..., 0])
 
     hyper = GraphHypersurface(axis=1, height=height, normal_sign=-1)
-    d = patch.dim
-    angles = np.full(d - 2, math.pi / 2 + 0.1)
-    if step is None:
-        # metric varies on the scale bN along (t~, s) but O(1) in the angles
-        step = np.concatenate([[1e-4 * bN, 1e-4 * bN], np.full(d - 2, 1e-3)])
+    angles = np.full(patch.dim - 2, math.pi / 2 + 0.1)
 
     mc_closed = z3_mean_curvature(curve, pair, p, q).mean_curvature[keep]
 
     t_out, mc_oracle, mc_cf = [], [], []
-    margin = 4.0 * float(np.max(np.atleast_1d(step)[:1]))
+    margin = 4.0 * step[0]
     for i in idx:
         tt0 = tth[i]
         if not (tth[0] + margin < tt0 < tth[-1] - margin):

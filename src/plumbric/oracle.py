@@ -3,7 +3,9 @@
 Given a metric as a callable ``point -> symmetric matrix`` on a coordinate
 box, Christoffel symbols are assembled from central differences of the metric,
 Ricci from analytic contractions of those, and one Richardson extrapolation
-level (steps h and h/2) removes the leading O(h^2) truncation error.
+level (steps h and h/2) removes the leading O(h^2) truncation error.  Ricci
+and the second fundamental form of a graph take every difference on one
+stencil (``_stencil`` / ``_differences``) and share the Christoffel assembly.
 
 This module is deliberately independent of every closed-form curvature
 formula in the package: it is the second route used to validate them.
@@ -72,50 +74,61 @@ def _metric_checked(patch: MetricPatch, point: np.ndarray) -> np.ndarray:
     return g0
 
 
-def _ricci_fixed_step(patch: MetricPatch, point: np.ndarray, h: np.ndarray) -> tuple:
-    """Ricci tensor and metric at ``point`` using central differences.
+def _stencil(x: np.ndarray, h: np.ndarray, corners: bool) -> np.ndarray:
+    """Central-difference stencil around ``x`` with per-coordinate steps ``h``.
 
-    ``h`` is the per-coordinate step vector.
+    Rows: the center; x + h_k e_k and x - h_k e_k for each k; then, with
+    ``corners``, the four corners x +/- h_k e_k +/- h_l e_l (++, +-, -+, --)
+    of each pair k < l.
     """
-    d = patch.dim
-    # Stencil: center; +/- h e_k; the four corners +/- h e_k +/- h e_l, k < l.
-    pts = [point]
-    for k in range(d):
-        for s in (+1.0, -1.0):
-            q = point.copy()
-            q[k] += s * h[k]
-            pts.append(q)
-    for k in range(d):
-        for l in range(k + 1, d):
-            for sk in (+1.0, -1.0):
-                for sl in (+1.0, -1.0):
-                    q = point.copy()
-                    q[k] += sk * h[k]
-                    q[l] += sl * h[l]
-                    pts.append(q)
-    G = patch.g(np.asarray(pts))
-    g0 = G[0]
+    n = x.size
+    e = np.diag(h)
+    offsets = [np.zeros((1, n)), np.stack([e, -e], axis=1).reshape(2 * n, n)]
+    if corners:
+        k, l = np.triu_indices(n, 1)
+        sk = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+        sl = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
+        offsets.append((sk * e[k] + sl * e[l]).transpose(1, 0, 2).reshape(-1, n))
+    return x + np.concatenate(offsets)
 
-    dg = np.empty((d, d, d))      # dg[k, a, b] = d_k g_ab
-    d2g = np.empty((d, d, d, d))  # d2g[m, k, a, b] = d^2_{mk} g_ab
-    for k in range(d):
-        gp, gm = G[1 + 2 * k], G[2 + 2 * k]
-        dg[k] = (gp - gm) / (2.0 * h[k])
-        d2g[k, k] = (gp - 2.0 * g0 + gm) / (h[k] * h[k])
-    # Corners come in groups of four per (k, l): ++, +-, -+, --.
-    ci = 1 + 2 * d
-    for k in range(d):
-        for l in range(k + 1, d):
-            gpp, gpm, gmp, gmm = G[ci], G[ci + 1], G[ci + 2], G[ci + 3]
-            mixed = (gpp - gpm - gmp + gmm) / (4.0 * h[k] * h[l])
-            d2g[k, l] = mixed
-            d2g[l, k] = mixed
-            ci += 4
 
-    ginv = np.linalg.inv(g0)
-    # T[i, j, m] = d_i g_jm + d_j g_im - d_m g_ij
+def _differences(values: np.ndarray, h: np.ndarray, corners: bool) -> tuple:
+    """First and second central differences of values taken on :func:`_stencil`.
+
+    ``values[i]`` is the function (of any trailing shape) at stencil row i.
+    Returns (d1, d2) with d1[k] = d_k and d2[k, l] = d_k d_l of the function;
+    without ``corners`` only the diagonal of d2 is filled.
+    """
+    n = h.size
+    hh = h.reshape((n,) + (1,) * (values.ndim - 1))
+    plus, minus = values[1:2 * n + 1:2], values[2:2 * n + 2:2]
+    d1 = (plus - minus) / (2.0 * hh)
+    d2 = np.zeros((n, n) + values.shape[1:])
+    d2[np.arange(n), np.arange(n)] = (plus - 2.0 * values[0] + minus) / (hh * hh)
+    if corners:
+        k, l = np.triu_indices(n, 1)
+        c = values[2 * n + 1:].reshape((-1, 4) + values.shape[1:])
+        denom = (4.0 * h[k] * h[l]).reshape((-1,) + (1,) * (values.ndim - 1))
+        d2[k, l] = d2[l, k] = (c[:, 0] - c[:, 1] - c[:, 2] + c[:, 3]) / denom
+    return d1, d2
+
+
+def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> tuple:
+    """Christoffel symbols gamma[l, i, j] = Gamma^l_ij from dg[k, a, b] = d_k g_ab.
+
+    Also returns T[i, j, m] = d_i g_jm + d_j g_im - d_m g_ij, so that
+    gamma = g^{lm} T_ijm / 2.
+    """
     T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    gamma = 0.5 * np.einsum("lm,ijm->lij", ginv, T)
+    return 0.5 * np.einsum("lm,ijm->lij", ginv, T), T
+
+
+def _ricci_fixed_step(patch: MetricPatch, point: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Ricci tensor at ``point`` from central differences with step vector ``h``."""
+    G = patch.g(_stencil(point, h, corners=True))
+    dg, d2g = _differences(G, h, corners=True)   # d2g[m, k, a, b] = d^2_{mk} g_ab
+    ginv = np.linalg.inv(G[0])
+    gamma, T = _christoffel(ginv, dg)
 
     # dT[m, i, j, k] = d_m T[i, j, k]
     dT = (d2g
@@ -131,7 +144,7 @@ def _ricci_fixed_step(patch: MetricPatch, point: np.ndarray, h: np.ndarray) -> t
     term3 = np.einsum("b,bjk->jk", contracted, gamma)
     term4 = np.einsum("ajb,bak->jk", gamma, gamma)
     ric = term1 - term2 + term3 - term4
-    return 0.5 * (ric + ric.T), g0
+    return 0.5 * (ric + ric.T)
 
 
 def _step_vector(patch: MetricPatch, step) -> np.ndarray:
@@ -139,6 +152,12 @@ def _step_vector(patch: MetricPatch, step) -> np.ndarray:
     if np.any(h <= 0):
         raise ValueError("steps must be positive")
     return h
+
+
+def _require_interior(patch: MetricPatch, point: np.ndarray, h: np.ndarray, what: str):
+    for x, (lo, hi), hk in zip(point, patch.domain, h):
+        if x < lo + 2 * hk or x > hi - 2 * hk:
+            raise OracleDomainError(f"{what} {point} within 2*step of the domain boundary")
 
 
 def numeric_curvature(patch: MetricPatch, point, step=DEFAULT_STEP) -> CurvatureReport:
@@ -153,14 +172,11 @@ def numeric_curvature(patch: MetricPatch, point, step=DEFAULT_STEP) -> Curvature
     if point.shape != (patch.dim,):
         raise ValueError(f"point must have shape ({patch.dim},), got {point.shape}")
     h = _step_vector(patch, step)
-    for x, (lo, hi), hk in zip(point, patch.domain, h):
-        if x < lo + 2 * hk or x > hi - 2 * hk:
-            raise OracleDomainError(
-                f"point {point} within 2*step of the domain boundary")
+    _require_interior(patch, point, h, "point")
     g0 = _metric_checked(patch, point)
 
-    ric_h, _ = _ricci_fixed_step(patch, point, h)
-    ric_h2, _ = _ricci_fixed_step(patch, point, h / 2.0)
+    ric_h = _ricci_fixed_step(patch, point, h)
+    ric_h2 = _ricci_fixed_step(patch, point, h / 2.0)
     ric = (4.0 * ric_h2 - ric_h) / 3.0
 
     ginv = np.linalg.inv(g0)
@@ -220,56 +236,25 @@ def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHyper
     hb = h[others]
 
     # Height value, gradient, and Hessian by central differences.
-    w0 = float(hypersurface.height(bp[np.newaxis, :])[0])
-    m = d - 1
-    pts = []
-    for k in range(m):
-        for s in (+1.0, -1.0):
-            q = bp.copy()
-            q[k] += s * hb[k]
-            pts.append(q)
-    for k in range(m):
-        for l in range(k + 1, m):
-            for sk in (+1.0, -1.0):
-                for sl in (+1.0, -1.0):
-                    q = bp.copy()
-                    q[k] += sk * hb[k]
-                    q[l] += sl * hb[l]
-                    pts.append(q)
-    W = np.asarray(hypersurface.height(np.asarray(pts)), dtype=float)
-    grad = np.empty(m)
-    hess = np.empty((m, m))
-    for k in range(m):
-        wp, wm = W[2 * k], W[2 * k + 1]
-        grad[k] = (wp - wm) / (2.0 * hb[k])
-        hess[k, k] = (wp - 2.0 * w0 + wm) / (hb[k] * hb[k])
-    ci = 2 * m
-    for k in range(m):
-        for l in range(k + 1, m):
-            wpp, wpm, wmp, wmm = W[ci], W[ci + 1], W[ci + 2], W[ci + 3]
-            hess[k, l] = hess[l, k] = (wpp - wpm - wmp + wmm) / (4.0 * hb[k] * hb[l])
-            ci += 4
+    W = np.asarray(hypersurface.height(_stencil(bp, hb, corners=True)), dtype=float)
+    grad, hess = _differences(W, hb, corners=True)
 
     point = np.empty(d)
     point[others] = bp
-    point[a] = w0
-    for x, (lo, hi), hk in zip(point, patch.domain, h):
-        if x < lo + 2 * hk or x > hi - 2 * hk:
-            raise OracleDomainError(f"graph point {point} too close to the domain boundary")
+    point[a] = W[0]
+    _require_interior(patch, point, h, "graph point")
     g0 = _metric_checked(patch, point)
     ginv = np.linalg.inv(g0)
 
     # Tangent vectors T_i = e_{others[i]} + grad_i e_a.
-    tangents = np.zeros((m, d))
-    for i, oi in enumerate(others):
-        tangents[i, oi] = 1.0
-        tangents[i, a] = grad[i]
+    tangents = np.zeros((d - 1, d))
+    tangents[np.arange(d - 1), others] = 1.0
+    tangents[:, a] = grad
 
     # Unit normal from the conormal d(x_a - height): components delta_a - grad.
     conormal = np.zeros(d)
     conormal[a] = 1.0
-    for i, oi in enumerate(others):
-        conormal[oi] = -grad[i]
+    conormal[others] = -grad
     nu = ginv @ conormal
     norm = float(np.sqrt(nu @ g0 @ nu))
     if norm < 1e-14:
@@ -279,18 +264,8 @@ def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHyper
         nu = -nu
 
     # Christoffel symbols at the point (central differences of g).
-    pts_g = [point]
-    for k in range(d):
-        for s in (+1.0, -1.0):
-            q = point.copy()
-            q[k] += s * h[k]
-            pts_g.append(q)
-    G = patch.g(np.asarray(pts_g))
-    dg = np.empty((d, d, d))
-    for k in range(d):
-        dg[k] = (G[1 + 2 * k] - G[2 + 2 * k]) / (2.0 * h[k])
-    T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    gamma = 0.5 * np.einsum("lm,ijm->lij", ginv, T)
+    dg, _ = _differences(patch.g(_stencil(point, h, corners=False)), h, corners=False)
+    gamma, _ = _christoffel(ginv, dg)
 
     gnu = g0 @ nu
     # II_ij = Hess_ij * (g nu)_a + Gamma^m_{bc} T_i^b T_j^c (g nu)_m

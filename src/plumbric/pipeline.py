@@ -16,10 +16,11 @@ output is deterministic.
 
 The config has three settings: ``lambda``, ``grid`` and
 ``tolerances.mc_margin``; an unknown key is rejected.  A step's profile
-depends only on (p, q, R/N) of its vertex; kappa enters only its last record,
-``collar_ball_bound``.  So each distinct (p, q, R/N) is searched and checked
-once per run: a repeated vertex copies the first occurrence's records and
-artifacts and recomputes only its own ``collar_ball_bound``.
+depends only on (p, q) and the angle R/N of its vertex (exactly EPSILON_I for
+a derived vertex); kappa enters only its last record, ``collar_ball_bound``.
+So each distinct (p, q, angle) is searched and checked once per run: a
+repeated vertex copies the first occurrence's records and artifacts and
+recomputes only its own ``collar_ball_bound``.
 """
 
 from __future__ import annotations
@@ -145,10 +146,9 @@ def _bulk_scalar_samples(pair, p: int, q: int) -> tuple:
     """Oracle scalar curvature at interior points of the neck bulk, and the
     number of points tried.  Points the chart cannot difference are dropped.
     """
-    patch, curve, keep = bulk_patch(pair, p, q, d_min=1e-4)
+    patch, curve, keep, step = bulk_patch(pair, p, q, d_min=1e-4)
     tts, F = curve.t_tilde[keep], curve.F[keep]
     bN = pair.right.bN
-    step = np.concatenate([[1e-4 * bN, 1e-4 * bN], np.full(patch.dim - 2, 1e-3)])
     idx = np.unique(np.linspace(2, tts.size - 3, BULK_SAMPLES).astype(int))
     out = []
     for i in idx:
@@ -174,12 +174,15 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     behind).  Infeasibility or a failed check of any step marks the
     certificate failed and stops the traversal.
 
-    Each distinct (p, q, R/N) is searched and checked once per call: a vertex
-    whose (p, q, R/N) repeats an earlier vertex's gets a copy of that step's
+    A vertex's angle is R/N for the root and exactly EPSILON_I for a derived
+    vertex, whose spec records R = alpha*EPSILON_I and N = alpha (the float
+    quotient of those can miss EPSILON_I by an ulp).  Each distinct
+    (p, q, angle) is searched and checked once per call: a vertex whose
+    (p, q, angle) repeats an earlier vertex's gets a copy of that step's
     record with its own ``vertex``, ``spec`` and ``collar_ball_bound``, and
     copies of its artifact files.  On 64 tangent 8-chains (dimensions 3-9,
-    four values each of R/N and lambda) this runs 116 searches, one or two
-    per chain, where a key with kappa ran 131.
+    four values each of R/N and lambda) this runs 112 searches, one or two
+    per chain.
     """
     t_start = time.perf_counter()
     cfg = _merge_config(config)
@@ -187,13 +190,13 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     steps = []
     passed = True
 
-    # (p, q, R/N) -> (index of its accepted step, derived child spec)
+    # (p, q, angle) -> (index of its accepted step, derived child spec)
     done = {}
-    stack = [(root, v_spec)]
+    stack = [(root, v_spec, v_spec.R / v_spec.N)]
     visited = {root}
     adj = tree._adj
     while stack:
-        vi, spec = stack.pop()
+        vi, spec, angle = stack.pop()
         vert = tree.vertices[vi]
         p_step = vert.rank
         q_step = vert.base_dim
@@ -201,7 +204,7 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
             raise SpecError(
                 f"vertex {vi} has (rank, base) = ({p_step}, {q_step}) but the "
                 f"supplied embedding data is for (p, q) = ({spec.p}, {spec.q})")
-        key = (p_step, q_step, spec.R / spec.N)
+        key = (p_step, q_step, angle)
         if key in done:
             first, derived = done[key]
             rec = copy.deepcopy(steps[first])
@@ -210,7 +213,7 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
             rec["checks"][-1] = _collar_ball_record(rec["right"]["rho"], spec.kappa)
         else:
             try:
-                result = search_parameters(p_step, q_step, spec.R / spec.N,
+                result = search_parameters(p_step, q_step, angle,
                                            float(cfg["lambda"]), mc_margin_tol=mc_tol,
                                            grid_n=int(cfg["grid"]))
             except InfeasibleProfileError as exc:
@@ -236,7 +239,7 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
         for w in adj[vi]:
             if w not in visited:
                 visited.add(w)
-                stack.append((w, derived))
+                stack.append((w, derived, EPSILON_I))
 
     cert = ConstructionCertificate(
         passed=passed and len(steps) == tree.n, steps=steps, config=cfg,
@@ -257,14 +260,14 @@ def _collar_ball_record(rho: float, kappa: float) -> dict:
 def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: float) -> dict:
     """Certificate record of an accepted step: parameters, checks, margins.
 
-    The four sample-determined records judge the search's own measurement
-    with the margin tolerance, exactly as ``verify`` judges the stored
-    samples; the oracle-only checks follow, and the vertex's collar-ball
-    bound comes last.
+    The four sample-determined records are the search's verdict on its own
+    measurement, judged with the margin tolerance ``mc_tol`` exactly as
+    ``verify`` judges the stored samples; the oracle-only checks follow, and
+    the vertex's collar-ball bound comes last.
     """
     p, q = spec.p, spec.q
     left, right, pair, m = result.left, result.right, result.pair, result.measurement
-    _bc, checks = sample_verdict(m, mc_tol)
+    checks = list(result.checks)
     bulk, tried = _bulk_scalar_samples(pair, p, q)
     bulk_min = min(bulk) if bulk else float("nan")
 
@@ -388,7 +391,9 @@ def verify_samples(samples: dict, params: dict, p: int, q: int,
     their named errors), requires the samples to run exactly from a3 to b3,
     then runs the measurement and verdict that ``run_construction`` runs.
     The check records equal the constructing step's; deterministic, no
-    reconstruction, no timing data.
+    reconstruction, no timing data.  ``config`` is validated like a
+    construction config, but the certificate records only the one setting
+    read here, ``tolerances.mc_margin``.
     """
     cfg = _merge_config(config)
     left, right = params["left"], params["right"]
@@ -405,8 +410,8 @@ def verify_samples(samples: dict, params: dict, p: int, q: int,
     step = {"vertex": 0, "left": left, "right": right, "eps_b2": params["eps_b2"],
             "bc_clauses": bc.clauses, "checks": checks, "margins": m.summary()}
     return ConstructionCertificate(
-        passed=all(c["passed"] for c in checks), steps=[step], config=cfg,
-        wall_time_s=None)
+        passed=all(c["passed"] for c in checks), steps=[step],
+        config={"tolerances": cfg["tolerances"]}, wall_time_s=None)
 
 
 def verify(profile_path, params_path, config: dict | None = None) -> ConstructionCertificate:

@@ -37,6 +37,7 @@ bound kappa enters no search: the certificate checks rho < 0.99 kappa.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -359,6 +360,20 @@ def _theta_family_d1(x, c):
     return out
 
 
+COLLAR_NODES = np.linspace(0.0, 1.0, 4097)  # quadrature nodes of the collar rise
+COLLAR_MEAN = 0.35  # mean of the collar slope shape over the rise, in units of h'(t1)
+
+
+@functools.cache
+def _collar_decay() -> float:
+    """The decay c for which Theta_c has mean COLLAR_MEAN on COLLAR_NODES.
+
+    It depends on nothing else, so it is solved once per process, on first use.
+    """
+    return brentq(lambda c: float(np.trapezoid(_theta_family(COLLAR_NODES, c), COLLAR_NODES))
+                  - COLLAR_MEAN, 0.0, 400.0, xtol=1e-13)
+
+
 class Runout:
     """Concave slope run-out f'' = -2 kappa f'^2 f/(E (beta N)^2).
 
@@ -469,26 +484,16 @@ def build_right_profile(left: PartialProfile, params: RightParams, run: Runout
     if rise <= 0:
         raise InfeasibleProfileError(
             f"need beta*rho > h(t1): beta*rho={params.beta * params.rho}, h(t1)={hl1}")
-    j_target = 0.35
-    span = rise / (hs1 * j_target)
+    span = rise / (hs1 * COLLAR_MEAN)
     if span > 0.5 * L:
         raise InfeasibleProfileError(
             f"collar rise needs span {span:.3e} > 0.5 L; "
             "reduce rho", {"span": span})
     t_h = t1 + span
-    xs_h = np.linspace(0.0, 1.0, 4097)
+    c_h = _collar_decay()
 
-    def mean_theta(c):
-        return float(np.trapezoid(_theta_family(xs_h, c), xs_h))
-
-    lo, hi = mean_theta(400.0), mean_theta(0.0)
-    if not (lo < j_target < hi):
-        raise InfeasibleProfileError(
-            f"collar decay target {j_target} outside ({lo}, {hi})")
-    c_h = brentq(lambda c: mean_theta(c) - j_target, 0.0, 400.0, xtol=1e-13)
-
-    t_nodes = t1 + span * xs_h
-    sig_nodes = hs1 * _theta_family(xs_h, c_h)
+    t_nodes = t1 + span * COLLAR_NODES
+    sig_nodes = hs1 * _theta_family(COLLAR_NODES, c_h)
     cum = np.concatenate([[0.0], np.cumsum((sig_nodes[1:] + sig_nodes[:-1]) * 0.5
                                            * np.diff(t_nodes))])
     cum *= rise / cum[-1]  # absorb the quadrature defect: h(t_h) = beta*rho exactly
@@ -782,6 +787,7 @@ class SearchResult:
     pair: ProfilePair
     measurement: ProfileMeasurement
     bc: BcReport
+    checks: list   # sample_verdict's four records, judged with the search's tolerance
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -890,7 +896,7 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
                     if gate is None:
                         return SearchResult(
                             left=left_params, right=right_params, pair=pair,
-                            measurement=m, bc=bc,
+                            measurement=m, bc=bc, checks=checks,
                             diagnostics={"evaluations": evals, "rejected": rejected})
                 rejected.append((C, t1, s0, gate))
     counts = Counter(gate for *_, gate in rejected)

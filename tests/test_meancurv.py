@@ -115,7 +115,7 @@ class TestAbTerms:
         # f' = 0, f'' = 0: destabilizing terms vanish, A > 0 below the equator
         jet = WarpedJet(t=0.0, f=1.0, f1=0.0, f2=0.0, h=1.0, h1=0.0, h2=0.0)
         for variant in ("reported", "curvature", "unit"):
-            A, B = ab_terms(jet, beta=4.0, N=1.0, p=4, q=4, variant=variant)
+            A, B = ab_terms(jet, beta=4.0, N=1.0, p=4, q=4)[variant]
             assert B == pytest.approx(0.0, abs=1e-15)
             assert A > 0
 
@@ -123,7 +123,7 @@ class TestAbTerms:
         bN = 4.0
         jet = WarpedJet(t=0.0, f=bN * (1 - 1e-9), f1=0.0, f2=0.0,
                         h=1.0, h1=0.0, h2=0.0)
-        A, B = ab_terms(jet, beta=4.0, N=1.0, p=4, q=4)
+        A, B = ab_terms(jet, beta=4.0, N=1.0, p=4, q=4)["reported"]
         assert abs(A) < 1e-4 and abs(B) < 1e-15
 
     def test_large_scale_limit(self):
@@ -134,7 +134,7 @@ class TestAbTerms:
         expected = (p - 1) * (1 - 0.4 ** 2) ** 2 / 2.0
         prev_err = None
         for beta in (1e2, 1e4, 1e6):
-            A, _ = ab_terms(jet, beta=beta, N=1.0, p=p, q=q, variant="reported")
+            A, _ = ab_terms(jet, beta=beta, N=1.0, p=p, q=q)["reported"]
             err = abs(A - expected) / expected
             if prev_err is not None:
                 assert err < prev_err
@@ -152,7 +152,7 @@ class TestAbTerms:
                 LeftParams(lam=0.1, a=0.2 * scale, C=0.5, r=0.05 * scale), 50.0, ode=ode)
             jets = WarpedJet(t=t, f=lp.f(t), f1=lp.f1(t), f2=lp.f2(t),
                              h=lp.h(t), h1=lp.h1(t), h2=lp.h2(t))
-            _A, B = ab_terms(jets, beta=1e3, N=1.0, p=4, q=4)
+            _A, B = ab_terms(jets, beta=1e3, N=1.0, p=4, q=4)["reported"]
             maxB[scale] = float(np.max(np.abs(B)))
         assert maxB[0.5] < maxB[1.0]
         assert maxB[0.25] < maxB[0.5]
@@ -160,7 +160,7 @@ class TestAbTerms:
     def test_domain_violation(self):
         jet = WarpedJet(t=0.0, f=5.0, f1=0.0, f2=0.0, h=1.0, h1=0.0, h2=0.0)
         with pytest.raises(CurveDomainError):
-            ab_terms(jet, beta=4.0, N=1.0, p=4, q=4)
+            ab_terms(jet, beta=4.0, N=1.0, p=4, q=4)["reported"]
 
     def test_margin_grows_with_end_scale(self):
         # on a fixed collar piece the margin becomes positive for large beta
@@ -173,7 +173,7 @@ class TestAbTerms:
                          h=lp.h(t), h1=lp.h1(t), h2=lp.h2(t))
         mins = []
         for beta in (10.0, 100.0, 1000.0):
-            A, B = ab_terms(jets, beta=beta, N=1.0, p=4, q=4)
+            A, B = ab_terms(jets, beta=beta, N=1.0, p=4, q=4)["reported"]
             mins.append(float(np.min(A - B)))
         assert mins[1] > mins[0]
         assert mins[2] > mins[1]

@@ -116,6 +116,18 @@ class TestVerify:
             failing = [k for k, v in bc.items() if not v["passed"]]
             assert failing == [clause]
 
+    def test_config_records_only_the_tolerance_read(self, single_run):
+        # a full config is accepted and validated, but verify reads only the
+        # margin tolerance, so that is all its certificate records
+        out, _ = single_run
+        prof = out / "profiles" / "step_0.csv"
+        par = out / "profiles" / "step_0.params.json"
+        full = {"lambda": 0.3, "grid": 256, "tolerances": {"mc_margin": 1e-10}}
+        assert verify(prof, par, config=full).config == {"tolerances": {"mc_margin": 1e-10}}
+        assert verify(prof, par).config == {"tolerances": DEFAULT_CONFIG["tolerances"]}
+        with pytest.raises(SpecError, match="unknown config keys: lamda"):
+            verify(prof, par, config={"lamda": 0.3})
+
     def test_idempotent_on_clean_fixture(self, single_run):
         out, _ = single_run
         cols, params = load_fixture(out)
@@ -324,6 +336,19 @@ class TestRepeatedVertexInputs:
         assert all(c["passed"] for step in cert.steps for c in step["checks"])
         assert len(calls) == 2
 
+    def test_derived_angle_is_exactly_epsilon_i(self, monkeypatch):
+        # At lambda = 0.2, (alpha pi/4)/alpha is one ulp below pi/4; a derived
+        # vertex is still searched and keyed on EPSILON_I itself, so a chain
+        # rooted at pi/4 runs one search.
+        calls = _counting_search(monkeypatch)
+        root = NiceCoordinateSpec(p=3, q=3, R=math.pi / 4, N=1.0, kappa=0.5)
+        cert = run_construction(tangent_chain(3, 3), root, {"lambda": 0.2, "grid": 256})
+        assert cert.passed and len(calls) == 1 and calls[0][2] == EPSILON_I
+        derived = cert.steps[1]["spec"]
+        assert derived["R"] / derived["N"] != EPSILON_I
+        assert derived["R"] == derived["N"] * EPSILON_I
+        assert [s["right"]["R"] for s in cert.steps] == [EPSILON_I] * 3
+
     def test_kappa_is_checked_not_searched(self, monkeypatch):
         # Every vertex has R/N = pi/4; the root's kappa differs from its
         # children's, yet one search serves all three.
@@ -453,6 +478,37 @@ class TestCertificateInvariants:
         assert not cert.passed
         failed = [c["id"] for c in cert.steps[0]["checks"] if not c["passed"]]
         assert failed == ["collar_ball_bound"]
+
+
+class TestOracleValues:
+    """The oracle-derived values the certificate records, pinned to 1e-12.
+
+    The pass/fail ids alone would not show a refactor of the finite-difference
+    oracle, the bulk chart or the margin algebra that moves these numbers.
+    """
+
+    EXPECTED = {
+        3: {"bulk_scalar_min": 1.3182325125278054, "taper_mc_min": 0.0,
+            "mc_margin_reported": -2.7926587773457544e-10,
+            "mc_margin_curvature": -2.7926587773457544e-10,
+            "mc_margin_unit": -2.7926587773457544e-10},
+        4: {"bulk_scalar_min": 5.395231027711637, "taper_mc_min": 0.0,
+            "mc_margin_reported": -2.1122102751087605e-10,
+            "mc_margin_curvature": -2.1122102751087605e-10,
+            "mc_margin_unit": -2.1122102751087605e-10},
+    }
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_recorded_values(self, p):
+        tree = PlumbingTree(
+            vertices=(PlumbingVertex(base_dim=p, rank=p, euler=2, char_label="v1"),),
+            edges=())
+        spec = NiceCoordinateSpec(p=p, q=p, R=math.pi / 4, N=1.0, kappa=0.5)
+        cert = run_construction(tree, spec, config={"lambda": 0.1, "grid": 256})
+        assert cert.passed
+        margins = cert.steps[0]["margins"]
+        for key, value in self.EXPECTED[p].items():
+            assert margins[key] == pytest.approx(value, rel=1e-12), key
 
 
 class TestConfig:
