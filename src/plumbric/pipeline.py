@@ -15,12 +15,21 @@ runs the same kernel, so its check records equal the constructing step's; its
 output is deterministic.
 
 The config has three settings: ``lambda``, ``grid`` and
-``tolerances.mc_margin``; an unknown key is rejected.  A step's profile
-depends only on (p, q) and the angle R/N of its vertex (exactly EPSILON_I for
-a derived vertex); kappa enters only its last record, ``collar_ball_bound``.
-So each distinct (p, q, angle) is searched and checked once per run: a
-repeated vertex copies the first occurrence's records and artifacts and
-recomputes only its own ``collar_ball_bound``.
+``tolerances.mc_margin``; an unknown key is rejected.
+
+One construction computes each of the following once, keyed on the exact
+inputs it reads:
+
+* a step, on (p, q, angle): a step's profile depends only on (p, q) and the
+  angle R/N of its vertex (exactly EPSILON_I for a derived vertex), and kappa
+  enters only its last record, ``collar_ball_bound``.  A repeated vertex
+  copies the first occurrence's records and artifacts and recomputes only
+  its own ``collar_ball_bound``;
+* the warp ODE, on (C, lambda), shared by the searches of all steps;
+* the taper oracle, on (p, q, lambda, r, eps_b2).
+
+These memos belong to the call: they are made when ``run_construction``
+starts and dropped when it returns, so nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -43,8 +52,8 @@ from .plumbing import (EtaLedger, PlumbingTree, arf_invariant, boundary_sphere_t
                        intersection_matrix, render_word)
 from .profiles import (MC_TOL_FLOOR, MC_VARIANT, PARAMS_SCHEMA, PROFILE_COLUMNS,
                        EpsilonProfile, InfeasibleProfileError, LeftParams,
-                       RightParams, check_record, csv_blocks, measure_profile,
-                       sample_verdict, search_parameters)
+                       ProfileError, RightParams, check_record, csv_blocks,
+                       measure_profile, sample_verdict, search_parameters)
 from .warped import WarpedJet
 
 __all__ = [
@@ -120,8 +129,8 @@ def certificate_json(cert: ConstructionCertificate) -> str:
 
 def _merge_config(config: dict | None) -> dict:
     """DEFAULT_CONFIG overridden by ``config``; unknown keys, at the top level
-    or under ``tolerances``, and an unusable margin tolerance raise a
-    ``SpecError`` that names them."""
+    or under ``tolerances``, a grid that is not an integer >= 2 and an
+    unusable margin tolerance raise a ``SpecError`` that names them."""
     config = dict(config or {})
     tols = config.pop("tolerances", {})
     if not isinstance(tols, dict):
@@ -135,8 +144,12 @@ def _merge_config(config: dict | None) -> dict:
                         + " (the config takes lambda, grid and tolerances.mc_margin)")
     cfg = {**DEFAULT_CONFIG, **config,
            "tolerances": {**DEFAULT_CONFIG["tolerances"], **tols}}
+    grid = cfg["grid"]
+    if not (isinstance(grid, int) and not isinstance(grid, bool) and grid >= 2):
+        raise SpecError(f"config 'grid' must be an integer >= 2, got {grid!r}")
     tol = cfg["tolerances"]["mc_margin"]
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= MC_TOL_FLOOR):
+    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool)
+            and math.isfinite(tol) and tol >= MC_TOL_FLOOR):
         raise SpecError(f"tolerances.mc_margin must be a finite number >= {MC_TOL_FLOOR:g}, "
                         f"the floor of the beta N sizing, got {tol!r}")
     return cfg
@@ -182,7 +195,11 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     record with its own ``vertex``, ``spec`` and ``collar_ball_bound``, and
     copies of its artifact files.  On 64 tangent 8-chains (dimensions 3-9,
     four values each of R/N and lambda) this runs 112 searches, one or two
-    per chain.
+    per chain.  The searches share their warp ODEs, keyed on (C, lambda),
+    and each step's taper oracle runs once per (p, q, lambda, r, eps_b2).
+    On a tangent chain the root and a derived vertex mostly accept the same
+    (C, t1, s0), and then both stages run once per chain.  The memos live
+    for this call only.
     """
     t_start = time.perf_counter()
     cfg = _merge_config(config)
@@ -190,8 +207,10 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     steps = []
     passed = True
 
-    # (p, q, angle) -> (index of its accepted step, derived child spec)
-    done = {}
+    # This call's memo, dropped when it returns: (p, q, angle) -> (index of
+    # its accepted step, derived child spec); the warp ODE on (C, lambda);
+    # the taper oracle's value on (p, q, lambda, r, eps_b2).
+    done, odes, tapers = {}, {}, {}
     stack = [(root, v_spec, v_spec.R / v_spec.N)]
     visited = {root}
     adj = tree._adj
@@ -215,13 +234,17 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
             try:
                 result = search_parameters(p_step, q_step, angle,
                                            float(cfg["lambda"]), mc_margin_tol=mc_tol,
-                                           grid_n=int(cfg["grid"]))
+                                           grid_n=cfg["grid"], odes=odes)
             except InfeasibleProfileError as exc:
                 passed = False
                 steps.append({"vertex": vi, "spec": spec.as_dict(),
                               "infeasible": str(exc), "checks": [], "margins": {}})
                 break
-            rec = _step_record(vi, spec, result, mc_tol)
+            taper_key = (p_step, q_step, result.left.lam, result.left.r,
+                         result.pair.eps_b2)
+            if taper_key not in tapers:
+                tapers[taper_key] = _taper_check(*taper_key)
+            rec = _step_record(vi, spec, result, mc_tol, tapers[taper_key])
             first = len(steps)
             derived = NiceCoordinateSpec(
                 p=q_step, q=p_step, R=result.left.alpha * EPSILON_I,
@@ -257,40 +280,53 @@ def _collar_ball_record(rho: float, kappa: float) -> dict:
                         f"rho < 0.99 kappa, kappa = {kappa!r}")
 
 
-def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: float) -> dict:
+def _taper_check(p: int, q: int, lam: float, r: float, eps_end: float) -> float | ValueError:
+    """Least oracle mean curvature of the taper-region boundary at the
+    accepted scales, or the named error that left it unmeasured.
+
+    The oracle samples the boundary s = eps r / sin(eps) five times over the
+    taper eps: pi/2 -> eps_end on [-1, 0], with collar warp 1 + lam t.  An
+    end angle outside (0, pi/2) returns a ``ProfileError`` naming eps_b2; a
+    point the chart cannot difference returns the oracle's domain error.
+    """
+    if not 0.0 < eps_end < math.pi / 2:
+        return ProfileError(f"eps_b2 = {eps_end!r} lies outside (0, pi/2)")
+    try:
+        zrep = z2_mean_curvature(EpsilonProfile(a2=-1.0, b2=0.0, eps_end=eps_end),
+                                 lambda tt: 1.0 + lam * np.asarray(tt),
+                                 r=r, p=p, q=q, n_samples=5)
+    except (OracleDomainError, NonSPDMetricError) as exc:
+        return exc
+    return float(np.min(zrep.mean_curvature))
+
+
+def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: float,
+                 taper: float | ValueError) -> dict:
     """Certificate record of an accepted step: parameters, checks, margins.
 
     The four sample-determined records are the search's verdict on its own
     measurement, judged with the margin tolerance ``mc_tol`` exactly as
     ``verify`` judges the stored samples; the oracle-only checks follow, and
-    the vertex's collar-ball bound comes last.
+    the vertex's collar-ball bound comes last.  ``taper`` is the step's
+    :func:`_taper_check` value: a minimum passes at >= -mc_tol, as the neck
+    margin does, and an error fails with its name as the detail.
     """
     p, q = spec.p, spec.q
     left, right, pair, m = result.left, result.right, result.pair, result.measurement
     checks = list(result.checks)
     bulk, tried = _bulk_scalar_samples(pair, p, q)
     bulk_min = min(bulk) if bulk else float("nan")
-
-    # Taper-region boundary via the generic oracle at the accepted scales.
-    eps_end = pair.eps_b2
-    taper_ok = True
-    taper_min = float("nan")
-    if 0.0 < eps_end < math.pi / 2:
-        try:
-            ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=eps_end)
-            zrep = z2_mean_curvature(ep, lambda tt: 1.0 + left.lam * np.asarray(tt),
-                                     r=left.r, p=p, q=q, n_samples=5)
-            taper_ok = zrep.passed
-            taper_min = float(np.min(zrep.mean_curvature))
-        except (OracleDomainError, NonSPDMetricError):
-            taper_ok = False
-            taper_min = float("nan")
+    if isinstance(taper, ValueError):
+        taper_min, taper_ok = float("nan"), False
+        taper_detail = f"{type(taper).__name__}: {taper}"
+    else:
+        taper_min, taper_ok, taper_detail = taper, taper >= -mc_tol, ""
 
     checks += [
         check_record("bulk_scalar_positive", bool(bulk) and bulk_min > 0.0, bulk_min, 0.0,
                f"{len(bulk)} of {tried} oracle samples; "
                f"{tried - len(bulk)} dropped by the chart"),
-        check_record("taper_mc_nonnegative", taper_ok, taper_min, -mc_tol),
+        check_record("taper_mc_nonnegative", taper_ok, taper_min, -mc_tol, taper_detail),
     ]
     checks.append(check_record(
         "collar_attachment_hypothesis",

@@ -30,9 +30,11 @@ jumps there from the left piece's convex value to the run-out's concave one.
 The certificate covers this C^1 two-piece profile.
 
 The search's inputs are (p, q, R/N, lambda), the margin tolerance and the
-check grid.  Each candidate's run-out is solved once, at the search's own
-join state, and the right piece is built from it.  A vertex's collar-ball
-bound kappa enters no search: the certificate checks rho < 0.99 kappa.
+check grid.  Its warp ODE depends on (C, lambda) alone, so a caller may hand
+several searches one mapping of solved ODEs.  Each candidate's run-out is
+solved once, at the search's own join state, and the right piece is built
+from it.  A vertex's collar-ball bound kappa enters no search: the
+certificate checks rho < 0.99 kappa.
 """
 
 from __future__ import annotations
@@ -801,7 +803,7 @@ class SearchResult:
 
 def search_parameters(p: int, q: int, R_over_N: float, lam: float,
                       mc_margin_tol: float = 1e-9,
-                      grid_n: int = 2048) -> SearchResult:
+                      grid_n: int = 2048, *, odes: dict | None = None) -> SearchResult:
     """Scan the (C, t1, s0) candidates for an admissible neck profile.
 
     The handoff slope s0 fixes the fiber scale b = s0/fC'(t1), and the end
@@ -833,6 +835,10 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
     >= -mc_margin_tol and both gluing checks.  Otherwise the build error
     (``build``) or the first failed check id rejects it and the scan goes on.
 
+    Each C's warp ODE is read from ``odes``, keyed on (C, lam), and
+    integrated and stored there only when missing; a construction passes one
+    mapping to all its searches, and the default is a fresh dict.
+
     ``diagnostics`` holds ``evaluations`` (candidates built and measured)
     and ``rejected``, one (C, t1, s0, gate) per dropped candidate.  Raises
     :class:`InfeasibleProfileError` with both, and the rejections counted
@@ -847,11 +853,14 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
     cosX, sinX = math.cos(R_over_N), math.sin(R_over_N)
     delta = 0.02 * (1.0 - cosX)
     bN_floor = BN_TOL / max(mc_margin_tol, MC_TOL_FLOOR)
+    odes = {} if odes is None else odes
     rejected = []
     evals = 0
 
     for C in (min(0.95, 0.95 * (q - 1) / (p - 1)), min(0.8, 0.8 * (q - 1) / (p - 1))):
-        ode = integrate_fC(C, lam, t_end=1.2 * SEARCH_T1[-1])
+        ode = odes.get((C, lam))
+        if ode is None:
+            ode = odes[(C, lam)] = integrate_fC(C, lam, t_end=1.2 * SEARCH_T1[-1])
         for t1 in SEARCH_T1:
             h0_t1 = float(ode.h0(t1))
             fc_t1 = float(ode.fc(t1))

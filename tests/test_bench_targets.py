@@ -1,33 +1,48 @@
-"""The traced benchmark wraps plumbric functions by name: every name must exist.
+"""The benchmark's view of plumbric: every traced name exists, and one small
+op of each workload passes the benchmark's own checks.
 
 ``bench/tracing.py`` lists its targets as (module, attribute) pairs, where an
 attribute ``Cls.meth`` names a method.  A deletion or rename in ``src/`` that
 drops one of them breaks ``bench/run_bench.py --trace 1``; this test makes the
 tier-1 suite fail first.  The search's candidate counter reads a diagnostics key,
 so a test also runs it on a real search result and a real infeasible error.
+
+``bench/run_bench.py`` fails a run in which any op reports a problem: a
+certificate that does not pass, a verify that differs between repeats, or a
+ledger off its closed form.  The op tests run one op of each kind through the
+benchmark's ``run_op``, so a ``src/`` change that breaks one of those checks
+fails tier-1 too.
 """
 
 import importlib
 import importlib.util
 import math
 import pathlib
+import random
+import sys
+import time
 
 import pytest
 
+import plumbric
+import plumbric.pipeline  # noqa: F401  (the workloads reach it as plumbric.pipeline)
 from plumbric.profiles import InfeasibleProfileError, search_parameters
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("plumbric_bench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"plumbric_bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
 
-TRACING_MODULE = _load_tracing()
+TRACING_MODULE = _load("tracing")
 TARGETS = TRACING_MODULE.TARGETS
+WORKLOADS = _load("workloads")
 
 
 @pytest.mark.parametrize("mod_name,attr", [(m, a) for m, a, _n, _e in TARGETS],
@@ -53,3 +68,28 @@ def test_search_counts_read_the_search_diagnostics():
     counts = search_counts((), None, err.value)
     assert counts == {"candidates": err.value.diagnostics["evaluations"], "accepted": 0}
     assert counts["candidates"] > 0
+
+
+def _run(workload, op, tmp_path):
+    out = WORKLOADS.run_op(workload, op, tmp_path, time.perf_counter)
+    assert out.problems == [], op.label
+    return out
+
+
+def test_chain_op(tmp_path):
+    chains = WORKLOADS.Chains(plumbric, 0)
+    out = _run(chains, chains._op("chain", 2, 3, math.pi / 4 + 0.1, 0.2), tmp_path)
+    assert out.vertices == 2 and out.bytes_written > 0
+
+
+def test_dense_op(tmp_path):
+    dense = WORKLOADS.Dense(plumbric, 0)
+    out = _run(dense, dense._op("dense", 3, 3, 16384, math.pi / 4 + 0.1, 0.2), tmp_path)
+    assert out.vertices == 1 and out.bytes_written > 0
+
+
+@pytest.mark.parametrize("kind", WORKLOADS.LEDGER_KINDS)
+def test_ledger_op(kind, tmp_path):
+    ledgers = WORKLOADS.Ledgers(plumbric, 0)
+    op = ledgers._op(kind, random.Random(kind), kind, 64, 20)
+    assert _run(ledgers, op, tmp_path).vertices == 64

@@ -1,12 +1,13 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from csv_reference import first_difference, savetxt_csv
-from plumbric import pipeline
+from plumbric import pipeline, profiles
 from plumbric.cli import main as cli_main
 from plumbric.pipeline import (DEFAULT_CONFIG, EPSILON_I, NiceCoordinateSpec, SpecError,
                                certificate_json, run_construction, topo_report,
@@ -250,19 +251,28 @@ class TestVerifyReproducesConstruct:
                 assert v.steps[0]["margins"][key] == step["margins"][key]
 
 
-def _counting_search(monkeypatch):
-    """Count the calls of the search that run_construction makes."""
-    import plumbric.pipeline as pipeline
-
+def _counting(monkeypatch, module, name):
+    """Record the positional arguments of every call to ``module.name``."""
     calls = []
-    search = pipeline.search_parameters
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return search(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "search_parameters", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _counting_search(monkeypatch):
+    """Count the calls of the search that run_construction makes."""
+    return _counting(monkeypatch, pipeline, "search_parameters")
+
+
+def _counting_stages(monkeypatch):
+    """Count the warp ODE integrations and the taper oracle runs."""
+    return (_counting(monkeypatch, profiles, "integrate_fC"),
+            _counting(monkeypatch, pipeline, "z2_mean_curvature"))
 
 
 class TestRepeatedVertexInputs:
@@ -280,18 +290,27 @@ class TestRepeatedVertexInputs:
         out = tmp_path_factory.mktemp("chain8")
         with pytest.MonkeyPatch.context() as mp:
             calls = _counting_search(mp)
+            stages = _counting_stages(mp)
             cert = run_construction(tangent_chain(8, 3), self.SPEC, self.CONFIG,
                                     out_dir=out)
-        return out, cert, calls
+        return out, cert, calls, stages
 
     def test_two_searches_for_eight_vertices(self, chain8):
-        _out, cert, calls = chain8
+        _out, cert, calls, _stages = chain8
         assert cert.passed and len(cert.steps) == 8
         assert all(c["passed"] for step in cert.steps for c in step["checks"])
         assert len(calls) == 2
 
+    def test_two_searches_share_one_ode_and_one_taper_run(self, chain8):
+        # both searches accept the same (C, t1, s0), so the same warp ODE and
+        # the same taper inputs (p, q, lambda, r, eps_b2)
+        _out, cert, _calls, (odes, tapers) = chain8
+        assert len(odes) == 1 and len(tapers) == 1
+        assert cert.steps[0]["right"]["R"] != cert.steps[1]["right"]["R"]
+        assert cert.steps[0]["eps_b2"] == cert.steps[1]["eps_b2"]
+
     def test_repeated_records_equal_fresh_runs(self, chain8):
-        _out, cert, _calls = chain8
+        _out, cert, _calls, _stages = chain8
         assert [s["vertex"] for s in cert.steps] == list(range(8))
         for k, step in enumerate(cert.steps[2:], start=2):
             assert step["spec"]["provenance"] == "derived"
@@ -303,7 +322,7 @@ class TestRepeatedVertexInputs:
             assert json.dumps(fresh) == json.dumps(step), k
 
     def test_repeated_artifacts_are_copies_that_verify(self, chain8):
-        out, _cert, _calls = chain8
+        out, _cert, _calls, _stages = chain8
         assert ((out / "profiles/step_0.csv").read_bytes()
                 != (out / "profiles/step_1.csv").read_bytes())
         for k in range(2, 8):
@@ -317,7 +336,7 @@ class TestRepeatedVertexInputs:
     def test_reuse_keys_on_the_ratio_and_keeps_each_spec(self, chain8, monkeypatch):
         # A root with step 1's R/N and kappa but twice its R and N needs no
         # search of its own after the first, and each step keeps its spec.
-        _out, cert, _calls = chain8
+        _out, cert, _calls, _stages = chain8
         s1 = NiceCoordinateSpec(**cert.steps[1]["spec"])
         root = NiceCoordinateSpec(p=3, q=3, R=2 * s1.R, N=2 * s1.N, kappa=s1.kappa)
         calls = _counting_search(monkeypatch)
@@ -364,6 +383,72 @@ class TestRepeatedVertexInputs:
             assert bound["value"] == step["right"]["rho"]
             assert bound["tolerance"] == 0.99 * kappa
             assert json.dumps(step["checks"][:-1]) == json.dumps(cert.steps[0]["checks"][:-1])
+
+
+class TestConstructionMemo:
+    """A construction runs its warp ODE once per (C, lambda) and its taper
+    oracle once per (p, q, lambda, r, eps_b2); nothing outlives the call."""
+
+    # At lambda 0.3 a fresh root on the derived spec has R/N exactly pi/4
+    # (at 0.2 it misses by an ulp), so it runs the derived step's search.
+    CONFIG = {"lambda": 0.3, "grid": 256}
+
+    @staticmethod
+    def _spec(d):
+        return NiceCoordinateSpec(p=d, q=d, R=1.0, N=1.0, kappa=0.5)
+
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_tangent_two_chain_runs_each_stage_once(self, d, monkeypatch):
+        odes, tapers = _counting_stages(monkeypatch)
+        cert = run_construction(tangent_chain(2, d), self._spec(d), self.CONFIG)
+        assert cert.passed and len(cert.steps) == 2
+        assert len(odes) == 1 and len(tapers) == 1
+
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_shared_stages_leave_the_step_as_a_fresh_run(self, d):
+        cert = run_construction(tangent_chain(2, d), self._spec(d), self.CONFIG)
+        one = PlumbingTree(vertices=(tangent_chain(2, d).vertices[1],), edges=())
+        fresh = run_construction(one, NiceCoordinateSpec(**cert.steps[1]["spec"]),
+                                 self.CONFIG).steps[0]
+        fresh["vertex"] = cert.steps[1]["vertex"]
+        assert json.dumps(fresh) == json.dumps(cert.steps[1])
+
+    def test_memo_does_not_outlive_its_call(self, monkeypatch):
+        odes, tapers = _counting_stages(monkeypatch)
+        for n in (1, 2):
+            assert run_construction(tangent_chain(2, 3), self._spec(3), self.CONFIG).passed
+            assert len(odes) == n and len(tapers) == n
+
+
+class TestTaperCheck:
+    SINGLE = PlumbingTree(
+        vertices=(PlumbingVertex(base_dim=3, rank=3, euler=2, char_label="v1"),), edges=())
+    SPEC = NiceCoordinateSpec(p=3, q=3, R=math.pi / 4, N=1.0, kappa=0.5)
+
+    def _taper_record(self, config):
+        cert = run_construction(self.SINGLE, self.SPEC, config={"grid": 256, **config})
+        (rec,) = [c for c in cert.steps[0]["checks"] if c["id"] == "taper_mc_nonnegative"]
+        return cert, rec
+
+    def test_end_angle_outside_the_chart_fails_closed(self):
+        err = pipeline._taper_check(3, 3, 0.1, 1.0, math.pi / 2)
+        assert isinstance(err, ProfileError)
+        assert "eps_b2 = 1.5707963267948966" in str(err)
+
+    def test_unmeasured_taper_fails_the_step(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_taper_check",
+                            lambda *key: ProfileError("eps_b2 = 2.0 lies outside (0, pi/2)"))
+        cert, rec = self._taper_record({})
+        assert not cert.passed and not rec["passed"] and math.isnan(rec["value"])
+        assert rec["detail"] == "ProfileError: eps_b2 = 2.0 lies outside (0, pi/2)"
+
+    @pytest.mark.parametrize("tol,passed", [(1e-8, True), (1e-9, False)])
+    def test_decided_by_the_recorded_tolerance(self, tol, passed, monkeypatch):
+        stub = SimpleNamespace(mean_curvature=np.array([0.0, -5e-9, 3.0]))
+        monkeypatch.setattr(pipeline, "z2_mean_curvature", lambda *a, **k: stub)
+        cert, rec = self._taper_record({"tolerances": {"mc_margin": tol}})
+        assert rec["value"] == -5e-9 and rec["tolerance"] == -tol
+        assert rec["passed"] is passed and cert.passed is passed
 
 
 class TestOracleFailures:
@@ -525,10 +610,17 @@ class TestConfig:
         with pytest.raises(SpecError, match=f"unknown config keys: {named}"):
             run_construction(self.SINGLE, self.SPEC, config=config)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9, 1e-14, "1e-9"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9, 1e-14, "1e-9",
+                                     True])
     def test_unusable_margin_tolerance_rejected(self, tol):
         with pytest.raises(SpecError, match="tolerances.mc_margin .* >= 1e-12"):
             run_construction(self.SINGLE, self.SPEC, config={"tolerances": {"mc_margin": tol}})
+
+    @pytest.mark.parametrize("grid", [2.7, -5, 1, True, "2048", None])
+    def test_unusable_grid_rejected(self, grid):
+        with pytest.raises(SpecError, match=f"config 'grid' must be an integer >= 2, "
+                                            f"got {grid!r}"):
+            run_construction(self.SINGLE, self.SPEC, config={"grid": grid})
 
     # One changed value per setting; the keys must be exactly the config's settings.
     CHANGED = {"lambda": {"lambda": 0.2}, "grid": {"grid": 257},
