@@ -9,7 +9,6 @@ invariants whatever counting convention is used.
 """
 
 import json
-import warnings
 
 from plumbric import (EtaLedger, MilnorPairInput, arf_invariant,
                       boundary_sphere_test, eta_ledger, fixed_point_count,
@@ -32,9 +31,7 @@ for vals in ((1, 1, 0, 0), (3, 4, 4, 3), (2, 6, 3, 4)):
     verdict = "distinct components" if d else "indistinguishable"
     print(f"  p-values {vals}: difference {d} -> {verdict}")
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    counts = {l: fixed_point_count(8 * l, "reported") for l in range(1, 7)}
+counts = {l: fixed_point_count(8 * l, "reported") for l in range(1, 7)}
 led = EtaLedger(k=1, lengths=tuple(range(1, 7)), fixed_point_counts=counts)
 res = eta_ledger(led)
 print("\nend invariants (rational parts; the shared ambient constant cancels"

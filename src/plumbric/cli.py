@@ -68,10 +68,7 @@ def _cmd_topo(args) -> int:
 
 def _cmd_eta(args) -> int:
     lengths = tuple(range(1, args.lmax + 1))
-    if args.convention == "reported":
-        counts = {l: 2 * l + 1 for l in lengths}
-    else:
-        counts = {l: 8 * l + 1 for l in lengths}
+    counts = {l: fixed_point_count(8 * l, args.convention) for l in lengths}
     led = EtaLedger(k=args.k, lengths=lengths, fixed_point_counts=counts)
     res = eta_ledger(led)
     text = res.to_json()

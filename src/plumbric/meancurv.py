@@ -352,16 +352,10 @@ class TaperReport:
     mean_curvature: np.ndarray
     fiber_pc_min: np.ndarray
     other_pc_max_abs: np.ndarray
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.min(self.mean_curvature) >= -self.tol)
 
 
 def z2_mean_curvature(eps_profile, k: Callable, r: float, p: int, q: int,
-                      n_samples: int = 9, tol: float = 1e-9,
-                      step: float = 1e-3) -> TaperReport:
+                      n_samples: int = 9, step: float = 1e-3) -> TaperReport:
     """Mean curvature of the taper boundary s = eps(t) r / sin(eps(t)).
 
     Uses the finite-difference second-fundamental-form oracle on the bundle
@@ -395,7 +389,7 @@ def z2_mean_curvature(eps_profile, k: Callable, r: float, p: int, q: int,
         omaxs.append(float(np.max(np.abs(pcs_sorted[:-(p - 1)]))) if d - 2 > p - 1 else 0.0)
     return TaperReport(t=ts, mean_curvature=np.asarray(mcs),
                        fiber_pc_min=np.asarray(fmins),
-                       other_pc_max_abs=np.asarray(omaxs), tol=tol)
+                       other_pc_max_abs=np.asarray(omaxs))
 
 
 # ---------------------------------------------------------------------------

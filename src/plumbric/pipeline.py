@@ -48,8 +48,8 @@ import numpy as np
 from .meancurv import bulk_patch, z2_mean_curvature
 from .oracle import NonSPDMetricError, OracleDomainError, numeric_curvature
 from .plumbing import (EtaLedger, PlumbingTree, arf_invariant, boundary_sphere_test,
-                       clutching_word, eta_ledger, fixed_point_count,
-                       intersection_matrix, render_word)
+                       clutching_word, eta_ledger, fixed_point_count, form_symmetry,
+                       render_word)
 from .profiles import (MC_TOL_FLOOR, MC_VARIANT, PARAMS_SCHEMA, PROFILE_COLUMNS,
                        EpsilonProfile, InfeasibleProfileError, LeftParams,
                        ProfileError, RightParams, check_record, csv_blocks,
@@ -129,8 +129,9 @@ def certificate_json(cert: ConstructionCertificate) -> str:
 
 def _merge_config(config: dict | None) -> dict:
     """DEFAULT_CONFIG overridden by ``config``; unknown keys, at the top level
-    or under ``tolerances``, a grid that is not an integer >= 2 and an
-    unusable margin tolerance raise a ``SpecError`` that names them."""
+    or under ``tolerances``, a lambda that is not a finite number in (0, 1/2),
+    a grid that is not an integer >= 2 and an unusable margin tolerance raise
+    a ``SpecError`` that names them."""
     config = dict(config or {})
     tols = config.pop("tolerances", {})
     if not isinstance(tols, dict):
@@ -144,6 +145,10 @@ def _merge_config(config: dict | None) -> dict:
                         + " (the config takes lambda, grid and tolerances.mc_margin)")
     cfg = {**DEFAULT_CONFIG, **config,
            "tolerances": {**DEFAULT_CONFIG["tolerances"], **tols}}
+    lam = cfg["lambda"]
+    if not (isinstance(lam, (int, float)) and not isinstance(lam, bool)
+            and math.isfinite(lam) and 0 < lam < 0.5):
+        raise SpecError(f"config 'lambda' must be a finite number in (0, 1/2), got {lam!r}")
     grid = cfg["grid"]
     if not (isinstance(grid, int) and not isinstance(grid, bool) and grid >= 2):
         raise SpecError(f"config 'grid' must be an integer >= 2, got {grid!r}")
@@ -474,9 +479,12 @@ def verify(profile_path, params_path, config: dict | None = None) -> Constructio
 
 
 def topo_report(tree: PlumbingTree, l_max: int = 20) -> dict:
-    """Exact invariants of a plumbing tree as a JSON-ready dictionary."""
-    M, sym = intersection_matrix(tree)
+    """Exact invariants of a plumbing tree as a JSON-ready dictionary.
+
+    The intersection matrix is built once, for the determinant; the Arf
+    invariant and the symmetry type read the tree itself."""
     sphere, det = boundary_sphere_test(tree)
+    sym = form_symmetry(tree)
     out = {
         "vertices": tree.n,
         "total_dim": tree.total_dim,
@@ -499,16 +507,13 @@ def topo_report(tree: PlumbingTree, l_max: int = 20) -> dict:
         m = tree.n
         counts = {"chain": fixed_point_count(m, "chain")}
         if m % 8 == 0:
-            import warnings
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                counts["reported"] = fixed_point_count(m, "reported")
+            counts["reported"] = fixed_point_count(m, "reported")
         out["fixed_point_counts"] = counts
         if tree.total_dim % 4 == 2:
             k = (tree.total_dim - 2) // 4
             lengths = tuple(range(1, l_max + 1))
-            led = EtaLedger(k=k, lengths=lengths,
-                            fixed_point_counts={l: 2 * l + 1 for l in lengths})
+            led = EtaLedger(k=k, lengths=lengths, fixed_point_counts={
+                l: fixed_point_count(8 * l, "reported") for l in lengths})
             res = eta_ledger(led)
             out["eta"] = json.loads(res.to_json())
     return out

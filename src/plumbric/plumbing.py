@@ -1,15 +1,14 @@
 """Combinatorial plumbing trees and their exact topological ledgers.
 
-Everything here is exact integer/rational arithmetic: intersection matrices
-and their determinants, mod-2 quadratic refinements and the Arf invariant,
-boundary clutching words, spin-index differences of glued pairs, and the
-fixed-point ledgers that certify pairwise-distinct end invariants.
+Exact integer/rational arithmetic throughout: the intersection matrix and its
+Bareiss determinant, the Arf invariant by peeling leaf pairs off the tree in
+O(m), boundary clutching words, fixed-point ledgers of pairwise-distinct end
+invariants, and spin-index differences of glued pairs (a library function only).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,11 +16,11 @@ __all__ = [
     "PlumbingVertex",
     "PlumbingTree",
     "tangent_chain",
+    "form_symmetry",
     "intersection_matrix",
     "bareiss_det",
     "boundary_sphere_test",
     "arf_invariant",
-    "arf_of_refinement",
     "clutching_word",
     "MilnorPairInput",
     "milnor_ahat_difference",
@@ -184,26 +183,28 @@ def tangent_chain(length: int, dim: int, equivariant: bool = False) -> PlumbingT
 # ---------------------------------------------------------------------------
 
 
-def intersection_matrix(tree: PlumbingTree):
-    """Integer intersection matrix of the plumbing and its symmetry type.
-
-    Diagonal entries are the Euler numbers, off-diagonal entries the edge
-    signs; the form is symmetric when the middle dimension (p+q)/2 is even
-    and skew-symmetric when it is odd.  Requires p+q even.
-    """
+def form_symmetry(tree: PlumbingTree) -> str:
+    """Symmetry type of the intersection form: "symmetric" when the middle
+    dimension (p+q)/2 is even, "skew" when it is odd.  Requires p+q even."""
     if tree.total_dim % 2 != 0:
         raise TreeStructureError(
             f"intersection form needs even total dimension, got {tree.total_dim}")
-    middle = tree.total_dim // 2
-    skew = middle % 2 == 1
+    return "skew" if (tree.total_dim // 2) % 2 == 1 else "symmetric"
+
+
+def intersection_matrix(tree: PlumbingTree):
+    """Integer intersection matrix of the plumbing and its symmetry type:
+    Euler numbers on the diagonal, edge signs off it (negated below the
+    diagonal in the skew case)."""
+    sym = form_symmetry(tree)
     n = tree.n
     M = [[0] * n for _ in range(n)]
     for k, v in enumerate(tree.vertices):
         M[k][k] = v.euler
     for (i, j, s) in tree.edges:
         M[i][j] = s
-        M[j][i] = -s if skew else s
-    return M, ("skew" if skew else "symmetric")
+        M[j][i] = -s if sym == "skew" else s
+    return M, sym
 
 
 def bareiss_det(matrix) -> int:
@@ -242,83 +243,43 @@ def boundary_sphere_test(tree: PlumbingTree):
 
 
 class NonUnimodularFormError(ValueError):
-    """The mod-2 intersection form is degenerate."""
-
-
-def _gf2_symplectic_basis(B):
-    """Symplectic basis of a nondegenerate alternating form over GF(2).
-
-    Returns pairs (a_i, b_i) of basis vectors (as int bitmasks over the
-    standard basis).  Raises :class:`NonUnimodularFormError` if degenerate.
-    """
-    n = len(B)
-
-    def pairing(x, y):
-        total = 0
-        xi = x
-        i = 0
-        while xi:
-            if xi & 1:
-                yj = y
-                j = 0
-                while yj:
-                    if yj & 1:
-                        total ^= B[i][j] & 1
-                    yj >>= 1
-                    j += 1
-            xi >>= 1
-            i += 1
-        return total
-
-    basis = [1 << i for i in range(n)]
-    pairs = []
-    while basis:
-        a = basis.pop(0)
-        partner = next((y for y in basis if pairing(a, y) == 1), None)
-        if partner is None:
-            raise NonUnimodularFormError("mod-2 form is degenerate on the remaining space")
-        basis.remove(partner)
-        # project the rest onto the complement of the hyperbolic pair
-        basis = [y ^ (pairing(y, partner) * a) ^ (pairing(y, a) * partner)
-                 for y in basis]
-        pairs.append((a, partner))
-    return pairs, pairing
-
-
-def arf_of_refinement(B, q_values) -> int:
-    """Arf invariant of the quadratic refinement q over the alternating form B.
-
-    ``q_values`` lists q(e_i) on the standard basis; q extends by
-    q(x + y) = q(x) + q(y) + B(x, y).  The value is the majority invariant
-    sum q(a_i) q(b_i) over a symplectic basis, and is basis independent.
-    """
-    pairs, pairing = _gf2_symplectic_basis(B)
-
-    def q(x):
-        total = 0
-        idxs = [i for i in range(len(q_values)) if (x >> i) & 1]
-        for i in idxs:
-            total ^= q_values[i] & 1
-        for ii in range(len(idxs)):
-            for jj in range(ii + 1, len(idxs)):
-                total ^= B[idxs[ii]][idxs[jj]] & 1
-        return total
-
-    return sum(q(a) * q(b) for a, b in pairs) % 2
+    """The mod-2 intersection form is degenerate or not alternating."""
 
 
 def arf_invariant(tree: PlumbingTree) -> int:
-    """Arf invariant of the plumbing's mod-2 quadratic refinement.
+    """Arf invariant of the plumbing's mod-2 quadratic refinement, by peeling.
 
-    Middle-odd case (skew intersection form); the refinement on the vertex
-    basis is the recorded framing value (1 for tangent-bundle vertices).
+    Skew case; q(e_v) is the framing value.  The mod-2 form is 1 on each edge
+    and Euler mod 2 on the diagonal; an odd Euler number leaves no refinement
+    (q(2x) = 0 forces B(x, x) = 0).  A leaf and its only neighbour, the mate,
+    are a hyperbolic pair adding q(leaf) q(mate); each other neighbour w of the
+    mate becomes w + leaf, so q(w) += q(leaf), and the pair is removed.  A
+    vertex left without a neighbour spans the radical: the form is degenerate.
     """
-    M, sym = intersection_matrix(tree)
-    if sym != "skew":
+    if form_symmetry(tree) != "skew":
         raise TreeStructureError("Arf invariant applies to the middle-odd (skew) case")
-    B = [[abs(x) % 2 for x in row] for row in M]
-    q_values = [v.framing_q for v in tree.vertices]
-    return arf_of_refinement(B, q_values)
+    odd = [k for k, v in enumerate(tree.vertices) if v.euler % 2]
+    if odd:
+        raise NonUnimodularFormError(f"mod-2 form is not alternating (odd Euler number at "
+                                     f"vertices {odd}): no quadratic refinement exists")
+    q = [v.framing_q for v in tree.vertices]
+    adj = {k: set(ns) for k, ns in tree._adj.items()}
+    leaves = [k for k, ns in adj.items() if len(ns) <= 1]
+    arf = 0
+    while leaves:
+        leaf = leaves.pop()
+        if leaf not in adj:
+            continue
+        if not adj[leaf]:
+            raise NonUnimodularFormError("mod-2 form is degenerate on the remaining space")
+        (mate,) = adj.pop(leaf)
+        arf ^= q[leaf] & q[mate]
+        for w in adj.pop(mate) - {leaf}:
+            q[w] ^= q[leaf]
+            adj[w].discard(mate)
+            if len(adj[w]) <= 1:
+                leaves.append(w)
+    return arf
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +376,6 @@ def fixed_point_count(m_bundles: int, convention: str = "reported") -> int:
     if convention == "reported":
         if m_bundles % 8 != 0:
             raise ValueError("the reported count applies to chains of length 8l")
-        warnings.warn(
-            "fixed-point count conventions disagree (2l+1 vs m+1); "
-            "using 2l+1 -- distinctness is convention independent",
-            stacklevel=2)
         return 2 * (m_bundles // 8) + 1
     if convention == "chain":
         return m_bundles + 1

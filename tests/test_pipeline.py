@@ -1,13 +1,15 @@
+import hashlib
 import io
 import json
 import math
+import pathlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from csv_reference import first_difference, savetxt_csv
-from plumbric import pipeline, profiles
+from plumbric import pipeline, plumbing, profiles
 from plumbric.cli import main as cli_main
 from plumbric.pipeline import (DEFAULT_CONFIG, EPSILON_I, NiceCoordinateSpec, SpecError,
                                certificate_json, run_construction, topo_report,
@@ -480,6 +482,45 @@ class TestTopo:
         assert rep["arf"] == 1
         assert rep["boundary_homotopy_sphere"]
 
+    def test_odd_euler_number_records_no_arf(self):
+        verts = (PlumbingVertex(3, 3, 1, framing_q=1), PlumbingVertex(3, 3, 0, framing_q=1))
+        rep = topo_report(PlumbingTree(vertices=verts, edges=((0, 1, 1),)))
+        assert rep["symmetry"] == "skew" and rep["arf"] is None
+        assert rep["arf_note"] == ("mod-2 form is not alternating (odd Euler number at "
+                                   "vertices [0]): no quadratic refinement exists")
+
+    @pytest.mark.parametrize("tree", [tangent_chain(8, 3, equivariant=True),
+                                      tangent_chain(7, 5),
+                                      PlumbingTree(vertices=(PlumbingVertex(3, 5, 2),
+                                                             PlumbingVertex(5, 3, -2)),
+                                                   edges=((0, 1, -1),))],
+                             ids=["skew_8", "skew_7", "symmetric_2"])
+    def test_one_intersection_matrix_per_report(self, tree, monkeypatch):
+        # count calls through the plumbing module and any name pipeline binds
+        calls, build = [], plumbing.intersection_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        for module in (plumbing, pipeline):
+            monkeypatch.setattr(module, "intersection_matrix", counted, raising=False)
+        topo_report(tree)
+        assert len(calls) == 1
+
+    GOLDEN = json.loads((pathlib.Path(__file__).parent / "fixtures"
+                         / "topo_golden.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_ledger(self, name):
+        # Pinned before the Arf route changed: the report's bytes must not move.
+        gold = self.GOLDEN[name]
+        rep = topo_report(PlumbingTree.from_json(gold["tree"]), l_max=20)
+        assert (rep["det"], rep.get("arf"), rep.get("arf_note")) == (
+            gold["det"], gold["arf"], gold["arf_note"])
+        digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+        assert digest == gold["sha256"]
+
 
 class TestCli:
     def test_full_cycle(self, tmp_path, capsys):
@@ -615,6 +656,12 @@ class TestConfig:
     def test_unusable_margin_tolerance_rejected(self, tol):
         with pytest.raises(SpecError, match="tolerances.mc_margin .* >= 1e-12"):
             run_construction(self.SINGLE, self.SPEC, config={"tolerances": {"mc_margin": tol}})
+
+    @pytest.mark.parametrize("lam", ["0.2", True, 0.5, float("nan")])
+    def test_unusable_lambda_rejected(self, lam):
+        with pytest.raises(SpecError, match=f"config 'lambda' must be a finite number in "
+                                            rf"\(0, 1/2\), got {lam!r}"):
+            run_construction(self.SINGLE, self.SPEC, config={"lambda": lam})
 
     @pytest.mark.parametrize("grid", [2.7, -5, 1, True, "2048", None])
     def test_unusable_grid_rejected(self, grid):

@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from plumbric.plumbing import (EtaLedger, EtaLedgerResult, MilnorPairInput, NonUnimodularFormError,
                                PlumbingTree, PlumbingVertex, TreeStructureError,
-                               arf_invariant, arf_of_refinement, bareiss_det,
+                               arf_invariant, bareiss_det,
                                boundary_sphere_test, clutching_word, eta_ledger,
                                eta_local_contribution, eta_rp, fixed_point_count,
-                               intersection_matrix, milnor_ahat_difference,
+                               form_symmetry, intersection_matrix, milnor_ahat_difference,
                                render_word, tangent_chain)
+
+from gf2_reference import arf_of_refinement, reference_arf
 
 RNG = np.random.default_rng(99)
 
@@ -89,6 +90,36 @@ class TestIntersectionForm:
             intersection_matrix(tree)
 
 
+@st.composite
+def skew_trees(draw, matched: bool):
+    """Skew trees with random signs, framings and even Euler numbers, their
+    vertices relabelled at random.  A ``matched`` tree has the perfect
+    matching (2i, 2i + 1): each pair joins an earlier pair by one edge between
+    random ends, so contracting the pairs leaves a random tree (every tree
+    with a perfect matching arises so)."""
+    d = draw(st.sampled_from((3, 5, 7)))
+    if matched:
+        n = 2 * draw(st.integers(1, 12))
+        links = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+        links += [(2 * draw(st.integers(0, i - 1)) + draw(st.integers(0, 1)),
+                   2 * i + draw(st.integers(0, 1))) for i in range(1, n // 2)]
+    else:
+        n = draw(st.integers(1, 24))
+        links = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    label = draw(st.permutations(range(n)))
+    verts = tuple(PlumbingVertex(d, d, 2 * draw(st.integers(-3, 3)),
+                                 framing_q=draw(st.integers(0, 1))) for _ in range(n))
+    edges = tuple((label[i], label[j], draw(st.sampled_from((1, -1)))) for i, j in links)
+    return PlumbingTree(vertices=verts, edges=edges)
+
+
+def _arf_outcome(route, tree):
+    try:
+        return route(tree)
+    except NonUnimodularFormError as exc:
+        return f"NonUnimodularFormError: {exc}"
+
+
 class TestArf:
     def test_kervaire_two_chain(self):
         assert arf_invariant(tangent_chain(2, 3)) == 1
@@ -103,8 +134,35 @@ class TestArf:
         assert arf_invariant(tree) == 0
 
     def test_degenerate_form_raises(self):
-        with pytest.raises(NonUnimodularFormError):
+        with pytest.raises(NonUnimodularFormError,
+                           match="mod-2 form is degenerate on the remaining space"):
             arf_invariant(tangent_chain(3, 3))
+
+    def test_odd_euler_number_fails_closed(self):
+        # B(e_0, e_0) = 1 mod 2, but q(2 e_0) = 0 needs B(e_0, e_0) = 0: no
+        # refinement exists, although the leaf e_1 has a partner
+        verts = (PlumbingVertex(3, 3, 1, framing_q=1), PlumbingVertex(3, 3, 0, framing_q=1))
+        tree = PlumbingTree(vertices=verts, edges=((0, 1, 1),))
+        with pytest.raises(NonUnimodularFormError,
+                           match=r"not alternating \(odd Euler number at vertices \[0\]\)"):
+            arf_invariant(tree)
+
+    def test_symmetric_form_rejected(self):
+        tree = PlumbingTree(vertices=(PlumbingVertex(4, 4, 2),), edges=())
+        assert form_symmetry(tree) == "symmetric"
+        with pytest.raises(TreeStructureError, match="middle-odd"):
+            arf_invariant(tree)
+
+    @pytest.mark.parametrize("matched", [True, False], ids=["perfect_matching", "random"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_peeling_matches_gf2_reference(self, matched, data):
+        # 600 trees in all, half with a perfect matching (so the form is
+        # nondegenerate) and half plain random trees (mostly degenerate)
+        tree = data.draw(skew_trees(matched))
+        got, want = _arf_outcome(arf_invariant, tree), _arf_outcome(reference_arf, tree)
+        assert got == want
+        assert isinstance(got, int) or not matched
 
     def test_basis_independence(self):
         # change basis by random mod-2 symplectic transvections; the invariant
@@ -201,10 +259,8 @@ class TestEta:
         assert eta_rp(n) == Fraction(-2, 2 ** n)
 
     def test_fixed_point_conventions(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert fixed_point_count(8, "reported") == 3
-            assert [fixed_point_count(8 * l, "reported") for l in (1, 2, 3)] == [3, 5, 7]
+        assert fixed_point_count(8, "reported") == 3
+        assert [fixed_point_count(8 * l, "reported") for l in (1, 2, 3)] == [3, 5, 7]
         assert fixed_point_count(8, "chain") == 9
         chain_counts = [fixed_point_count(m, "chain") for m in range(1, 30)]
         assert all(c2 > c1 for c1, c2 in zip(chain_counts, chain_counts[1:]))
@@ -236,9 +292,7 @@ class TestEta:
     @pytest.mark.parametrize("l_max", [1, 9, 800])
     def test_collisions_match_pairwise_reference(self, convention, l_max):
         lengths = tuple(range(1, l_max + 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            counts = {l: fixed_point_count(8 * l, convention) for l in lengths}
+        counts = {l: fixed_point_count(8 * l, convention) for l in lengths}
         led = EtaLedger(k=2, lengths=lengths, fixed_point_counts=counts)
         res = eta_ledger(led)
         ref = self._pairwise_result(led)
