@@ -7,6 +7,13 @@ level (steps h and h/2) removes the leading O(h^2) truncation error.  Ricci
 and the second fundamental form of a graph take every difference on one
 stencil (``_stencil`` / ``_differences``) and share the Christoffel assembly.
 
+The contractions that cost O(d^5) as index loops (the derivative of the
+Christoffel symbols, and the Christoffel term of the second fundamental form)
+are matrix products.  On a diagonal metric, as every chart in ``charts`` and
+``meancurv`` is, each entry of the Ricci contractions is a sum with at most
+one nonzero product, so its value does not depend on the summation order: the
+products give the same doubles as plain index loops.
+
 This module is deliberately independent of every closed-form curvature
 formula in the package: it is the second route used to validate them.
 """
@@ -46,8 +53,7 @@ class MetricPatch:
     """A coordinate-box metric.
 
     ``g`` must accept an array of points of shape (..., dim) and return the
-    metric matrices with shape (..., dim, dim); it must be safe to call
-    concurrently.
+    metric matrices with shape (..., dim, dim).
     """
 
     dim: int
@@ -123,6 +129,20 @@ def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> tuple:
     return 0.5 * np.einsum("lm,ijm->lij", ginv, T), T
 
 
+def _christoffel_derivative(ginv: np.ndarray, dg: np.ndarray, T: np.ndarray,
+                            dT: np.ndarray) -> np.ndarray:
+    """dgamma[m, l, i, j] = d_m Gamma^l_ij, with dT[m, i, j, k] = d_m T[i, j, k].
+
+    Both contractions over k are matrix products:
+    d_m Gamma^l_ij = (d_m g^{lk} T_ijk + g^{lk} d_m T_ijk) / 2.
+    """
+    d = ginv.shape[0]
+    dginv = -((ginv @ dg) @ ginv)  # dginv[m, l, k] = d_m g^{lk}
+    from_dginv = (dginv.reshape(d * d, d) @ T.reshape(d * d, d).T).reshape(d, d, d, d)
+    from_dT = (dT.reshape(d ** 3, d) @ ginv.T).reshape(d, d, d, d).transpose(0, 3, 1, 2)
+    return 0.5 * (from_dginv + from_dT)
+
+
 def _ricci_fixed_step(patch: MetricPatch, point: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Ricci tensor at ``point`` from central differences with step vector ``h``."""
     G = patch.g(_stencil(point, h, corners=True))
@@ -134,9 +154,7 @@ def _ricci_fixed_step(patch: MetricPatch, point: np.ndarray, h: np.ndarray) -> n
     dT = (d2g
           + d2g.transpose(0, 2, 1, 3)
           - d2g.transpose(0, 2, 3, 1))
-    dginv = -np.einsum("la,mab,bk->mlk", ginv, dg, ginv)  # dginv[m, l, k] = d_m g^{lk}
-    dgamma = 0.5 * (np.einsum("mlk,ijk->mlij", dginv, T)
-                    + np.einsum("lk,mijk->mlij", ginv, dT))
+    dgamma = _christoffel_derivative(ginv, dg, T, dT)
 
     term1 = np.einsum("aajk->jk", dgamma)
     term2 = np.einsum("jaak->jk", dgamma)
@@ -215,6 +233,12 @@ class SecondFundamentalFormReport:
         return float(np.sum(self.principal_curvatures))
 
 
+def _normal_christoffel(gamma: np.ndarray, tangents: np.ndarray,
+                        gnu: np.ndarray) -> np.ndarray:
+    """Gamma^m_bc T_i^b T_j^c (g nu)_m as two matrix products."""
+    return tangents @ np.tensordot(gnu, gamma, axes=1) @ tangents.T
+
+
 def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHypersurface,
                                     base_point, step=DEFAULT_STEP
                                     ) -> SecondFundamentalFormReport:
@@ -269,8 +293,7 @@ def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHyper
 
     gnu = g0 @ nu
     # II_ij = Hess_ij * (g nu)_a + Gamma^m_{bc} T_i^b T_j^c (g nu)_m
-    gamma_term = np.einsum("mbc,ib,jc,m->ij", gamma, tangents, tangents, gnu)
-    form = hess * gnu[a] + gamma_term
+    form = hess * gnu[a] + _normal_christoffel(gamma, tangents, gnu)
     form = 0.5 * (form + form.T)
 
     induced = tangents @ g0 @ tangents.T

@@ -47,9 +47,9 @@ import numpy as np
 
 from .meancurv import bulk_patch, z2_mean_curvature
 from .oracle import NonSPDMetricError, OracleDomainError, numeric_curvature
-from .plumbing import (EtaLedger, PlumbingTree, arf_invariant, boundary_sphere_test,
-                       clutching_word, eta_ledger, fixed_point_count, form_symmetry,
-                       render_word)
+from .plumbing import (EtaLedger, PlumbingTree, TreeStructureError, arf_invariant,
+                       boundary_sphere_test, clutching_word, eta_ledger, fixed_point_count,
+                       form_symmetry, render_word)
 from .profiles import (MC_TOL_FLOOR, MC_VARIANT, PARAMS_SCHEMA, PROFILE_COLUMNS,
                        EpsilonProfile, InfeasibleProfileError, LeftParams,
                        ProfileError, RightParams, check_record, csv_blocks,
@@ -482,7 +482,10 @@ def topo_report(tree: PlumbingTree, l_max: int = 20) -> dict:
     """Exact invariants of a plumbing tree as a JSON-ready dictionary.
 
     The intersection matrix is built once, for the determinant; the Arf
-    invariant and the symmetry type read the tree itself."""
+    invariant and the symmetry type read the tree itself.  A ledger the tree
+    has no value for is replaced by a note with the reason: ``arf_note`` for
+    the Arf invariant, ``clutching_note`` for the clutching word of a tree
+    that is not a path."""
     sphere, det = boundary_sphere_test(tree)
     sym = form_symmetry(tree)
     out = {
@@ -501,8 +504,8 @@ def topo_report(tree: PlumbingTree, l_max: int = 20) -> dict:
     try:
         out["clutching_word"] = clutching_word(tree)
         out["clutching_rendered"] = render_word(out["clutching_word"])
-    except ValueError:
-        pass
+    except TreeStructureError as exc:
+        out["clutching_note"] = str(exc)
     if tree.equivariant:
         m = tree.n
         counts = {"chain": fixed_point_count(m, "chain")}

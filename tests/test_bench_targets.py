@@ -76,9 +76,11 @@ def _run(workload, op, tmp_path):
     return out
 
 
-def test_chain_op(tmp_path):
+@pytest.mark.parametrize("dim", [3, 9])
+def test_chain_op(dim, tmp_path):
+    # dimension 9 runs the oracle on its largest charts (18 coordinates)
     chains = WORKLOADS.Chains(plumbric, 0)
-    out = _run(chains, chains._op("chain", 2, 3, math.pi / 4 + 0.1, 0.2), tmp_path)
+    out = _run(chains, chains._op("chain", 2, dim, math.pi / 4 + 0.1, 0.2), tmp_path)
     assert out.vertices == 2 and out.bytes_written > 0
 
 

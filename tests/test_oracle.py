@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle_reference
+from plumbric import oracle, pipeline
 from plumbric.charts import (cylinder_patch, doubly_warped_patch, euclidean_patch,
-                             scaled_patch, sphere_polar, sphere_stereographic)
+                             flat_patch, scaled_patch, sphere_polar, sphere_stereographic,
+                             warped_patch)
 from plumbric.oracle import (GraphHypersurface, NonSPDMetricError, OracleDomainError,
                              MetricPatch, numeric_curvature,
                              numeric_second_fundamental_form)
@@ -55,6 +59,18 @@ class TestRicciOracle:
         assert rep2.min_ricci_eigenvalue == pytest.approx(
             rep1.min_ricci_eigenvalue / lam ** 2, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_round_sphere_in_sheared_chart(self, n, r):
+        # off-diagonal metric entries, where the summation order can move bits
+        patch = _sheared_sphere(n, r)
+        point = 0.05 * np.arange(1, n + 1)
+        g0 = patch.g(point[np.newaxis])[0]
+        assert np.abs(g0 - np.diag(np.diag(g0))).max() > 0.1 * np.abs(g0).max()
+        rep = numeric_curvature(patch, point)
+        assert rep.scalar == pytest.approx(n * (n - 1) / r ** 2, rel=1e-6)
+        assert rep.min_ricci_eigenvalue == pytest.approx((n - 1) / r ** 2, rel=1e-6)
+
     def test_near_boundary_error(self):
         with pytest.raises(OracleDomainError):
             numeric_curvature(euclidean_patch(2), [0.9999, 0.0])
@@ -70,6 +86,104 @@ class TestRicciOracle:
         patch = MetricPatch(dim=2, domain=((-1, 1), (-1, 1)), g=g)
         with pytest.raises(NonSPDMetricError):
             numeric_curvature(patch, [0.0, 0.0])
+
+
+def _sheared_sphere(n, r):
+    """Round S^n(r) in the stereographic chart pulled back by the linear map
+    y -> A y: g_A(y) = A^T g(A y) A, with a fixed invertible A."""
+    A = np.eye(n) + 0.4 * np.triu(np.ones((n, n)), 1) - 0.3 * np.tril(np.ones((n, n)), -1)
+    base = sphere_stereographic(n, r)
+
+    def g(y):
+        return A.T @ base.g(np.asarray(y, dtype=float) @ A.T) @ A
+
+    return MetricPatch(dim=n, domain=((-0.5, 0.5),) * n, g=g)
+
+
+def _einsum_route(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the oracle's contractions done by the
+    einsum reference in place of matrix products."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_christoffel_derivative", oracle_reference.christoffel_derivative)
+        mp.setattr(oracle, "_normal_christoffel", oracle_reference.normal_christoffel)
+        return fn(*args, **kwargs)
+
+
+@st.composite
+def diagonal_charts(draw):
+    """A random diagonal chart with an interior point and per-coordinate steps:
+    a doubly warped product over a line, or a round sphere warped over a flat
+    box with a radius that depends on every base coordinate; p, q in 2..9."""
+    p, q = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        f, h = random_warping(rng)[0], random_warping(rng)[0]
+        t0 = rng.uniform(0.8, 1.2)
+        patch = doubly_warped_patch(f, h, p, q, (t0 - 0.5, t0 + 0.5))
+        base = [t0]
+    else:
+        w = rng.uniform(-0.5, 0.5, p)
+        c = rng.uniform(0.5, 2.0)
+        patch = warped_patch(flat_patch(((-1.0, 1.0),) * p),
+                             lambda xb: c * np.exp(xb @ w + 0.3 * np.sin(xb).sum(axis=-1)), q)
+        base = rng.uniform(-0.8, 0.8, p)
+    point = np.concatenate([base, rng.uniform(0.3, np.pi - 0.3, patch.dim - len(base))])
+    return patch, point, rng.uniform(1e-4, 2e-3, patch.dim)
+
+
+@st.composite
+def dense_metrics(draw):
+    """A random metric with every entry nonzero, SPD on its box, and a point."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    B0 = rng.normal(size=(n, n))
+    B1 = 0.4 * rng.normal(size=(n, n, n))
+    B2 = 0.2 * rng.normal(size=(n, n, n))
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        B = B0 + np.tensordot(x, B1, axes=1) + np.tensordot(np.sin(2.0 * x), B2, axes=1)
+        return B @ B.swapaxes(-1, -2) + 0.5 * np.eye(n)
+
+    patch = MetricPatch(dim=n, domain=((-1.0, 1.0),) * n, g=g)
+    return patch, rng.uniform(-0.5, 0.5, n)
+
+
+class TestContractionRoutes:
+    """The oracle's matrix-product contractions against the einsum reference.
+
+    On a diagonal metric every entry of the Ricci contractions is a sum with at
+    most one nonzero product, so any summation order gives the same double:
+    the two routes agree bit for bit.  On a dense metric they agree to
+    roundoff.
+    """
+
+    @given(diagonal_charts())
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_charts_bit_equal(self, chart):
+        patch, point, step = chart
+        rep = numeric_curvature(patch, point, step=step)
+        ref = _einsum_route(numeric_curvature, patch, point, step=step)
+        assert rep.ricci.tobytes() == ref.ricci.tobytes()
+        assert (rep.scalar, rep.min_ricci_eigenvalue) == (ref.scalar, ref.min_ricci_eigenvalue)
+
+    @given(dense_metrics())
+    @settings(max_examples=50, deadline=None)
+    def test_dense_metrics_agree(self, metric):
+        patch, point = metric
+        ric = numeric_curvature(patch, point).ricci
+        ref = _einsum_route(numeric_curvature, patch, point).ricci
+        assert np.abs(ric - ref).max() <= 1e-8 * np.abs(ref).max()
+        hyper = GraphHypersurface(axis=0, height=lambda x: 0.1 * np.sin(x.sum(axis=-1)))
+        form = numeric_second_fundamental_form(patch, hyper, point[1:]).form
+        ref = _einsum_route(numeric_second_fundamental_form, patch, hyper, point[1:]).form
+        assert np.abs(form - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("p,q", [(3, 3), (9, 9)])
+    def test_taper_minimum_equal(self, p, q):
+        # the certificate records only the taper's minimum
+        taper = pipeline._taper_check(p, q, 0.2, 1.0, 0.6)
+        assert taper == _einsum_route(pipeline._taper_check, p, q, 0.2, 1.0, 0.6)
 
 
 class TestClosedFormBridge:

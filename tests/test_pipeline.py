@@ -3,13 +3,14 @@ import io
 import json
 import math
 import pathlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from csv_reference import first_difference, savetxt_csv
-from plumbric import pipeline, plumbing, profiles
+from plumbric import meancurv, pipeline, plumbing, profiles
 from plumbric.cli import main as cli_main
 from plumbric.pipeline import (DEFAULT_CONFIG, EPSILON_I, NiceCoordinateSpec, SpecError,
                                certificate_json, run_construction, topo_report,
@@ -513,11 +514,18 @@ class TestTopo:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_ledger(self, name):
-        # Pinned before the Arf route changed: the report's bytes must not move.
+        # Pinned before the Arf route changed: the report's bytes must not move,
+        # apart from the clutching note added after the pin.
         gold = self.GOLDEN[name]
         rep = topo_report(PlumbingTree.from_json(gold["tree"]), l_max=20)
         assert (rep["det"], rep.get("arf"), rep.get("arf_note")) == (
             gold["det"], gold["arf"], gold["arf_note"])
+        note = rep.pop("clutching_note", None)
+        if name.startswith("chain"):
+            assert note is None and "clutching_word" in rep
+        else:
+            assert note == "plumbing graph is not a path"
+            assert "clutching_word" not in rep
         digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
         assert digest == gold["sha256"]
 
@@ -635,6 +643,50 @@ class TestOracleValues:
         margins = cert.steps[0]["margins"]
         for key, value in self.EXPECTED[p].items():
             assert margins[key] == pytest.approx(value, rel=1e-12), key
+
+
+class TestDiagonalCharts:
+    """Every metric the certificate's oracle reads is diagonal, to the bit.
+
+    The oracle's matrix-product contractions give the same doubles as any
+    other summation order only because each sum then has at most one nonzero
+    term.  A chart with off-diagonal entries fails here first.
+    """
+
+    @staticmethod
+    def _recording(build, seen):
+        # the same builder, with a patch whose g keeps every matrix it returns
+        def wrapped(*args, **kwargs):
+            out = build(*args, **kwargs)
+            patch = out[0] if isinstance(out, tuple) else out
+
+            def g(x):
+                seen.append(patch.g(x))
+                return seen[-1]
+
+            recorded = replace(patch, g=g)
+            return (recorded,) + out[1:] if isinstance(out, tuple) else recorded
+        return wrapped
+
+    @pytest.mark.parametrize("p", [3, 9])
+    def test_oracle_metrics_have_zero_off_diagonal(self, p, monkeypatch):
+        bulk, taper = [], []
+        monkeypatch.setattr(pipeline, "bulk_patch", self._recording(meancurv.bulk_patch, bulk))
+        monkeypatch.setattr(meancurv, "z2_patch", self._recording(meancurv.z2_patch, taper))
+        tree = PlumbingTree(
+            vertices=(PlumbingVertex(base_dim=p, rank=p, euler=2, char_label="v1"),),
+            edges=())
+        spec = NiceCoordinateSpec(p=p, q=p, R=math.pi / 4 + 0.1, N=1.0, kappa=0.5)
+        assert run_construction(tree, spec, config={"lambda": 0.2}).passed
+        d = 2 * p
+        # the Ricci stencil has corners, the second fundamental form's does not
+        for name, seen, rows in (("bulk", bulk, 1 + 2 * d + 2 * d * (d - 1)),
+                                 ("taper", taper, 1 + 2 * d)):
+            assert any(G.shape == (rows, d, d) for G in seen), name
+            off = np.concatenate([G[..., ~np.eye(d, dtype=bool)].ravel() for G in seen])
+            assert np.all(off == 0.0), (
+                f"the {name} chart has nonzero off-diagonal metric entries: the oracle's "
+                "matrix-product contractions may move certificate bits")
 
 
 class TestConfig:
