@@ -10,11 +10,13 @@ trustworthy second route for the closed-form doubly warped curvature.
 import numpy as np
 
 from plumbric import WarpedJet, doubly_warped_ricci, numeric_curvature
-from plumbric.charts import cylinder_patch, doubly_warped_patch, sphere_stereographic
+from plumbric.charts import cylinder_patch, flat_patch, warped_patch
 
-# Round spheres at several radii: scalar must be n(n-1)/r^2.
+# Round spheres at several radii, in nested angles (a sphere of constant
+# radius warped over a point): scalar must be n(n-1)/r^2.
 for n, r in ((3, 0.5), (5, 1.0), (7, 2.0)):
-    rep = numeric_curvature(sphere_stereographic(n, r), 0.05 * np.arange(1, n + 1))
+    sphere = warped_patch(flat_patch(()), lambda xb, r=r: np.full(xb.shape[:-1], r), n)
+    rep = numeric_curvature(sphere, np.full(n, 1.2))
     print(f"S^{n}({r}): oracle scalar {rep.scalar:.8f}   exact {n * (n - 1) / r**2}")
 
 # A metric product line x sphere: Ricci is degenerate along the line.
@@ -32,9 +34,13 @@ def h(t):
     return 1.2 + 0.2 * np.cos(np.asarray(t))
 
 
+# dt^2 + h(t)^2 ds_{q-1}^2 + f(t)^2 ds_{p-1}^2: the collar sphere warped over
+# the line, then the fiber sphere warped over that.
 p = q = 3
 t0 = 1.0
-patch = doubly_warped_patch(f, h, p, q, (0.5, 1.5))
+line = flat_patch(((0.5, 1.5),))
+patch = warped_patch(warped_patch(line, lambda xb: h(xb[..., 0]), q - 1),
+                     lambda xb: f(xb[..., 0]), p - 1)
 point = np.array([t0, 1.1, 1.3, 0.9, 1.4])
 rep = numeric_curvature(patch, point)
 jet = WarpedJet(t=t0, f=float(f(t0)), f1=0.3 * np.cos(t0), f2=-0.3 * np.sin(t0),

@@ -3,8 +3,9 @@
 
 Over the neck the boundary sits inside a metric cylinder line x sphere as a
 curve profile; the margin A - B is nonnegative exactly where the boundary
-mean curvature is.  Over the taper the fiber caps shrink from hemispheres,
-and the generic second-fundamental-form oracle confirms that the fibers'
+mean curvature is, and the search measures it under three normalizations on
+its check grid.  Over the taper the fiber caps shrink from hemispheres, and
+the generic second-fundamental-form oracle confirms that the fibers'
 convexity dominates once their scale is small.
 """
 
@@ -13,19 +14,13 @@ import math
 import numpy as np
 
 from plumbric import EpsilonProfile, search_parameters, z2_mean_curvature
-from plumbric.meancurv import oracle_boundary_mean_curvature, z3_mean_curvature_from_pair
 
 res = search_parameters(4, 4, math.pi / 4, 0.1)
-rep = z3_mean_curvature_from_pair(res.pair, 4, 4)
-print("neck margins (minima over the grid)")
-print(f"  transcribed normalization: {rep.margin_min_reported:.3e}")
-print(f"  curvature normalization:   {rep.margin_min_curvature:.3e}")
-print(f"  per-unit-collar variant:   {rep.margin_min_unit:.3e}")
-
-ts, oracle_mc, closed_mc = oracle_boundary_mean_curvature(res.pair, 4, 4, n_points=4)
-print("\nneck boundary mean curvature, two independent routes")
-for a, b, c in zip(ts, oracle_mc, closed_mc):
-    print(f"  t = {a:.3e}:  oracle {b:.6e}   closed form {c:.6e}")
+m = res.measurement
+print("neck margins (minima over the check grid)")
+print(f"  transcribed normalization: {m.margin_min('reported'):.3e}")
+print(f"  curvature normalization:   {m.margin_min('curvature'):.3e}")
+print(f"  per-unit-collar variant:   {m.margin_min('unit'):.3e}")
 
 ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.4)
 print("\ntaper boundary (fiber-angle pi/2 -> 0.4), three fiber scales")

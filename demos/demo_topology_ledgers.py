@@ -10,9 +10,8 @@ invariants whatever counting convention is used.
 
 import json
 
-from plumbric import (EtaLedger, MilnorPairInput, arf_invariant,
-                      boundary_sphere_test, eta_ledger, fixed_point_count,
-                      milnor_ahat_difference, tangent_chain, topo_report)
+from plumbric import (EtaLedger, arf_invariant, boundary_sphere_test, eta_ledger,
+                      fixed_point_count, tangent_chain, topo_report)
 from plumbric.plumbing import clutching_word, render_word
 
 print("chain length -> (det, homotopy sphere?, Arf)")
@@ -24,12 +23,6 @@ for m in (1, 2, 3, 4, 8, 16):
 
 print("\nboundary gluing word of the 4-chain:",
       render_word(clutching_word(tangent_chain(4, 3))))
-
-print("\nindex difference of two glued pairs (s=2, t=3):")
-for vals in ((1, 1, 0, 0), (3, 4, 4, 3), (2, 6, 3, 4)):
-    d = milnor_ahat_difference(MilnorPairInput(2, 3, *vals))
-    verdict = "distinct components" if d else "indistinguishable"
-    print(f"  p-values {vals}: difference {d} -> {verdict}")
 
 counts = {l: fixed_point_count(8 * l, "reported") for l in range(1, 7)}
 led = EtaLedger(k=1, lengths=tuple(range(1, 7)), fixed_point_counts=counts)

@@ -3,34 +3,32 @@ bundles, with the exact integer/rational ledgers that tell the results apart.
 
 Layout:
 
-* :mod:`plumbric.caps` -- geodesic caps and the boundary-form gluing tests
-* :mod:`plumbric.warped` -- closed-form curvature of doubly warped products
+* :mod:`plumbric.caps` -- block-diagonal boundary forms and the gluing test
+* :mod:`plumbric.warped` -- closed-form Ricci curvature of doubly warped products
 * :mod:`plumbric.oracle` / :mod:`plumbric.charts` -- the finite-difference
-  curvature oracle and the coordinate patches it runs on
+  curvature oracle and the coordinate patches the certificate runs it on
 * :mod:`plumbric.profiles` -- warping-profile ODEs, assembly, and search
-* :mod:`plumbric.meancurv` -- boundary mean-curvature reports
+* :mod:`plumbric.meancurv` -- neck margins, gluing forms, taper mean curvature
+  and the neck-bulk chart
 * :mod:`plumbric.plumbing` -- plumbing trees and exact topological ledgers
 * :mod:`plumbric.pipeline` / :mod:`plumbric.cli` -- end-to-end runs,
   certificates, re-verification, and the command-line interface
 """
 
-from .caps import (BlockDiagonalForm, GeodesicCap, cap_boundary_form,
-                   cap_from_angular, cap_from_geodesic, perelman_form_check,
-                   warped_collar_glue_check)
+from .caps import BlockDiagonalForm, perelman_form_check
 from .oracle import (CurvatureReport, GraphHypersurface, MetricPatch,
                      numeric_curvature, numeric_second_fundamental_form)
-from .warped import WarpedJet, doubly_warped_ricci, doubly_warped_scalar
+from .warped import WarpedJet, doubly_warped_ricci
 from .profiles import (EpsilonProfile, InfeasibleProfileError, LeftParams,
                        ProfilePair, RightParams, build_left_profile,
-                       build_right_profile, check_bc, integrate_fC, integrate_h0,
+                       build_right_profile, check_bc, integrate_fC,
                        search_parameters)
 from .meancurv import (ab_terms, build_curve, interface_forms, z2_mean_curvature,
                        z3_mean_curvature)
-from .plumbing import (EtaLedger, MilnorPairInput, PlumbingTree, PlumbingVertex,
-                       arf_invariant, boundary_sphere_test, clutching_word,
-                       eta_ledger, eta_local_contribution, eta_rp,
-                       fixed_point_count, intersection_matrix,
-                       milnor_ahat_difference, tangent_chain)
+from .plumbing import (EtaLedger, PlumbingTree, PlumbingVertex, arf_invariant,
+                       boundary_sphere_test, clutching_word, eta_ledger,
+                       eta_local_contribution, fixed_point_count,
+                       intersection_matrix, tangent_chain)
 from .pipeline import (ConstructionCertificate, NiceCoordinateSpec,
                        run_construction, topo_report, verify)
 

@@ -1,32 +1,21 @@
-"""Geodesic caps in round spheres and the boundary-form gluing criteria.
-
-A cap is the closed geodesic ball of radius ``R`` inside the round sphere of
-radius ``r``.  Its boundary is a round (p-1)-sphere of radius
-``rho = r sin(R/r)``; the angular radius is ``eps = R/r``.  The boundary's
-second fundamental form (inward normal) is ``(1/r) cot(R/r)`` times the
-identity, so caps strictly inside a hemisphere (eps < pi/2) are convex.
+"""Block-diagonal boundary forms and the gluing test they must pass.
 
 Two manifolds with positive Ricci curvature glue to a positive-Ricci manifold
-when the sum of the boundary second fundamental forms is positive
-semi-definite; for the block-diagonal forms appearing here that reduces to a
-blockwise sum-of-coefficients test, and for two caps over the same boundary
-sphere it reduces to cos(eps_1) + cos(eps_2) >= 0.
+when the sum of their boundary second fundamental forms is positive
+semi-definite (Perelman's gluing lemma).  The forms met at the ends of a neck
+are multiples of the identity on each sphere factor, so the test reduces to a
+blockwise sum-of-coefficients check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
     "COEFF_TOL",
-    "GeodesicCap",
+    "FormStructureError",
     "BlockDiagonalForm",
-    "cap_from_geodesic",
-    "cap_from_angular",
-    "cap_boundary_form",
     "perelman_form_check",
-    "warped_collar_glue_check",
 ]
 
 # Absolute tolerance for all >=-type checks on form coefficients.  Double
@@ -35,38 +24,8 @@ __all__ = [
 COEFF_TOL = 1e-9
 
 
-class CapDomainError(ValueError):
-    """Raised when cap parameters leave the geometric domain."""
-
-
 class FormStructureError(ValueError):
     """Raised when two block forms cannot be aligned block-by-block."""
-
-
-@dataclass(frozen=True)
-class GeodesicCap:
-    """Geodesic ball of radius ``R`` in the round p-sphere of radius ``r``.
-
-    Attributes
-    ----------
-    r : ambient sphere radius.
-    R : geodesic (intrinsic) radius, 0 < R < pi*r.
-    rho : radius of the boundary sphere, r*sin(R/r).
-    eps : angular radius R/r in (0, pi).
-    dim : dimension p >= 2 of the cap.
-    """
-
-    r: float
-    R: float
-    rho: float
-    eps: float
-    dim: int
-
-    def scaled(self, lam: float) -> "GeodesicCap":
-        """The cap of the metric rescaled by lam^2 (lengths scale by lam)."""
-        if lam <= 0:
-            raise CapDomainError(f"scale factor must be positive, got {lam}")
-        return cap_from_geodesic(lam * self.r, lam * self.R, self.dim)
 
 
 @dataclass(frozen=True)
@@ -74,8 +33,7 @@ class BlockDiagonalForm:
     """A symmetric form that is a multiple of the identity on each block.
 
     ``blocks`` is a tuple of (coefficient, multiplicity) pairs; multiplicities
-    sum to the dimension of the hypersurface the form lives on.  Rescaling the
-    ambient metric by lam^2 divides every coefficient by lam.
+    sum to the dimension of the hypersurface the form lives on.
     """
 
     blocks: tuple[tuple[float, int], ...]
@@ -84,57 +42,6 @@ class BlockDiagonalForm:
         for coef, mult in self.blocks:
             if mult < 1 or int(mult) != mult:
                 raise FormStructureError(f"multiplicity must be a positive integer, got {mult}")
-
-    @property
-    def dim(self) -> int:
-        return sum(m for _, m in self.blocks)
-
-    @property
-    def trace(self) -> float:
-        """Sum of principal curvatures (the mean curvature, unnormalized)."""
-        return sum(c * m for c, m in self.blocks)
-
-    def scaled(self, lam: float) -> "BlockDiagonalForm":
-        return BlockDiagonalForm(tuple((c / lam, m) for c, m in self.blocks))
-
-
-def cap_from_geodesic(r: float, R: float, p: int) -> GeodesicCap:
-    """Cap from ambient radius ``r`` and geodesic radius ``R``.
-
-    Requires 0 < R < pi*r and p >= 2.
-    """
-    if p < 2 or int(p) != p:
-        raise CapDomainError(f"cap dimension must be an integer >= 2, got {p}")
-    if not (r > 0):
-        raise CapDomainError(f"ambient radius must be positive, got {r}")
-    if not (0.0 < R < math.pi * r):
-        raise CapDomainError(f"geodesic radius must lie in (0, pi*r)=(0, {math.pi * r}), got {R}")
-    eps = R / r
-    rho = r * math.sin(eps)
-    return GeodesicCap(r=r, R=R, rho=rho, eps=eps, dim=int(p))
-
-
-def cap_from_angular(eps: float, rho: float, p: int) -> GeodesicCap:
-    """Cap from angular radius ``eps`` and boundary-sphere radius ``rho``.
-
-    Inverse of :func:`cap_from_geodesic`: r = rho/sin(eps), R = eps*rho/sin(eps).
-    """
-    if not (0.0 < eps < math.pi):
-        raise CapDomainError(f"angular radius must lie in (0, pi), got {eps}")
-    if not (rho > 0):
-        raise CapDomainError(f"boundary radius must be positive, got {rho}")
-    r = rho / math.sin(eps)
-    return cap_from_geodesic(r, eps * r, p)
-
-
-def cap_boundary_form(cap: GeodesicCap) -> BlockDiagonalForm:
-    """Second fundamental form of the cap boundary w.r.t. the inward normal.
-
-    A single block: coefficient (1/r) cot(R/r) on the (p-1)-sphere directions.
-    Positive iff eps < pi/2, zero at the hemisphere.
-    """
-    coef = math.cos(cap.eps) / math.sin(cap.eps) / cap.r
-    return BlockDiagonalForm(((coef, cap.dim - 1),))
 
 
 def perelman_form_check(form1: BlockDiagonalForm, form2: BlockDiagonalForm,
@@ -150,12 +57,3 @@ def perelman_form_check(form1: BlockDiagonalForm, form2: BlockDiagonalForm,
         raise FormStructureError(
             f"block structures do not align: {[m for _, m in b1]} vs {[m for _, m in b2]}")
     return all(c1 + c2 >= -tol for (c1, _), (c2, _) in zip(b1, b2))
-
-
-def warped_collar_glue_check(kappa_minus_prime: float, kappa_plus_prime: float,
-                             tol: float = COEFF_TOL) -> bool:
-    """Collar form of the gluing test for warped collars dt^2 + kappa(t) g.
-
-    True iff the incoming collar's warping slope dominates the outgoing one.
-    """
-    return kappa_minus_prime >= kappa_plus_prime - tol

@@ -36,15 +36,17 @@ curve (``build_curve``) and every variant's (A, B) (``ab_terms``) read it.
 The certificate's sample checks read their pieces from here, all on a
 profile already sampled on the check grid: ``neck_margins`` (every variant's
 A - B) and ``interface_forms`` / ``interface_checks`` (the gluing forms at the
-end samples).  ``bulk_patch`` is the one neck-bulk metric, the collar sphere
-warped (``charts.warped_patch``) over ``charts.cylinder_patch``, with the
-oracle's finite-difference step for it; it serves both the bulk
-scalar-curvature samples and ``oracle_boundary_mean_curvature``.
+end samples).  ``z2_mean_curvature`` is the taper's mean curvature through
+the second-fundamental-form oracle.  ``bulk_patch`` is the one neck-bulk
+metric, the collar sphere warped (``charts.warped_patch``) over
+``charts.cylinder_patch``, with the oracle's finite-difference step for it;
+the bulk scalar-curvature samples run on it.  ``z3_mean_curvature`` gives the
+neck boundary's principal curvatures in closed form, for comparison with an
+oracle route on the same chart.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -59,18 +61,15 @@ from .warped import WarpedJet
 
 __all__ = [
     "CurveEmbedding",
-    "MeanCurvatureReport",
     "build_curve",
     "ab_terms",
     "neck_margins",
     "z3_mean_curvature",
-    "z3_mean_curvature_from_pair",
     "z2_mean_curvature",
     "z2_patch",
     "interface_forms",
     "interface_checks",
     "bulk_patch",
-    "oracle_boundary_mean_curvature",
 ]
 
 D_FLOOR = 1e-12
@@ -121,10 +120,6 @@ class CurveEmbedding:
     mask: np.ndarray
     beta: float
     N: float
-
-    @property
-    def bN(self) -> float:
-        return self.beta * self.N
 
 
 def build_curve(pair, beta: float, N: float, grid_n: int = 2048,
@@ -189,72 +184,17 @@ def neck_margins(jet: WarpedJet, beta: float, N: float, p: int, q: int) -> dict:
     return {variant: A - B for variant, (A, B) in ab_terms(jet, beta, N, p, q).items()}
 
 
-@dataclass(frozen=True)
-class MeanCurvatureReport:
-    """Per-grid-point principal curvatures and margins (variant -> A - B) over the neck."""
+def z3_mean_curvature(curve: CurveEmbedding, pair, p: int, q: int) -> tuple:
+    """Principal curvatures of the neck boundary on the curve's samples.
 
-    t: np.ndarray
-    curve_pc: np.ndarray
-    sphere_p_pc: np.ndarray
-    sphere_q_pc: np.ndarray
-    mean_curvature: np.ndarray
-    margins: dict
-    degenerate: np.ndarray
-    tol: float
-
-    def margin_min(self, variant: str) -> float:
-        return float(np.min(self.margins[variant]))
-
-    @property
-    def margin_min_reported(self) -> float:
-        return self.margin_min("reported")
-
-    @property
-    def margin_min_curvature(self) -> float:
-        return self.margin_min("curvature")
-
-    @property
-    def margin_min_unit(self) -> float:
-        return self.margin_min("unit")
-
-    def passed(self, variant: str = "reported") -> bool:
-        return self.margin_min(variant) >= -self.tol
-
-    def sign_consistent(self, atol: float = 1e-9) -> bool:
-        """Mean curvature and the unit-normalized margin agree in sign everywhere."""
-        mc = self.mean_curvature
-        mg = self.margins["unit"]
-        ok = ~((mc > atol) & (mg < -atol)) & ~((mc < -atol) & (mg > atol))
-        return bool(np.all(ok | self.degenerate))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "tol": self.tol,
-            "margin_min": {v: self.margin_min(v) for v in MC_VARIANTS},
-            "mean_curvature_min": float(np.min(self.mean_curvature)),
-            "degenerate_samples": int(np.sum(self.degenerate)),
-            "samples": int(self.t.size),
-        }, sort_keys=True, indent=1)
-
-    def to_csv(self) -> str:
-        from .profiles import csv_text   # profiles imports this module
-        return csv_text({
-            "t": self.t, "curve_pc": self.curve_pc, "sphere_p_pc": self.sphere_p_pc,
-            "sphere_q_pc": self.sphere_q_pc, "mean_curvature": self.mean_curvature,
-            **{f"margin_{v}": self.margins[v] for v in MC_VARIANTS}})
-
-
-def z3_mean_curvature(curve: CurveEmbedding, pair, p: int, q: int,
-                      tol: float = 1e-9) -> MeanCurvatureReport:
-    """Principal curvatures and margins of the neck boundary.
-
+    Returns (curve_pc, sphere_p_pc, sphere_q_pc, mean_curvature, degenerate).
     The three principal-curvature families are evaluated through their
     D-regular forms, so samples on the vertical locus (exact arc pieces with
-    a constant collar radius) contribute zeros rather than 0/0.
+    a constant collar radius) contribute zeros rather than 0/0; ``degenerate``
+    flags the vertical samples that still carry curve or collar data.
     """
-    t = curve.t
-    bN = curve.bN
-    jets = pair.jets(t)
+    bN = curve.beta * curve.N
+    jets = pair.jets(curve.t)
     f1, h, h1 = jets.f1, jets.h, jets.h1
     D, E, _F, cot, bracket = _neck_terms(jets.f, f1, jets.f2, bN)
     mask = curve.mask
@@ -269,17 +209,7 @@ def z3_mean_curvature(curve: CurveEmbedding, pair, p: int, q: int,
     # represented as a graph; flag them instead of inventing values.
     irregular = (~mask) & ((np.abs(bracket) > 1e-9) | (np.abs(h1) * np.abs(f1) > 1e-9))
     mc = curve_pc + (p - 1) * sphere_p + (q - 1) * sphere_q
-
-    return MeanCurvatureReport(
-        t=t, curve_pc=curve_pc, sphere_p_pc=sphere_p, sphere_q_pc=sphere_q,
-        mean_curvature=mc, margins=neck_margins(jets, curve.beta, curve.N, p, q),
-        degenerate=irregular, tol=tol)
-
-
-def z3_mean_curvature_from_pair(pair, p: int, q: int, tol: float = 1e-9,
-                                grid_n: int = 2048) -> MeanCurvatureReport:
-    curve = build_curve(pair, pair.right.beta, pair.right.N, grid_n=grid_n)
-    return z3_mean_curvature(curve, pair, p, q, tol=tol)
+    return curve_pc, sphere_p, sphere_q, mc, irregular
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +323,7 @@ def z2_mean_curvature(eps_profile, k: Callable, r: float, p: int, q: int,
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle route for the neck boundary
+# The neck bulk chart
 # ---------------------------------------------------------------------------
 
 
@@ -421,43 +351,3 @@ def bulk_patch(pair, p: int, q: int, d_min: float) -> tuple:
     domain = ((tt[0], tt[-1]), (1e-6 * bN, (math.pi - POLE_MARGIN) * bN)) + patch.domain[2:]
     step = np.concatenate([[1e-4 * bN, 1e-4 * bN], np.full(patch.dim - 2, 1e-3)])
     return replace(patch, domain=domain), curve, keep, step
-
-
-def oracle_boundary_mean_curvature(pair, p: int, q: int, n_points: int = 7,
-                                   d_min: float = 0.02):
-    """Mean curvature of the neck boundary via the generic oracle.
-
-    Runs the finite-difference second-fundamental-form computation on the
-    :func:`bulk_patch` at sample points where the graph description is well
-    conditioned (D >= d_min), with the chart's own step; the vertical end
-    regions cannot be differenced and are excluded.
-
-    Returns (t_samples, oracle_mc, closed_form_mc).
-    """
-    patch, curve, keep, step = bulk_patch(pair, p, q, d_min)
-    th = curve.t[keep]
-    tth = curve.t_tilde[keep]
-    idx = np.unique(np.linspace(0, th.size - 1, n_points).astype(int))
-    F_of_tt = CubicHermiteSpline(tth, curve.F[keep], curve.F1[keep])
-
-    def height(xs):
-        xs = np.asarray(xs, dtype=float)
-        return F_of_tt(xs[..., 0])
-
-    hyper = GraphHypersurface(axis=1, height=height, normal_sign=-1)
-    angles = np.full(patch.dim - 2, math.pi / 2 + 0.1)
-
-    mc_closed = z3_mean_curvature(curve, pair, p, q).mean_curvature[keep]
-
-    t_out, mc_oracle, mc_cf = [], [], []
-    margin = 4.0 * step[0]
-    for i in idx:
-        tt0 = tth[i]
-        if not (tth[0] + margin < tt0 < tth[-1] - margin):
-            continue
-        base = np.concatenate([[tt0], angles])
-        rep = numeric_second_fundamental_form(patch, hyper, base, step=step)
-        t_out.append(th[i])
-        mc_oracle.append(rep.mean_curvature)
-        mc_cf.append(float(mc_closed[i]))
-    return np.asarray(t_out), np.asarray(mc_oracle), np.asarray(mc_cf)

@@ -2,8 +2,8 @@
 
 Exact integer/rational arithmetic throughout: the intersection matrix and its
 Bareiss determinant, the Arf invariant by peeling leaf pairs off the tree in
-O(m), boundary clutching words, fixed-point ledgers of pairwise-distinct end
-invariants, and spin-index differences of glued pairs (a library function only).
+O(m), boundary clutching words, and fixed-point ledgers of pairwise-distinct
+end invariants.
 """
 
 from __future__ import annotations
@@ -22,10 +22,7 @@ __all__ = [
     "boundary_sphere_test",
     "arf_invariant",
     "clutching_word",
-    "MilnorPairInput",
-    "milnor_ahat_difference",
     "eta_local_contribution",
-    "eta_rp",
     "EtaLedger",
     "EtaLedgerResult",
     "eta_ledger",
@@ -311,41 +308,6 @@ def render_word(tokens) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Spin-index difference of glued pairs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MilnorPairInput:
-    """Clutching data of two 2-vertex plumbings glued along their boundary.
-
-    s, t index the relevant homotopy groups (p = 4s, q = 4t); ps1/pt1 and
-    ps2/pt2 are the integer values of the two characteristic-class
-    homomorphisms on the respective clutching elements.
-    """
-
-    s: int
-    t: int
-    ps1: int
-    pt1: int
-    ps2: int
-    pt2: int
-
-    def __post_init__(self):
-        if not (1 <= self.s <= self.t < 2 * self.s):
-            raise ValueError(
-                f"need 1 <= s <= t < 2s (the homomorphisms vanish otherwise); "
-                f"got s={self.s}, t={self.t}")
-
-
-def milnor_ahat_difference(inp: MilnorPairInput) -> int:
-    """Spin-index difference of the glued double, in units of the dimension
-    constant: ps1*pt1 - ps2*pt2.  Nonzero values certify that the two glued
-    structures lie in different positive-scalar-curvature components."""
-    return inp.ps1 * inp.pt1 - inp.ps2 * inp.pt2
-
-
-# ---------------------------------------------------------------------------
 # Fixed-point ledgers
 # ---------------------------------------------------------------------------
 
@@ -355,12 +317,6 @@ def eta_local_contribution(n: int) -> Fraction:
     if n < 1:
         raise ValueError("need n >= 1")
     return Fraction(1, 2 ** n)
-
-
-def eta_rp(n: int) -> Fraction:
-    """End invariant of the twisted operator on the odd projective quotient
-    under positive scalar curvature: exactly -2^(1-n)."""
-    return -2 * eta_local_contribution(n)
 
 
 def fixed_point_count(m_bundles: int, convention: str = "reported") -> int:
@@ -387,7 +343,8 @@ class EtaLedger:
     """Exact fixed-point ledger for a family of chain plumbings.
 
     ``k`` fixes the boundary dimension 4k+1 (so n = 2k+1); ``lengths``
-    indexes the family; ``fixed_point_counts`` maps each length to its
+    indexes the family, at least two members, since the ledger certifies
+    that they differ; ``fixed_point_counts`` maps each length to its
     isolated fixed-point count.  ``manifold_constant`` names the symbolic
     ambient offset shared by every member (it cancels in differences).
     """
@@ -400,6 +357,9 @@ class EtaLedger:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need k >= 1")
+        if len(self.lengths) < 2:
+            raise ValueError(f"a distinctness ledger needs at least two lengths, "
+                             f"got {len(self.lengths)}")
         counts = [self.fixed_point_counts[l] for l in self.lengths]
         if sorted(self.lengths) != list(self.lengths):
             raise ValueError("lengths must be increasing")

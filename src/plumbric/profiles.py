@@ -62,7 +62,6 @@ __all__ = [
     "InfeasibleProfileError",
     "BoundaryConditionError",
     "WarpOde",
-    "integrate_h0",
     "integrate_fC",
     "LeftParams",
     "RightParams",
@@ -75,8 +74,6 @@ __all__ = [
     "PROFILE_COLUMNS",
     "CSV_BLOCK_ROWS",
     "csv_blocks",
-    "csv_text",
-    "jets_csv",
     "BcReport",
     "check_bc",
     "ProfileMeasurement",
@@ -162,11 +159,12 @@ class WarpOde:
         return self.C * np.exp(-self.h0(t) ** 2) * self.fc(t)
 
 
-def _integrate(lam: float, C: float, t_end: float, rtol: float = 1e-10) -> WarpOde:
+def integrate_fC(C: float, lam: float, t_end: float, rtol: float = 1e-10) -> WarpOde:
+    """Solve fC'' = C exp(-h0^2) fC jointly with h0' = exp(-h0^2/2)."""
+    if not (0.0 < C < 1.0):
+        raise ProfileError(f"curvature parameter must lie in (0, 1), got {C}")
     if not (0.0 < lam < 0.5):
         raise ProfileError(f"slope parameter must lie in (0, 1/2), got {lam}")
-    if not (0.0 <= C < 1.0):
-        raise ProfileError(f"curvature parameter must lie in [0, 1), got {C}")
     if not (t_end > A3):
         raise ProfileError(f"integration horizon must exceed {A3}, got {t_end}")
     h0_init = math.sqrt(-2.0 * math.log(lam))
@@ -180,22 +178,7 @@ def _integrate(lam: float, C: float, t_end: float, rtol: float = 1e-10) -> WarpO
                     rtol=rtol, atol=1e-13, dense_output=True)
     if not sol.success:
         raise ProfileError(f"profile ODE integration failed: {sol.message}")
-    return WarpOde(lam=lam, C=C, t_end=t_end, _sol=sol.sol)
-
-
-def integrate_h0(lam: float, t_end: float, rtol: float = 1e-10) -> WarpOde:
-    """Solve h0' = exp(-h0^2/2) with h0(a3) = sqrt(-2 ln lam)."""
-    ode = _integrate(lam, 0.0, t_end, rtol)
-    assert abs(float(ode.h0(A3)) - math.sqrt(-2 * math.log(lam))) < 1e-12
-    assert abs(float(ode.h0_d1(A3)) - lam) < 1e-10
-    return ode
-
-
-def integrate_fC(C: float, lam: float, t_end: float, rtol: float = 1e-10) -> WarpOde:
-    """Solve fC'' = C exp(-h0^2) fC jointly with the h0 equation."""
-    if not (0.0 < C < 1.0):
-        raise ProfileError(f"curvature parameter must lie in (0, 1), got {C}")
-    ode = _integrate(C=C, lam=lam, t_end=t_end, rtol=rtol)
+    ode = WarpOde(lam=lam, C=C, t_end=t_end, _sol=sol.sol)
     assert abs(float(ode.fc(A3)) - 1.0) < 1e-12
     assert abs(float(ode.fc_d1(A3))) < 1e-12
     return ode
@@ -592,7 +575,10 @@ class ProfilePair:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, n: int = 2048) -> str:
-        return jets_csv(self.jets(self.grid(n)))
+        """Profile CSV on the n-point grid: columns t, f, f1, f2, h, h1, h2."""
+        jets = self.jets(self.grid(n))
+        columns = {name: getattr(jets, name) for name in PROFILE_COLUMNS}
+        return "".join(text for (text,) in csv_blocks(columns, PROFILE_COLUMNS))
 
     def params_json(self) -> str:
         doc = {
@@ -635,16 +621,6 @@ def csv_blocks(columns: dict, *tables):
         text = {name: _format_column(a[lo:lo + CSV_BLOCK_ROWS]) for name, a in arrays.items()}
         yield tuple("\n".join(map(",".join, zip(*(text[name] for name in table)))) + "\n"
                     for table in tables)
-
-
-def csv_text(columns: dict) -> str:
-    """One CSV table of all ``columns``, in their order, as a string."""
-    return "".join(text for (text,) in csv_blocks(columns, tuple(columns)))
-
-
-def jets_csv(jets: WarpedJet) -> str:
-    """Profile CSV: one row per sample, columns t, f, f1, f2, h, h1, h2."""
-    return csv_text({name: getattr(jets, name) for name in PROFILE_COLUMNS})
 
 
 def assemble_profile(left_params: LeftParams, right_params: RightParams,
@@ -791,14 +767,6 @@ class SearchResult:
     bc: BcReport
     checks: list   # sample_verdict's four records, judged with the search's tolerance
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def ricci_min(self) -> float:
-        return self.measurement.ricci_min
-
-    @property
-    def margin_min_reported(self) -> float:
-        return self.measurement.margin_min("reported")
 
 
 def search_parameters(p: int, q: int, R_over_N: float, lam: float,

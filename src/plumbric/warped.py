@@ -1,4 +1,4 @@
-"""Closed-form Ricci and scalar curvature of doubly warped product metrics.
+"""Closed-form Ricci curvature of doubly warped product metrics.
 
 The metric is ``dt^2 + h(t)^2 ds_{q-1}^2 + f(t)^2 ds_{p-1}^2`` on an interval
 times S^{q-1} x S^{p-1}.  The Ricci endomorphism is diagonal in the frame
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WarpedJet", "doubly_warped_ricci", "doubly_warped_scalar"]
+__all__ = ["WarpedJet", "doubly_warped_ricci"]
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,3 @@ def doubly_warped_ricci(jet: WarpedJet, p: int, q: int):
     ric_h = -h2 / h + (q - 2) * (1.0 - h1 ** 2) / h ** 2 - (p - 1) * mixed
     ric_f = -f2 / f + (p - 2) * (1.0 - f1 ** 2) / f ** 2 - (q - 1) * mixed
     return ric_t, ric_h, ric_f
-
-
-def doubly_warped_scalar(jet: WarpedJet, p: int, q: int):
-    """Scalar curvature: the trace of the Ricci endomorphism.
-
-    One t-direction, q-1 equal S^{q-1} eigenvalues, p-1 equal S^{p-1}
-    eigenvalues.
-    """
-    ric_t, ric_h, ric_f = doubly_warped_ricci(jet, p, q)
-    return ric_t + (q - 1) * ric_h + (p - 1) * ric_f

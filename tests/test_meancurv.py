@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from csv_reference import first_difference, savetxt_csv
+from charts_reference import oracle_boundary_mean_curvature
 from plumbric.caps import BlockDiagonalForm, perelman_form_check
-from plumbric.meancurv import (CurveDomainError, ab_terms, build_curve,
-                               interface_checks, interface_forms,
-                               oracle_boundary_mean_curvature, z2_mean_curvature,
-                               z3_mean_curvature_from_pair)
+from plumbric.meancurv import (MC_VARIANTS, CurveDomainError, ab_terms, build_curve,
+                               interface_checks, interface_forms, neck_margins,
+                               z2_mean_curvature, z3_mean_curvature)
 from plumbric.profiles import EpsilonProfile, search_parameters
 from plumbric.warped import WarpedJet
 
@@ -182,46 +181,35 @@ class TestAbTerms:
 
 class TestZ3:
     def test_accepted_profile_margins(self, found44):
-        rep = z3_mean_curvature_from_pair(found44.pair, 4, 4)
-        assert rep.margin_min_reported >= -1e-9
-        assert rep.margin_min_curvature >= -1e-9
-        assert rep.margin_min_unit >= -1e-9
-        assert rep.passed("reported")
+        for variant in MC_VARIANTS:
+            assert found44.measurement.margin_min(variant) >= -1e-9
 
     def test_curve_term_sign_on_concave_piece(self, found44):
         pair = found44.pair
-        rep = z3_mean_curvature_from_pair(pair, 4, 4)
-        right = rep.t > pair.t1
-        # concave fiber profile: curve principal curvature нонnegative wherever
+        curve = build_curve(pair, pair.right.beta, pair.right.N)
+        curve_pc = z3_mean_curvature(curve, pair, 4, 4)[0]
+        right = curve.t > pair.t1
+        # concave fiber profile: curve principal curvature nonnegative wherever
         # the curve bracket is nonpositive
-        f = pair.f(rep.t[right])
-        f1 = pair.f1(rep.t[right])
-        f2 = pair.f2(rep.t[right])
+        f = pair.f(curve.t[right])
+        f1 = pair.f1(curve.t[right])
+        f2 = pair.f2(curve.t[right])
         bN = pair.right.bN
         bracket = f2 * (1 - (f / bN) ** 2) + f1 ** 2 * f / bN ** 2
-        cpc = rep.curve_pc[right]
+        cpc = curve_pc[right]
         neg_bracket = bracket <= 0
         assert np.all(cpc[neg_bracket] >= -1e-15)
 
     def test_sign_consistency(self, found44):
-        rep = z3_mean_curvature_from_pair(found44.pair, 4, 4)
-        assert rep.sign_consistent(atol=1e-7)
-
-    def test_report_serialization(self, found44):
-        rep = z3_mean_curvature_from_pair(found44.pair, 4, 4, grid_n=256)
-        assert "margin_min" in rep.to_json()
-        lines = rep.to_csv().splitlines()
-        assert lines[0].startswith("t,curve_pc")
-        assert len(lines) >= 256
-
-    def test_report_csv_matches_savetxt(self, found44):
-        rep = z3_mean_curvature_from_pair(found44.pair, 4, 4, grid_n=5000)
-        ref = savetxt_csv(
-            "t,curve_pc,sphere_p_pc,sphere_q_pc,mean_curvature,"
-            "margin_reported,margin_curvature,margin_unit",
-            [rep.t, rep.curve_pc, rep.sphere_p_pc, rep.sphere_q_pc, rep.mean_curvature,
-             rep.margins["reported"], rep.margins["curvature"], rep.margins["unit"]])
-        assert first_difference(rep.to_csv(), ref) is None
+        # the unit-normalized margin is (mean curvature) E sqrt(D): the two
+        # agree in sign on every sample with a graph description
+        pair = found44.pair
+        curve = build_curve(pair, pair.right.beta, pair.right.N)
+        *_pcs, mc, degenerate = z3_mean_curvature(curve, pair, 4, 4)
+        mg = neck_margins(pair.jets(curve.t), pair.right.beta, pair.right.N, 4, 4)["unit"]
+        atol = 1e-7
+        ok = ~((mc > atol) & (mg < -atol)) & ~((mc < -atol) & (mg > atol))
+        assert np.all(ok | degenerate)
 
     def test_oracle_cross_check(self, found44):
         ts, mco, mcc = oracle_boundary_mean_curvature(found44.pair, 4, 4, n_points=4)

@@ -565,6 +565,16 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["distinct"]
 
+    def test_ledger_of_fewer_than_two_lengths_fails(self, tmp_path):
+        for lmax in ("-3", "0", "1"):
+            with pytest.raises(ValueError, match="at least two lengths"):
+                cli_main(["eta", "--k", "1", "--lmax", lmax])
+        # total dimension 6, so topo builds an eta ledger of lengths 1..lmax
+        tree_file = tmp_path / "t8.json"
+        tree_file.write_text(tangent_chain(8, 3, equivariant=True).to_json())
+        with pytest.raises(ValueError, match="got 1"):
+            cli_main(["topo", "--tree", str(tree_file), "--lmax", "1"])
+
 
 class TestCertificateInvariants:
     def test_construction_deterministic_up_to_timing(self):

@@ -1,6 +1,5 @@
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,28 +7,28 @@ import pytest
 from csv_reference import first_difference, savetxt_csv
 from plumbric.pipeline import NiceCoordinateSpec, run_construction
 from plumbric.plumbing import PlumbingTree, PlumbingVertex
-from plumbric.profiles import (A3, CSV_BLOCK_ROWS, BoundaryConditionError,
+from plumbric.profiles import (A3, CSV_BLOCK_ROWS, PROFILE_COLUMNS, BoundaryConditionError,
                                EpsilonProfile, InfeasibleProfileError, LeftParams,
                                ProfileError, build_left_profile, check_bc, csv_blocks,
-                               csv_text, integrate_fC, integrate_h0, jets_csv,
-                               search_parameters, solve_runout)
+                               integrate_fC, search_parameters, solve_runout)
 
 RNG = np.random.default_rng(7)
 
 
 class TestOdes:
+    # h0 does not depend on C; these read it off the joint solve at C = 0.5
     def test_h0_initial_data(self):
         for lam in (0.1, 0.2, 0.35):
-            ode = integrate_h0(lam, 20.0)
+            ode = integrate_fC(0.5, lam, 20.0)
             assert float(ode.h0(A3)) == pytest.approx(math.sqrt(-2 * math.log(lam)), abs=1e-12)
             assert float(ode.h0_d1(A3)) == pytest.approx(lam, abs=1e-10)
             assert float(ode.h0_d2(A3)) == pytest.approx(
                 -lam ** 2 * math.sqrt(-2 * math.log(lam)), rel=1e-8)
 
     def test_h0_value_example(self):
-        ode = integrate_h0(0.1, 5.0)
+        ode = integrate_fC(0.5, 0.1, 5.0)
         assert float(ode.h0(A3)) == pytest.approx(2.1459660262893476, abs=1e-10)
-        ode2 = integrate_h0(0.2, 5.0)
+        ode2 = integrate_fC(0.5, 0.2, 5.0)
         assert float(ode2.h0_d2(A3)) == pytest.approx(-0.0717649, abs=5e-7)
 
     def test_fc_initial_data(self):
@@ -155,8 +154,8 @@ class TestSearch:
 
     def test_found_profile_has_all_properties(self):
         res = search_parameters(4, 4, math.pi / 4, 0.1)
-        assert res.ricci_min > 0
-        assert res.margin_min_reported >= -1e-9
+        assert res.measurement.ricci_min > 0
+        assert res.measurement.margin_min("reported") >= -1e-9
         assert res.bc.passed
         pair = res.pair
         t = pair.grid(512)
@@ -205,6 +204,11 @@ def table_csv(columns: dict) -> str:
     return savetxt_csv(",".join(columns), list(columns.values()))
 
 
+def csv_text(columns: dict) -> str:
+    """One CSV table of all ``columns``, in their order."""
+    return "".join(text for (text,) in csv_blocks(columns, tuple(columns)))
+
+
 SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308,
                     -1e308, 1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1 / 3])
 ROW_COUNTS = [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
@@ -226,9 +230,8 @@ def sample_columns(n: int, names) -> dict:
 class TestCsvWriter:
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_profile_csv_matches_savetxt(self, n):
-        cols = sample_columns(n, ("t", "f", "f1", "f2", "h", "h1", "h2"))
-        # a namespace, not a WarpedJet: the special values include f, h <= 0
-        assert first_difference(jets_csv(SimpleNamespace(**cols)), table_csv(cols)) is None
+        cols = sample_columns(n, PROFILE_COLUMNS)
+        assert first_difference(csv_text(cols), table_csv(cols)) is None
 
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_shared_columns_stream_two_tables(self, n):
@@ -316,6 +319,6 @@ class TestRegressionFixture:
             assert res.right.t1 == pytest.approx(rec["right"]["t1"], rel=1e-12)
             assert res.right.b3 == pytest.approx(rec["right"]["b3"], rel=1e-9)
             assert res.right.beta == pytest.approx(rec["right"]["beta"], rel=1e-12)
-            assert res.ricci_min == pytest.approx(rec["ricci_min"], rel=1e-3)
-            assert res.margin_min_reported == pytest.approx(
+            assert res.measurement.ricci_min == pytest.approx(rec["ricci_min"], rel=1e-3)
+            assert res.measurement.margin_min("reported") == pytest.approx(
                 rec["margin_min_reported"], rel=1e-3)

@@ -1,0 +1,99 @@
+"""Every ``src/plumbric`` function is run by a command, or is listed here.
+
+The test runs the five commands through ``cli.main`` and records, with
+``sys.setprofile``, the code objects they enter: ``construct``, ``verify`` and
+``report`` on a 1-chain of dimension 3 and a 3-chain of dimension 5 at grid
+256, ``topo`` on equivariant chains of 8, 9 and 16 vertices, and ``eta`` with
+k = 1 and 2.  The functions and methods defined in the package that none of
+them enters must be exactly :data:`NEVER_ENTERED`.  A route that no command
+runs fails this test until it is wired in, deleted, or listed with its
+reason.
+"""
+
+import importlib
+import inspect
+import json
+import pathlib
+import pkgutil
+import sys
+
+import plumbric
+from plumbric.cli import main as cli_main
+from plumbric.plumbing import tangent_chain
+
+PACKAGE_DIR = str(pathlib.Path(plumbric.__file__).parent)
+
+NEVER_ENTERED = {
+    "pipeline._bad_profile_row": "error path: names the CSV row that fails to parse",
+    "profiles.BoundaryConditionError.__init__": "error path: a clause fails at build time",
+    "profiles.InfeasibleProfileError.__init__": "error path: no candidate is accepted",
+    "meancurv.z3_mean_curvature": "named by the benchmark's per-layer spans",
+    "profiles.ProfilePair.to_csv": "named by the benchmark's per-layer spans",
+}
+
+
+def _package_functions():
+    """{code object: "module.qualname"} of every function and method defined
+    in a ``src/plumbric`` file, with the cached functions' caches cleared so
+    that a command run enters them afresh."""
+    found = {}
+
+    def add(fn):
+        fn = getattr(fn, "__wrapped__", fn)
+        code = getattr(fn, "__code__", None)
+        if code is not None and code.co_filename.startswith(PACKAGE_DIR):
+            found[code] = f"{fn.__module__.removeprefix('plumbric.')}.{fn.__qualname__}"
+
+    for info in pkgutil.iter_modules(plumbric.__path__):
+        module = importlib.import_module(f"plumbric.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+            if inspect.isclass(obj):
+                for member in vars(obj).values():
+                    if isinstance(member, property):
+                        member = member.fget
+                    add(getattr(member, "__func__", member))
+            else:
+                add(obj)
+    return found
+
+
+def _run_commands(tmp_path):
+    trees = {}
+    for name, tree in (("c1d3", tangent_chain(1, 3)), ("c3d5", tangent_chain(3, 5)),
+                       *((f"eq{m}", tangent_chain(m, 3, equivariant=True))
+                         for m in (8, 9, 16))):
+        trees[name] = tmp_path / f"{name}.json"
+        trees[name].write_text(tree.to_json())
+    for name in ("c1d3", "c3d5"):
+        out = tmp_path / name
+        assert cli_main(["construct", "--tree", str(trees[name]), "--grid", "256",
+                         "--out", str(out)]) == 0
+        for params in sorted((out / "profiles").glob("step_*.params.json")):
+            profile = params.with_name(params.name.replace(".params.json", ".csv"))
+            assert cli_main(["verify", "--profiles", str(profile),
+                             "--params", str(params)]) == 0
+        assert cli_main(["report", "--certificate", str(out / "certificate.json")]) == 0
+    for m in (8, 9, 16):
+        assert cli_main(["topo", "--tree", str(trees[f"eq{m}"])]) == 0
+    for k in ("1", "2"):
+        assert cli_main(["eta", "--k", k]) == 0
+
+
+def test_every_unreached_function_is_listed(tmp_path):
+    functions = _package_functions()
+    entered = set()
+
+    def record(frame, event, _arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        _run_commands(tmp_path)
+    finally:
+        sys.setprofile(previous)
+    never = sorted(name for code, name in functions.items() if code not in entered)
+    assert never == sorted(NEVER_ENTERED), json.dumps(never, indent=1)
