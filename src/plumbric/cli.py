@@ -137,8 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Exit code 0: the command passed; 1: it ran and its
+    certificate, report or ledger failed; 2: the input was rejected (a bad
+    flag, an unreadable file, or a named error of the package, all of which
+    are ``ValueError``s)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"plumbric {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,10 @@ inputs it reads:
   enters only its last record, ``collar_ball_bound``.  A repeated vertex
   copies the first occurrence's records and artifacts and recomputes only
   its own ``collar_ball_bound``;
-* the warp ODE, on (C, lambda), shared by the searches of all steps;
+* the warp ODE, on (C, lambda), shared by the searches of all steps.  It
+  steps on demand, so a search that accepts the first join point leaves
+  the solver short of the search horizon, and a later search that reads
+  further continues the same solver;
 * the taper oracle, on (p, q, lambda, r, eps_b2).
 
 These memos belong to the call: they are made when ``run_construction``
@@ -35,12 +38,12 @@ starts and dropped when it returns, so nothing is cached across calls.
 from __future__ import annotations
 
 import copy
-import io
 import json
 import math
 import pathlib
 import shutil
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,23 +393,32 @@ def _copy_step_artifacts(out_dir, src: int, dst: int):
 # ---------------------------------------------------------------------------
 
 
-def _parse_profile_csv(text: str):
+def _parse_profile_csv(path):
     """Columns of a profile CSV; a body that is not a numeric table of the
-    profile's columns raises a ``SpecError`` naming its first bad row."""
-    header, _, body = text.lstrip().partition("\n")
-    header = header.strip().split(",")
+    profile's columns raises a ``SpecError`` naming its first bad row.
+
+    The body is parsed from the open file, so the text is never held whole;
+    only the error path reads it back."""
     expected = list(PROFILE_COLUMNS)
-    if header != expected:
-        raise SpecError(f"profile CSV columns must be {expected}, got {header}")
+    with open(path) as fh:
+        header = next((line for line in iter(fh.readline, "") if line.strip()), "")
+        header = header.strip().split(",")
+        if header != expected:
+            raise SpecError(f"profile CSV columns must be {expected}, got {header}")
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below, not as loadtxt's warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            data = None
+        if data is not None and data.shape[0] and data.shape[1] == len(expected):
+            return {name: data[:, k] for k, name in enumerate(expected)}
+        fh.seek(0)
+        body = fh.read().lstrip().partition("\n")[2]
     if not body.strip():
         raise SpecError("profile CSV has a header but no rows")
-    try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != len(expected):
-        raise _bad_profile_row(body, len(expected))
-    return {name: data[:, k] for k, name in enumerate(expected)}
+    raise _bad_profile_row(body, len(expected))
 
 
 def _bad_profile_row(body: str, ncol: int) -> SpecError:
@@ -461,7 +473,7 @@ def verify(profile_path, params_path, config: dict | None = None) -> Constructio
     The dimensions p and q come from the parameter file; a file without them,
     or of another schema than ``PARAMS_SCHEMA``, is rejected.
     """
-    samples = _parse_profile_csv(pathlib.Path(profile_path).read_text())
+    samples = _parse_profile_csv(profile_path)
     params = json.loads(pathlib.Path(params_path).read_text())
     if params.get("schema") != PARAMS_SCHEMA:
         raise SpecError(f"parameter file schema {params.get('schema')!r} is not "

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, OdeSolution
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
@@ -125,22 +125,53 @@ class InfeasibleProfileError(ProfileError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WarpOde:
-    """Dense solutions of the warping ODEs for one (lam, C) pair.
+    """Dense solution of the warping ODEs for one (lam, C) pair, stepped on demand.
 
-    Exposes vectorized jet evaluations; first/second derivatives use the
-    defining relations, so self-consistency checks must difference the dense
-    values instead.
+    One RK45 solver runs from a3 towards ``t_end`` and is advanced only when
+    an evaluation asks for a t past its last accepted step.  Values come from
+    the continuous extension of the steps taken so far, which a later step
+    does not change, so every value equals the one a solve to ``t_end``
+    gives.  Exposes vectorized jet evaluations; first/second derivatives use
+    the defining relations, so self-consistency checks must difference the
+    dense values instead.
     """
 
-    lam: float
-    C: float
-    t_end: float
-    _sol: object
+    def __init__(self, lam: float, C: float, t_end: float, solver: RK45):
+        self.lam = lam
+        self.C = C
+        self.t_end = t_end
+        self._solver = solver
+        self._ts = [solver.t]
+        self._interpolants = []
+        self._sol = None
+
+    @property
+    def t_covered(self) -> float:
+        """The end of the accepted steps: values up to it need no more steps."""
+        return self._ts[-1]
+
+    def _advance(self, t: float):
+        """Step the solver until its accepted steps reach t or t_end (at
+        least one step, so that there is an interpolant)."""
+        solver = self._solver
+        while (self.t_covered < t or not self._interpolants) and solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise ProfileError(f"profile ODE integration failed: {message}")
+            self._ts.append(solver.t)
+            self._interpolants.append(solver.dense_output())
+            self._sol = None
+
+    def _y(self, t, k: int):
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        self._advance(np.max(ts))
+        if self._sol is None:
+            self._sol = OdeSolution(self._ts, self._interpolants)
+        return self._sol(ts)[k].reshape(np.shape(t))
 
     def h0(self, t):
-        return self._sol(np.atleast_1d(np.asarray(t, dtype=float)))[0].reshape(np.shape(t))
+        return self._y(t, 0)
 
     def h0_d1(self, t):
         return np.exp(-0.5 * self.h0(t) ** 2)
@@ -150,17 +181,21 @@ class WarpOde:
         return -h * np.exp(-h ** 2)
 
     def fc(self, t):
-        return self._sol(np.atleast_1d(np.asarray(t, dtype=float)))[1].reshape(np.shape(t))
+        return self._y(t, 1)
 
     def fc_d1(self, t):
-        return self._sol(np.atleast_1d(np.asarray(t, dtype=float)))[2].reshape(np.shape(t))
+        return self._y(t, 2)
 
     def fc_d2(self, t):
         return self.C * np.exp(-self.h0(t) ** 2) * self.fc(t)
 
 
 def integrate_fC(C: float, lam: float, t_end: float, rtol: float = 1e-10) -> WarpOde:
-    """Solve fC'' = C exp(-h0^2) fC jointly with h0' = exp(-h0^2/2)."""
+    """Solve fC'' = C exp(-h0^2) fC jointly with h0' = exp(-h0^2/2) on [a3, t_end].
+
+    The solver takes its first step here and the rest as evaluations need
+    them; ``t_end`` bounds every step, as the end of a full solve does.
+    """
     if not (0.0 < C < 1.0):
         raise ProfileError(f"curvature parameter must lie in (0, 1), got {C}")
     if not (0.0 < lam < 0.5):
@@ -174,11 +209,8 @@ def integrate_fC(C: float, lam: float, t_end: float, rtol: float = 1e-10) -> War
         e = math.exp(-0.5 * h0 * h0)
         return [e, fc1, C * e * e * fc]
 
-    sol = solve_ivp(rhs, (A3, t_end), [h0_init, 1.0, 0.0], method="RK45",
-                    rtol=rtol, atol=1e-13, dense_output=True)
-    if not sol.success:
-        raise ProfileError(f"profile ODE integration failed: {sol.message}")
-    ode = WarpOde(lam=lam, C=C, t_end=t_end, _sol=sol.sol)
+    solver = RK45(rhs, float(A3), [h0_init, 1.0, 0.0], float(t_end), rtol=rtol, atol=1e-13)
+    ode = WarpOde(lam=lam, C=C, t_end=t_end, solver=solver)
     assert abs(float(ode.fc(A3)) - 1.0) < 1e-12
     assert abs(float(ode.fc_d1(A3))) < 1e-12
     return ode

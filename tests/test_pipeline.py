@@ -3,6 +3,8 @@ import io
 import json
 import math
 import pathlib
+import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,7 +17,7 @@ from plumbric.cli import main as cli_main
 from plumbric.pipeline import (DEFAULT_CONFIG, EPSILON_I, NiceCoordinateSpec, SpecError,
                                certificate_json, run_construction, topo_report,
                                verify, verify_samples)
-from plumbric.plumbing import PlumbingTree, PlumbingVertex, tangent_chain
+from plumbric.plumbing import EtaLedger, PlumbingTree, PlumbingVertex, eta_ledger, tangent_chain
 from plumbric.profiles import (CSV_BLOCK_ROWS, MC_VARIANT, BoundaryConditionError,
                                ProfileError)
 
@@ -196,14 +198,39 @@ class TestVerifyFailsClosed:
         ("0,1,2,3,4,5,6\n0,1,2,3,4,5\n", "row 2 has 6 fields, not 7"),
         ("0,1,2,3,4,5,6\n0,1,2,x,4,5,6\n", "row 2 is not numeric"),
         ("0,1,2,3,4,5\n0,1,2,3,4,5\n", "row 1 has 6 fields, not 7"),
-    ], ids=["header_only", "ragged_row", "non_numeric", "six_columns"])
+        ("\n  \n\t\n", "no rows"),
+        ("\n\n", "no rows"),
+    ], ids=["header_only", "ragged_row", "non_numeric", "six_columns", "whitespace_body",
+            "blank_lines"])
     def test_malformed_profile_body_rejected(self, single_run, tmp_path, body, match):
         out, _ = single_run
         prof = tmp_path / "step_0.csv"
         prof.write_text("t,f,f1,f2,h,h1,h2\n" + body)
-        with pytest.raises(SpecError, match=match) as info:
-            verify(prof, out / "profiles" / "step_0.params.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match=match) as info:
+                verify(prof, out / "profiles" / "step_0.params.json")
         assert type(info.value) is SpecError
+
+    def test_parse_holds_no_copy_of_the_text(self, tmp_path):
+        # a genuine 32 768-row profile (3.4 MB of text, 1.8 MB of columns):
+        # the parse's traced peak stays under twice its arrays
+        tree = PlumbingTree(
+            vertices=(PlumbingVertex(base_dim=3, rank=3, euler=2, char_label="v"),),
+            edges=())
+        spec = NiceCoordinateSpec(p=3, q=3, R=math.pi / 4, N=1.0, kappa=0.5)
+        assert run_construction(tree, spec, config={"grid": 32768}, out_dir=tmp_path).passed
+        path = tmp_path / "profiles" / "step_0.csv"
+        tracemalloc.start()
+        try:
+            samples = pipeline._parse_profile_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples["t"].size == 32768
+        assert path.stat().st_size > 3_000_000
+        nbytes = sum(col.nbytes for col in samples.values())
+        assert peak < 2 * nbytes, (peak, nbytes)
 
 
 class TestStreamedArtifacts:
@@ -530,6 +557,15 @@ class TestTopo:
         assert digest == gold["sha256"]
 
 
+def _one_error_line(capsys, command, match):
+    """Whether stderr holds exactly one ``plumbric <command>: error:`` line
+    containing ``match``, and stdout nothing."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    return (captured.out == "" and len(lines) == 1
+            and lines[0].startswith(f"plumbric {command}: error: ") and match in lines[0])
+
+
 class TestCli:
     def test_full_cycle(self, tmp_path, capsys):
         tree_file = tmp_path / "tree.json"
@@ -565,15 +601,40 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["distinct"]
 
-    def test_ledger_of_fewer_than_two_lengths_fails(self, tmp_path):
+    def test_ledger_of_fewer_than_two_lengths_fails(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="at least two lengths"):
+            eta_ledger(EtaLedger(k=1, lengths=(1,), fixed_point_counts={1: 8}))
         for lmax in ("-3", "0", "1"):
-            with pytest.raises(ValueError, match="at least two lengths"):
-                cli_main(["eta", "--k", "1", "--lmax", lmax])
+            assert cli_main(["eta", "--k", "1", "--lmax", lmax]) == 2
+            assert _one_error_line(capsys, "eta", "at least two lengths")
         # total dimension 6, so topo builds an eta ledger of lengths 1..lmax
         tree_file = tmp_path / "t8.json"
         tree_file.write_text(tangent_chain(8, 3, equivariant=True).to_json())
-        with pytest.raises(ValueError, match="got 1"):
-            cli_main(["topo", "--tree", str(tree_file), "--lmax", "1"])
+        assert cli_main(["topo", "--tree", str(tree_file), "--lmax", "1"]) == 2
+        assert _one_error_line(capsys, "topo", "got 1")
+
+    def test_rejected_profile_exits_2(self, single_run, tmp_path, capsys):
+        out, _ = single_run
+        prof = tmp_path / "step_0.csv"
+        prof.write_text("t,f,h\n0,1,2\n")
+        assert cli_main(["verify", "--profiles", str(prof),
+                         "--params", str(out / "profiles" / "step_0.params.json")]) == 2
+        assert _one_error_line(capsys, "verify", "profile CSV columns must be")
+        assert cli_main(["verify", "--profiles", str(tmp_path / "missing.csv"),
+                         "--params", str(out / "profiles" / "step_0.params.json")]) == 2
+        assert _one_error_line(capsys, "verify", "No such file")
+
+    def test_failed_certificate_exits_1(self, tmp_path, capsys):
+        # at R/N = pi/4, lambda = 0.1 every (5, 3) candidate fails a gate
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(PlumbingTree(
+            vertices=(PlumbingVertex(base_dim=3, rank=5, euler=0, char_label="v1"),),
+            edges=()).to_json())
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"lambda": 0.1}))
+        assert cli_main(["construct", "--tree", str(tree_file), "--config", str(cfg_file),
+                         "--grid", "64", "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 class TestCertificateInvariants:

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csv_reference import first_difference, savetxt_csv
+from ode_reference import reference_solution
 from plumbric.pipeline import NiceCoordinateSpec, run_construction
 from plumbric.plumbing import PlumbingTree, PlumbingVertex
-from plumbric.profiles import (A3, CSV_BLOCK_ROWS, PROFILE_COLUMNS, BoundaryConditionError,
+from plumbric.profiles import (A3, CSV_BLOCK_ROWS, PROFILE_COLUMNS, SEARCH_T1,
+                               BoundaryConditionError,
                                EpsilonProfile, InfeasibleProfileError, LeftParams,
                                ProfileError, build_left_profile, check_bc, csv_blocks,
                                integrate_fC, search_parameters, solve_runout)
@@ -74,6 +77,62 @@ class TestOdes:
         ode = integrate_fC(0.5, 0.1, 250.0)
         assert float(ode.fc(210.0) * ode.h0_d1(210.0)) < \
             0.1 * float(ode.fc(A3 + 1.0) * ode.h0_d1(A3 + 1.0))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _reference_values(ref, t) -> tuple:
+    """(h0, fC, fC') of the reference at t, evaluated as the solver evaluates."""
+    y = ref.sol(np.atleast_1d(np.asarray(t, dtype=float)))
+    return tuple(y[k].reshape(np.shape(t)) for k in range(3))
+
+
+class TestOnDemandOde:
+    """The warp ODE steps only as far as its evaluations read it, and every
+    value equals the full ``solve_ivp`` solve's (``tests/ode_reference.py``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(C=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           lam=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           t_end=st.sampled_from((50.0, SEARCH_T1[0], 1.2 * SEARCH_T1[-1])),
+           order=st.sampled_from(("ascending", "descending", "shuffled")),
+           data=st.data())
+    def test_values_equal_the_reference_bit_for_bit(self, C, lam, t_end, order, data):
+        ref = reference_solution(C, lam, t_end)
+        ode = integrate_fC(C, lam, t_end)
+        # step points of the reference, points between them, and both ends
+        picks = data.draw(st.lists(st.integers(0, len(ref.t) - 1), min_size=1, max_size=10))
+        fracs = data.draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+        t = [*ref.t[picks], *(A3 + x * (t_end - A3) for x in fracs), A3, t_end]
+        if order == "shuffled":
+            t = data.draw(st.permutations(t))
+        else:
+            t = sorted(t, reverse=order == "descending")
+        for x in t:
+            got = (ode.h0(x), ode.fc(x), ode.fc_d1(x))
+            assert list(map(_bits, got)) == list(map(_bits, _reference_values(ref, x))), x
+        t = np.array(t)
+        got = (ode.h0(t), ode.fc(t), ode.fc_d1(t))
+        assert list(map(_bits, got)) == list(map(_bits, _reference_values(ref, t)))
+        assert ode.t_covered in ref.t
+
+    def test_search_at_the_first_join_stops_short(self):
+        odes = {}
+        res = search_parameters(4, 4, math.pi / 4, 0.1, grid_n=256, odes=odes)
+        assert res.right.t1 == SEARCH_T1[0]
+        [(C, lam)] = odes
+        ode = odes[(C, lam)]
+        assert ode.t_end == 1.2 * SEARCH_T1[-1]
+        assert SEARCH_T1[0] <= ode.t_covered < ode.t_end
+        ref = reference_solution(C, lam, ode.t_end)
+        steps = int(np.searchsorted(ref.t, ode.t_covered))
+        assert ref.t[steps] == ode.t_covered
+        assert steps < 0.8 * (len(ref.t) - 1)
+        # a later reader continues the same solver up to where it reads
+        assert _bits(ode.fc(SEARCH_T1[1])) == _bits(_reference_values(ref, SEARCH_T1[1])[1])
+        assert ode.t_covered < ode.t_end
 
 
 class TestLeftPiece:
