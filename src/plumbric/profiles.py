@@ -31,7 +31,8 @@ The certificate covers this C^1 two-piece profile.
 
 The search's inputs are (p, q, R/N, lambda), the margin tolerance and the
 check grid.  Its warp ODE depends on (C, lambda) alone, so a caller may hand
-several searches one mapping of solved ODEs.  Each candidate's run-out is
+several searches one mapping of ODEs; each ODE steps only as far as some
+search has read it.  Each candidate's run-out is
 solved once, at the search's own join state, and the right piece is built
 from it.  A vertex's collar-ball bound kappa enters no search: the
 certificate checks rho < 0.99 kappa.

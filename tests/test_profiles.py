@@ -10,10 +10,9 @@ from ode_reference import reference_solution
 from plumbric.pipeline import NiceCoordinateSpec, run_construction
 from plumbric.plumbing import PlumbingTree, PlumbingVertex
 from plumbric.profiles import (A3, CSV_BLOCK_ROWS, PROFILE_COLUMNS, SEARCH_T1,
-                               BoundaryConditionError,
-                               EpsilonProfile, InfeasibleProfileError, LeftParams,
-                               ProfileError, build_left_profile, check_bc, csv_blocks,
-                               integrate_fC, search_parameters, solve_runout)
+                               BoundaryConditionError, EpsilonProfile, InfeasibleProfileError,
+                               LeftParams, ProfileError, build_left_profile, check_bc,
+                               csv_blocks, integrate_fC, search_parameters, solve_runout)
 
 RNG = np.random.default_rng(7)
 
