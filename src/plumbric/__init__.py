@@ -11,6 +11,7 @@ Layout:
 * :mod:`plumbric.meancurv` -- neck margins, gluing forms, taper mean curvature
   and the neck-bulk chart
 * :mod:`plumbric.plumbing` -- plumbing trees and exact topological ledgers
+* :mod:`plumbric.g17` -- the vectorized ``%.17g`` text of the CSV columns
 * :mod:`plumbric.pipeline` / :mod:`plumbric.cli` -- end-to-end runs,
   certificates, re-verification, and the command-line interface
 """

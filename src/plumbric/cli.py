@@ -8,8 +8,8 @@ import math
 import pathlib
 import sys
 
-from .pipeline import (NiceCoordinateSpec, certificate_json, run_construction,
-                       topo_report, verify)
+from .pipeline import (NiceCoordinateSpec, certificate_json, new_file,
+                       run_construction, topo_report, verify)
 from .plumbing import EtaLedger, PlumbingTree, eta_ledger, fixed_point_count
 
 
@@ -51,7 +51,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         outdir = pathlib.Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "certificate.json").write_text(text)
+        new_file(outdir / "certificate.json").write_text(text)
     print(text)
     return 0 if cert.passed else 1
 
@@ -61,7 +61,7 @@ def _cmd_topo(args) -> int:
     rep = topo_report(tree, l_max=args.lmax)
     text = json.dumps(rep, sort_keys=True, indent=1, default=str)
     if args.out:
-        pathlib.Path(args.out).write_text(text)
+        new_file(args.out).write_text(text)
     print(text)
     return 0
 
@@ -73,7 +73,7 @@ def _cmd_eta(args) -> int:
     res = eta_ledger(led)
     text = res.to_json()
     if args.out:
-        pathlib.Path(args.out).write_text(text)
+        new_file(args.out).write_text(text)
     print(text)
     return 0 if res.distinct else 1
 

@@ -68,6 +68,7 @@ __all__ = [
     "verify_samples",
     "topo_report",
     "certificate_json",
+    "new_file",
 ]
 
 SCHEMA = "plumbric-certificate/2"
@@ -278,7 +279,7 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     if out_dir is not None:
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "certificate.json").write_text(certificate_json(cert))
+        new_file(out / "certificate.json").write_text(certificate_json(cert))
     return cert
 
 
@@ -356,6 +357,19 @@ def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: floa
     }
 
 
+def new_file(path) -> pathlib.Path:
+    """``path``, with any file there unlinked, so that the write that follows
+    makes a new file instead of truncating the old one.
+
+    Replacing a file by truncation makes ext4 flush the old file's dirty
+    blocks first: on an ext4 root, rewriting a 3.4 MB profile CSV in place
+    took 0.17 s, and 0.5 ms after an unlink.
+    """
+    path = pathlib.Path(path)
+    path.unlink(missing_ok=True)
+    return path
+
+
 def _write_step_artifacts(out_dir, idx: int, result):
     """Profile CSV, params file and margin CSV, all from the measured samples.
 
@@ -368,15 +382,15 @@ def _write_step_artifacts(out_dir, idx: int, result):
     m = result.measurement
     cols = {name: getattr(m.jets, name) for name in PROFILE_COLUMNS}
     cols["mc_margin"] = m.margins[MC_VARIANT]
-    with open(out / "profiles" / f"step_{idx}.csv", "w") as prof, \
-            open(out / "plots-data" / f"step_{idx}_margins.csv", "w") as marg:
+    with open(new_file(out / "profiles" / f"step_{idx}.csv"), "w") as prof, \
+            open(new_file(out / "plots-data" / f"step_{idx}_margins.csv"), "w") as marg:
         for prof_text, marg_text in csv_blocks(cols, PROFILE_COLUMNS, MARGIN_COLUMNS):
             prof.write(prof_text)
             marg.write(marg_text)
     params = json.loads(result.pair.params_json())
     params["p"] = m.p
     params["q"] = m.q
-    (out / "profiles" / f"step_{idx}.params.json").write_text(
+    new_file(out / "profiles" / f"step_{idx}.params.json").write_text(
         json.dumps(params, sort_keys=True, indent=1))
 
 
@@ -385,7 +399,7 @@ def _copy_step_artifacts(out_dir, src: int, dst: int):
     out = pathlib.Path(out_dir)
     for name in ("profiles/step_{}.csv", "profiles/step_{}.params.json",
                  "plots-data/step_{}_margins.csv"):
-        shutil.copyfile(out / name.format(src), out / name.format(dst))
+        shutil.copyfile(out / name.format(src), new_file(out / name.format(dst)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +450,15 @@ def _bad_profile_row(body: str, ncol: int) -> SpecError:
     return SpecError("profile CSV body is not a numeric table")
 
 
+# The keys verify reads from a parameter file, and the keys of its objects.
+_PARAMS_SHAPE = {
+    "p": None, "q": None, "eps_b2": None,
+    "left": {"lambda", "a", "C", "r", "a3"},
+    "right": {"t1", "b3", "beta", "rho", "N", "R"},
+    "markers": {"a3"},
+}
+
+
 def verify_samples(samples: dict, params: dict, p: int, q: int,
                    config: dict | None = None) -> ConstructionCertificate:
     """Re-run the sample-determined checks on stored profile data.
@@ -452,7 +475,7 @@ def verify_samples(samples: dict, params: dict, p: int, q: int,
     left, right = params["left"], params["right"]
     lp = LeftParams(lam=left["lambda"], a=left["a"], C=left["C"], r=left["r"],
                     a3=left["a3"])
-    rp = RightParams(**right)
+    rp = RightParams(**{name: right[name] for name in _PARAMS_SHAPE["right"]})
     t = samples["t"]
     a3 = params["markers"]["a3"]
     if t[0] != a3 or t[-1] != rp.b3:
@@ -471,16 +494,23 @@ def verify(profile_path, params_path, config: dict | None = None) -> Constructio
     """Load stored profile artifacts and re-run the sample-determined checks.
 
     The dimensions p and q come from the parameter file; a file without them,
-    or of another schema than ``PARAMS_SCHEMA``, is rejected.
+    of another schema than ``PARAMS_SCHEMA``, or of another shape than a
+    parameter file's, is rejected with a ``SpecError``.
     """
     samples = _parse_profile_csv(profile_path)
     params = json.loads(pathlib.Path(params_path).read_text())
+    if not isinstance(params, dict):
+        raise SpecError(f"parameter file must hold a JSON object, not a "
+                        f"{type(params).__name__}")
     if params.get("schema") != PARAMS_SCHEMA:
         raise SpecError(f"parameter file schema {params.get('schema')!r} is not "
                         f"{PARAMS_SCHEMA!r}")
-    for key in ("p", "q"):
+    for key, fields in _PARAMS_SHAPE.items():
         if key not in params:
             raise SpecError(f"parameter file lacks {key!r}")
+        if fields and not (isinstance(params[key], dict) and fields <= params[key].keys()):
+            raise SpecError(f"parameter file's {key!r} must be an object with "
+                            f"keys {sorted(fields)}")
     return verify_samples(samples, params, int(params["p"]), int(params["q"]),
                           config=config)
 

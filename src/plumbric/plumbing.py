@@ -154,7 +154,20 @@ class PlumbingTree:
 
     @classmethod
     def from_json(cls, text: str) -> "PlumbingTree":
+        """The tree of a ``to_json`` document; a document of another shape
+        raises a ``TreeStructureError`` naming what is wrong."""
         doc = json.loads(text)
+        if not (isinstance(doc, dict) and isinstance(doc.get("vertices"), list)
+                and isinstance(doc.get("edges"), list)):
+            raise TreeStructureError(
+                "a plumbing tree document is a JSON object with lists 'vertices' and 'edges'")
+        for i, v in enumerate(doc["vertices"]):
+            if not (isinstance(v, dict) and {"base_dim", "rank", "euler"} <= v.keys()):
+                raise TreeStructureError(
+                    f"vertex {i} must be an object with 'base_dim', 'rank' and 'euler'")
+        for k, e in enumerate(doc["edges"]):
+            if not (isinstance(e, list) and len(e) == 3):
+                raise TreeStructureError(f"edge {k} must be a list [i, j, sign], got {e!r}")
         verts = tuple(PlumbingVertex(
             base_dim=v["base_dim"], rank=v["rank"], euler=v["euler"],
             framing_q=v.get("framing_q", 0), char_label=v.get("char_label", ""),

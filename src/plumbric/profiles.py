@@ -627,22 +627,22 @@ class ProfilePair:
         return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def _format_column(col: np.ndarray) -> list:
-    """``"%.17g" % x`` for every entry of a 1-D float column, in one ``%``."""
-    vals = col.tolist()
-    return (("%.17g\n" * len(vals)) % tuple(vals)).split("\n")[:-1]
-
-
 def csv_blocks(columns: dict, *tables):
     """Text of CSV tables that share columns, streamed a block of rows at a time.
 
     ``columns`` maps names to equal-length 1-D arrays and each table is a
     sequence of those names.  The first tuple yielded holds each table's header
     line; each later one holds the next ``CSV_BLOCK_ROWS`` rows of each table.
-    Within a block every column is formatted once, however many tables use it.
+    Within a block every column is formatted once by :mod:`plumbric.g17`,
+    however many tables use it, and each table's rows come from one compress.
     Each table's text is byte-equal to a header line followed by
     ``np.savetxt(..., delimiter=",", fmt="%.17g")`` of its stacked columns.
     """
+    # Imported on first use: a run that writes no CSV (a topo ledger) never
+    # loads the kernel, which costs about 1 ms to compile where no bytecode
+    # is cached.
+    from .g17 import format_column, join_rows
+
     arrays = {name: np.asarray(columns[name], dtype=np.float64)
               for table in tables for name in table}
     shapes = {a.shape for a in arrays.values()}
@@ -651,9 +651,8 @@ def csv_blocks(columns: dict, *tables):
     n = next(iter(shapes))[0]
     yield tuple(",".join(table) + "\n" for table in tables)
     for lo in range(0, n, CSV_BLOCK_ROWS):
-        text = {name: _format_column(a[lo:lo + CSV_BLOCK_ROWS]) for name, a in arrays.items()}
-        yield tuple("\n".join(map(",".join, zip(*(text[name] for name in table)))) + "\n"
-                    for table in tables)
+        text = {name: format_column(a[lo:lo + CSV_BLOCK_ROWS]) for name, a in arrays.items()}
+        yield tuple(join_rows([text[name] for name in table]) for table in tables)
 
 
 def assemble_profile(left_params: LeftParams, right_params: RightParams,

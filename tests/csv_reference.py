@@ -1,6 +1,9 @@
-"""The ``np.savetxt`` text the CSV writer must reproduce, and a cheap diff.
+"""The texts the CSV writer must reproduce, and a cheap diff.
 
-Test modules import these; pytest puts this directory on ``sys.path``.
+``savetxt_csv`` is the ``np.savetxt`` table earlier versions wrote, and
+``percent_column`` is the ``%`` route the writer used before its vectorized
+kernel (one ``%`` over a column's ``tolist()``).  Test modules import these;
+pytest puts this directory on ``sys.path``.
 """
 
 import io
@@ -16,6 +19,12 @@ def savetxt_csv(header: str, cols) -> str:
     buf.write(header + "\n")
     np.savetxt(buf, np.column_stack(cols), delimiter=",", fmt="%.17g")
     return buf.getvalue()
+
+
+def percent_column(col) -> list:
+    """``"%.17g" % x`` for every entry of a 1-D float column, in one ``%``."""
+    vals = np.asarray(col, dtype=np.float64).tolist()
+    return (("%.17g\n" * len(vals)) % tuple(vals)).split("\n")[:-1]
 
 
 def first_difference(a: str, b: str):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import tracemalloc
 import warnings
@@ -623,6 +624,66 @@ class TestCli:
         assert cli_main(["verify", "--profiles", str(tmp_path / "missing.csv"),
                          "--params", str(out / "profiles" / "step_0.params.json")]) == 2
         assert _one_error_line(capsys, "verify", "No such file")
+
+    def test_params_file_of_the_wrong_shape_exits_2(self, single_run, tmp_path, capsys):
+        out, _ = single_run
+        profile = str(out / "profiles" / "step_0.csv")
+        params = json.loads((out / "profiles" / "step_0.params.json").read_text())
+        del params["left"]
+        no_left = tmp_path / "no_left.json"
+        no_left.write_text(json.dumps(params))
+        as_list = tmp_path / "list.json"
+        as_list.write_text("[1, 2]")
+        assert cli_main(["verify", "--profiles", profile, "--params", str(no_left)]) == 2
+        assert _one_error_line(capsys, "verify", "parameter file lacks 'left'")
+        assert cli_main(["verify", "--profiles", profile, "--params", str(as_list)]) == 2
+        assert _one_error_line(capsys, "verify", "must hold a JSON object, not a list")
+        params = json.loads((out / "profiles" / "step_0.params.json").read_text())
+        params["right"] = [1, 2]
+        no_right = tmp_path / "no_right.json"
+        no_right.write_text(json.dumps(params))
+        with pytest.raises(SpecError, match="'right' must be an object"):
+            verify(profile, no_right)
+
+    def test_tree_of_the_wrong_shape_exits_2(self, tmp_path, capsys):
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text('{"vertices": 3}')
+        assert cli_main(["topo", "--tree", str(tree_file)]) == 2
+        assert _one_error_line(capsys, "topo", "lists 'vertices' and 'edges'")
+        good = json.loads(tangent_chain(2, 3).to_json())
+        for doc, match in (({**good, "vertices": [1, 2]}, "vertex 0 must be an object"),
+                           ({**good, "edges": [[0, 1]]}, "edge 0 must be a list")):
+            with pytest.raises(plumbing.TreeStructureError, match=match):
+                PlumbingTree.from_json(json.dumps(doc))
+
+    def test_rerun_writes_new_files(self, tmp_path, capsys):
+        """A second run into the same outputs writes each file anew (a new
+        inode, the old one kept alive by a hard link) with the same bytes."""
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(tangent_chain(3, 5).to_json())
+        out, keep = tmp_path / "out", tmp_path / "keep"
+        commands = [["construct", "--tree", str(tree_file), "--grid", "256", "--out", str(out)],
+                    ["verify", "--profiles", str(out / "profiles" / "step_0.csv"),
+                     "--params", str(out / "profiles" / "step_0.params.json"),
+                     "--out", str(tmp_path / "verified")],
+                    ["topo", "--tree", str(tree_file), "--lmax", "3",
+                     "--out", str(tmp_path / "topo.json")],
+                    ["eta", "--k", "1", "--lmax", "5", "--out", str(tmp_path / "eta.json")]]
+        for command in commands:
+            assert cli_main(command) == 0
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p != tree_file)
+        assert (out / "profiles" / "step_2.csv") in files  # a copied step
+        keep.mkdir()
+        for k, path in enumerate(files):
+            os.link(path, keep / str(k))
+        for command in commands:
+            assert cli_main(command) == 0
+        capsys.readouterr()
+        for k, path in enumerate(files):
+            old = keep / str(k)
+            assert path.stat().st_ino != old.stat().st_ino, path
+            if path.name != "certificate.json" or path.parent != out:
+                assert path.read_bytes() == old.read_bytes(), path
 
     def test_failed_certificate_exits_1(self, tmp_path, capsys):
         # at R/N = pi/4, lambda = 0.1 every (5, 3) candidate fails a gate
