@@ -29,7 +29,7 @@ for eps1 in np.linspace(0.6, 2.6, 9):
 # (lambda/alpha) on the collar block, and at b3 to the embedded cap product,
 # whose form is -cot(R/N)/(beta N) on the fiber block.
 p = q = 4
-res = search_parameters(p, q, math.pi / 4, 0.1)
+res = search_parameters(p, q, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
 left, right = res.left, res.right
 II_a3, II_b3 = interface_forms(res.measurement.jets, p, q)
 taper_side = BlockDiagonalForm(((left.lam / left.alpha, q - 1), (0.0, p - 1)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from plumbric import EpsilonProfile, search_parameters, z2_mean_curvature
 
-res = search_parameters(4, 4, math.pi / 4, 0.1)
+res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
 m = res.measurement
 print("neck margins (minima over the check grid)")
 print(f"  transcribed normalization: {m.margin_min('reported'):.3e}")
@@ -25,6 +25,5 @@ print(f"  per-unit-collar variant:   {m.margin_min('unit'):.3e}")
 ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.4)
 print("\ntaper boundary (fiber-angle pi/2 -> 0.4), three fiber scales")
 for r in (0.2, 0.1, 0.05):
-    z = z2_mean_curvature(ep, lambda t: 1.0 + 0.1 * np.asarray(t), r=r, p=4, q=4,
-                          n_samples=5)
+    z = z2_mean_curvature(ep, lambda t: 1.0 + 0.1 * np.asarray(t), r=r, p=4, q=4)
     print(f"  r = {r}: mean curvature {np.array2string(z.mean_curvature, precision=3)}")

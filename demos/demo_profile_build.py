@@ -14,7 +14,7 @@ import numpy as np
 
 from plumbric import check_bc, doubly_warped_ricci, search_parameters
 
-res = search_parameters(4, 4, math.pi / 4, 0.1)
+res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
 left, right, pair = res.left, res.right, res.pair
 
 print("accepted parameters")

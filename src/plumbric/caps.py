@@ -44,16 +44,15 @@ class BlockDiagonalForm:
                 raise FormStructureError(f"multiplicity must be a positive integer, got {mult}")
 
 
-def perelman_form_check(form1: BlockDiagonalForm, form2: BlockDiagonalForm,
-                        tol: float = COEFF_TOL) -> bool:
+def perelman_form_check(form1: BlockDiagonalForm, form2: BlockDiagonalForm) -> bool:
     """Gluing admissibility: is form1 + form2 positive semi-definite?
 
     Blocks are matched in declared order and must have equal multiplicities.
     For block-identity forms the p.s.d. condition is exactly a blockwise
-    coefficient-sum test.
+    coefficient-sum test, passed at >= -COEFF_TOL.
     """
     b1, b2 = form1.blocks, form2.blocks
     if len(b1) != len(b2) or any(m1 != m2 for (_, m1), (_, m2) in zip(b1, b2)):
         raise FormStructureError(
             f"block structures do not align: {[m for _, m in b1]} vs {[m for _, m in b2]}")
-    return all(c1 + c2 >= -tol for (c1, _), (c2, _) in zip(b1, b2))
+    return all(c1 + c2 >= -COEFF_TOL for (c1, _), (c2, _) in zip(b1, b2))

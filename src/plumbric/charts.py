@@ -75,12 +75,12 @@ def warped_patch(base: MetricPatch, radius_of_base_point, fiber_dim: int) -> Met
     return MetricPatch(dim=d, domain=base.domain + (ANGLE_BOX,) * fiber_dim, g=g)
 
 
-def cylinder_patch(p: int, radius: float, t_half_width: float = 1.0) -> MetricPatch:
+def cylinder_patch(p: int, radius: float) -> MetricPatch:
     """Metric line x round p-sphere: dt^2 + ds^2 + radius^2 sin^2(s/radius) ds_{p-1}^2.
 
     Coordinates: (t, s, p-1 nested angles); s is the geodesic distance from a
-    pole of the sphere factor.
+    pole of the sphere factor, and t runs over [-1, 1].
     """
     s_box = (POLE_MARGIN * radius, (np.pi - POLE_MARGIN) * radius)
-    return warped_patch(flat_patch(((-t_half_width, t_half_width), s_box)),
+    return warped_patch(flat_patch(((-1.0, 1.0), s_box)),
                         lambda xb: radius * np.sin(xb[..., 1] / radius), p - 1)

@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .caps import BlockDiagonalForm, perelman_form_check, COEFF_TOL
+from .caps import BlockDiagonalForm, perelman_form_check
 from .oracle import MetricPatch, GraphHypersurface, numeric_second_fundamental_form
 from .charts import POLE_MARGIN, cylinder_patch, flat_patch, warped_patch
 from .warped import WarpedJet
@@ -72,8 +72,10 @@ __all__ = [
     "bulk_patch",
 ]
 
-D_FLOOR = 1e-12
+D_FLOOR = 1e-12  # phase gap D at or below which the curve counts as vertical
 MC_VARIANTS = ("reported", "curvature", "unit")
+TAPER_SAMPLES = 5    # oracle points of the taper's mean curvature
+TAPER_STEP = 1e-3    # the oracle's finite-difference step on the taper chart
 
 
 class CurveDomainError(ValueError):
@@ -122,11 +124,10 @@ class CurveEmbedding:
     N: float
 
 
-def build_curve(pair, beta: float, N: float, grid_n: int = 2048,
-                d_floor: float = D_FLOOR) -> CurveEmbedding:
+def build_curve(pair, beta: float, N: float, grid_n: int) -> CurveEmbedding:
     """Curve data for a profile: F, its derivatives, and the arclength map.
 
-    Requires f(t) < beta*N everywhere.  On samples with D <= d_floor the
+    Requires f(t) < beta*N everywhere.  On samples with D <= D_FLOOR the
     curve is (numerically) vertical and F1/F2 are marked degenerate; the
     closed forms are cross-checked against second differences of F(phi(t))
     on the well-conditioned interior.
@@ -136,7 +137,7 @@ def build_curve(pair, beta: float, N: float, grid_n: int = 2048,
     f = pair.f(t)
     f1 = pair.f1(t)
     D, E, F, _cot, bracket = _neck_terms(f, f1, pair.f2(t), bN)
-    mask = D > d_floor
+    mask = D > D_FLOOR
     if not np.any(mask):
         raise CurveDomainError(
             "profile is phase-degenerate everywhere (an exact ambient arc): "
@@ -233,8 +234,7 @@ def interface_forms(jets: WarpedJet, p: int, q: int) -> tuple:
     return II_a3, II_b3
 
 
-def interface_checks(jets: WarpedJet, left, right, p: int, q: int,
-                     tol: float = COEFF_TOL) -> bool:
+def interface_checks(jets: WarpedJet, left, right, p: int, q: int) -> bool:
     """Both gluing admissibility checks at the ends of a sampled neck.
 
     At a3 the other side is the taper collar with form (lambda/alpha) I on
@@ -248,8 +248,7 @@ def interface_checks(jets: WarpedJet, left, right, p: int, q: int,
         (0.0, q - 1),
         (-math.cos(right.angle) / math.sin(right.angle) / right.bN, p - 1),
     ))
-    return (perelman_form_check(II_a3, taper_side, tol=tol)
-            and perelman_form_check(II_b3, cap_side, tol=tol))
+    return perelman_form_check(II_a3, taper_side) and perelman_form_check(II_b3, cap_side)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +283,12 @@ class TaperReport:
     other_pc_max_abs: np.ndarray
 
 
-def z2_mean_curvature(eps_profile, k: Callable, r: float, p: int, q: int,
-                      n_samples: int = 9, step: float = 1e-3) -> TaperReport:
+def z2_mean_curvature(eps_profile, k: Callable, r: float, p: int, q: int) -> TaperReport:
     """Mean curvature of the taper boundary s = eps(t) r / sin(eps(t)).
 
-    Uses the finite-difference second-fundamental-form oracle on the bundle
-    patch; the boundary is the graph of s(t) over the remaining coordinates
-    with inward normal pointing to smaller s.
+    Uses the second-fundamental-form oracle (step TAPER_STEP) on the bundle
+    patch at TAPER_SAMPLES points; the boundary is the graph of s(t) over the
+    remaining coordinates with inward normal pointing to smaller s.
     """
     patch = z2_patch(eps_profile, k, r, p, q)
     d = patch.dim
@@ -302,14 +300,14 @@ def z2_mean_curvature(eps_profile, k: Callable, r: float, p: int, q: int,
         return eps * r / np.sin(eps)
 
     hyper = GraphHypersurface(axis=1, height=height, normal_sign=-1)
-    lo = eps_profile.a2 + 4.0 * step
-    hi = eps_profile.b2 - 4.0 * step
-    ts = np.linspace(lo, hi, n_samples)
+    lo = eps_profile.a2 + 4.0 * TAPER_STEP
+    hi = eps_profile.b2 - 4.0 * TAPER_STEP
+    ts = np.linspace(lo, hi, TAPER_SAMPLES)
     angles = np.full(d - 2, math.pi / 2 + 0.1)
     mcs, fmins, omaxs = [], [], []
     for tv in ts:
         base = np.concatenate([[tv], angles])
-        rep = numeric_second_fundamental_form(patch, hyper, base, step=step)
+        rep = numeric_second_fundamental_form(patch, hyper, base, step=TAPER_STEP)
         pcs = rep.principal_curvatures
         mcs.append(rep.mean_curvature)
         # The p-1 largest principal curvatures belong to the fiber sphere

@@ -53,10 +53,10 @@ from .oracle import NonSPDMetricError, OracleDomainError, numeric_curvature
 from .plumbing import (EtaLedger, PlumbingTree, TreeStructureError, arf_invariant,
                        boundary_sphere_test, clutching_word, eta_ledger, fixed_point_count,
                        form_symmetry, render_word)
-from .profiles import (MC_TOL_FLOOR, MC_VARIANT, PARAMS_SCHEMA, PROFILE_COLUMNS,
-                       EpsilonProfile, InfeasibleProfileError, LeftParams,
-                       ProfileError, RightParams, check_record, csv_blocks,
-                       measure_profile, sample_verdict, search_parameters)
+from .profiles import (MC_TOL_FLOOR, MC_VARIANT, PROFILE_COLUMNS, EpsilonProfile,
+                       InfeasibleProfileError, LeftParams, ProfileError, RightParams,
+                       check_record, csv_blocks, measure_profile, sample_verdict,
+                       search_parameters)
 from .warped import WarpedJet
 
 __all__ = [
@@ -66,12 +66,14 @@ __all__ = [
     "run_construction",
     "verify",
     "verify_samples",
+    "params_json",
     "topo_report",
     "certificate_json",
     "new_file",
 ]
 
 SCHEMA = "plumbric-certificate/2"
+PARAMS_SCHEMA = "plumbric-profile-params/2"
 
 MARGIN_COLUMNS = ("t", "f", "h", "mc_margin")  # plots-data/step_k_margins.csv
 
@@ -302,8 +304,7 @@ def _taper_check(p: int, q: int, lam: float, r: float, eps_end: float) -> float 
         return ProfileError(f"eps_b2 = {eps_end!r} lies outside (0, pi/2)")
     try:
         zrep = z2_mean_curvature(EpsilonProfile(a2=-1.0, b2=0.0, eps_end=eps_end),
-                                 lambda tt: 1.0 + lam * np.asarray(tt),
-                                 r=r, p=p, q=q, n_samples=5)
+                                 lambda tt: 1.0 + lam * np.asarray(tt), r=r, p=p, q=q)
     except (OracleDomainError, NonSPDMetricError) as exc:
         return exc
     return float(np.min(zrep.mean_curvature))
@@ -344,17 +345,35 @@ def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: floa
     checks.append(_collar_ball_record(right.rho, spec.kappa))
     margins = m.summary()
     margins.update(bulk_scalar_min=bulk_min, taper_mc_min=taper_min)
+    left_obj, right_obj = _param_objects(left, right)
     return {
         "vertex": vertex_idx,
         "spec": spec.as_dict(),
-        "left": {"lambda": left.lam, "a": left.a, "C": left.C, "r": left.r,
-                 "alpha": left.alpha, "b": left.b},
-        "right": {"t1": right.t1, "b3": right.b3, "beta": right.beta,
-                  "rho": right.rho, "N": right.N, "R": right.R},
+        "left": left_obj,
+        "right": right_obj,
         "eps_b2": pair.eps_b2,
         "checks": checks,
         "margins": margins,
     }
+
+
+def _param_objects(left: LeftParams, right: RightParams) -> tuple:
+    """The ``left`` and ``right`` objects of a step record; the params file's
+    ``left`` adds a3."""
+    return ({"lambda": left.lam, "a": left.a, "C": left.C, "r": left.r,
+             "alpha": left.alpha, "b": left.b},
+            {"t1": right.t1, "b3": right.b3, "beta": right.beta,
+             "rho": right.rho, "N": right.N, "R": right.R})
+
+
+def params_json(result) -> str:
+    """The params file of a search result, which ``verify`` reads back."""
+    left, right, m = result.left, result.right, result.measurement
+    left_obj, right_obj = _param_objects(left, right)
+    return json.dumps({"schema": PARAMS_SCHEMA, "p": m.p, "q": m.q,
+                       "left": {**left_obj, "a3": left.a3}, "right": right_obj,
+                       "markers": {"a3": left.a3, "t1": right.t1, "b3": right.b3},
+                       "eps_b2": result.pair.eps_b2}, sort_keys=True, indent=1)
 
 
 def new_file(path) -> pathlib.Path:
@@ -387,11 +406,7 @@ def _write_step_artifacts(out_dir, idx: int, result):
         for prof_text, marg_text in csv_blocks(cols, PROFILE_COLUMNS, MARGIN_COLUMNS):
             prof.write(prof_text)
             marg.write(marg_text)
-    params = json.loads(result.pair.params_json())
-    params["p"] = m.p
-    params["q"] = m.q
-    new_file(out / "profiles" / f"step_{idx}.params.json").write_text(
-        json.dumps(params, sort_keys=True, indent=1))
+    new_file(out / "profiles" / f"step_{idx}.params.json").write_text(params_json(result))
 
 
 def _copy_step_artifacts(out_dir, src: int, dst: int):
@@ -520,14 +535,14 @@ def verify(profile_path, params_path, config: dict | None = None) -> Constructio
 # ---------------------------------------------------------------------------
 
 
-def topo_report(tree: PlumbingTree, l_max: int = 20) -> dict:
+def topo_report(tree: PlumbingTree, l_max: int) -> dict:
     """Exact invariants of a plumbing tree as a JSON-ready dictionary.
 
     The intersection matrix is built once, for the determinant; the Arf
     invariant and the symmetry type read the tree itself.  A ledger the tree
     has no value for is replaced by a note with the reason: ``arf_note`` for
     the Arf invariant, ``clutching_note`` for the clutching word of a tree
-    that is not a path."""
+    that is not a path; an eta ledger runs over the lengths 1..l_max."""
     sphere, det = boundary_sphere_test(tree)
     sym = form_symmetry(tree)
     out = {

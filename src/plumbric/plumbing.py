@@ -332,7 +332,7 @@ def eta_local_contribution(n: int) -> Fraction:
     return Fraction(1, 2 ** n)
 
 
-def fixed_point_count(m_bundles: int, convention: str = "reported") -> int:
+def fixed_point_count(m_bundles: int, convention: str) -> int:
     """Number of isolated fixed points of the involution on an m-bundle chain.
 
     "reported" follows the recorded count 2l+1 for m = 8l; "chain" counts two
@@ -358,14 +358,13 @@ class EtaLedger:
     ``k`` fixes the boundary dimension 4k+1 (so n = 2k+1); ``lengths``
     indexes the family, at least two members, since the ledger certifies
     that they differ; ``fixed_point_counts`` maps each length to its
-    isolated fixed-point count.  ``manifold_constant`` names the symbolic
-    ambient offset shared by every member (it cancels in differences).
+    isolated fixed-point count.  The ambient offset C_V shared by every
+    member stays symbolic: it cancels in differences.
     """
 
     k: int
     lengths: tuple
     fixed_point_counts: dict
-    manifold_constant: str = "C_V"
 
     def __post_init__(self):
         if self.k < 1:

@@ -41,10 +41,9 @@ certificate checks rho < 0.99 kappa.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,7 +51,6 @@ from scipy.integrate import RK45, OdeSolution
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
-from .caps import COEFF_TOL
 from .meancurv import MC_VARIANTS, interface_checks, neck_margins
 from .steps import smooth_step, smooth_step_d1, smoothstep7
 from .warped import WarpedJet, doubly_warped_ricci
@@ -89,7 +87,6 @@ A3 = 0.0  # the left end of the neck interval; only differences of t matter
 BC_TOL = 1e-8        # the nine interface clauses
 MC_TOL_FLOOR = 1e-12  # least margin tolerance the beta N sizing follows
 MC_VARIANT = "reported"  # the margin variant the certificate claims
-PARAMS_SCHEMA = "plumbric-profile-params/2"
 
 PROFILE_COLUMNS = ("t", "f", "f1", "f2", "h", "h1", "h2")  # the profile CSV's columns
 CSV_BLOCK_ROWS = 4096  # rows formatted per block by csv_blocks
@@ -97,6 +94,7 @@ CSV_BLOCK_ROWS = 4096  # rows formatted per block by csv_blocks
 # The parameter search's fixed choices (see search_parameters).
 SEARCH_A = 0.2                     # collar scale: h(a3) = a sqrt(-2 ln lam), h'(a3) = a lam
 SEARCH_T1 = (1e5, 1e6, 1e7, 3e7)   # join points t1, nearest first
+ODE_HORIZON = 1.2 * SEARCH_T1[-1]  # t_end of every warp ODE the search integrates
 THETA_RISE = 0.03                  # collar rise: beta rho = (1 + THETA_RISE) h(t1)
 BN_TOL = 3.0 * 0.4                 # beta N * mc_margin_tol: 3x the 0.4/(beta N) deficit bound
 
@@ -191,7 +189,7 @@ class WarpOde:
         return self.C * np.exp(-self.h0(t) ** 2) * self.fc(t)
 
 
-def integrate_fC(C: float, lam: float, t_end: float, rtol: float = 1e-10) -> WarpOde:
+def integrate_fC(C: float, lam: float, t_end: float) -> WarpOde:
     """Solve fC'' = C exp(-h0^2) fC jointly with h0' = exp(-h0^2/2) on [a3, t_end].
 
     The solver takes its first step here and the rest as evaluations need
@@ -210,7 +208,7 @@ def integrate_fC(C: float, lam: float, t_end: float, rtol: float = 1e-10) -> War
         e = math.exp(-0.5 * h0 * h0)
         return [e, fc1, C * e * e * fc]
 
-    solver = RK45(rhs, float(A3), [h0_init, 1.0, 0.0], float(t_end), rtol=rtol, atol=1e-13)
+    solver = RK45(rhs, float(A3), [h0_init, 1.0, 0.0], float(t_end), rtol=1e-10, atol=1e-13)
     ode = WarpOde(lam=lam, C=C, t_end=t_end, solver=solver)
     assert abs(float(ode.fc(A3)) - 1.0) < 1e-12
     assert abs(float(ode.fc_d1(A3))) < 1e-12
@@ -340,16 +338,14 @@ class PartialProfile:
     h2: Callable
 
 
-def build_left_profile(params: LeftParams, t1: float, ode: WarpOde | None = None
-                       ) -> PartialProfile:
-    """Left piece h_l = a*h0, f_l = b*fC on [a3, t1].
+def build_left_profile(params: LeftParams, t1: float, ode: WarpOde) -> PartialProfile:
+    """Left piece h_l = a*h0, f_l = b*fC on [a3, t1], read from ``ode``.
 
     The a3 interface clauses hold by scaling; :func:`check_bc` verifies them
-    on the assembled profile.  A supplied ``ode`` must cover [a3, t1].
+    on the assembled profile.  ``ode`` must solve (params.lam, params.C) and
+    cover [a3, t1]; the search integrates it to :data:`ODE_HORIZON`.
     """
-    if ode is None:
-        ode = integrate_fC(params.C, params.lam, t_end=max(1.2 * t1, t1 + 10.0))
-    elif ode.t_end < t1:
+    if ode.t_end < t1:
         raise ProfileError(f"ODE solution ends at {ode.t_end}, before t1 = {t1}")
     if abs(ode.lam - params.lam) > 1e-12 or abs(ode.C - params.C) > 1e-12:
         raise ProfileError("ODE solution does not match the requested (lambda, C)")
@@ -597,7 +593,7 @@ class ProfilePair:
     def h2(self, t):
         return self._dispatch(t, "h2")
 
-    def grid(self, n: int = 2048) -> np.ndarray:
+    def grid(self, n: int) -> np.ndarray:
         """Uniform n-point grid whose first and last samples are a3 and b3."""
         return np.linspace(self.a3, self.b3, n)
 
@@ -607,24 +603,11 @@ class ProfilePair:
 
     # -- serialization ------------------------------------------------------
 
-    def to_csv(self, n: int = 2048) -> str:
+    def to_csv(self, n: int) -> str:
         """Profile CSV on the n-point grid: columns t, f, f1, f2, h, h1, h2."""
         jets = self.jets(self.grid(n))
         columns = {name: getattr(jets, name) for name in PROFILE_COLUMNS}
         return "".join(text for (text,) in csv_blocks(columns, PROFILE_COLUMNS))
-
-    def params_json(self) -> str:
-        doc = {
-            "schema": PARAMS_SCHEMA,
-            "left": {"lambda": self.left.lam, "a": self.left.a, "C": self.left.C,
-                     "r": self.left.r, "a3": self.left.a3,
-                     "alpha": self.left.alpha, "b": self.left.b},
-            "right": {"t1": self.right.t1, "b3": self.right.b3, "beta": self.right.beta,
-                      "rho": self.right.rho, "N": self.right.N, "R": self.right.R},
-            "markers": {"a3": self.a3, "t1": self.t1, "b3": self.b3},
-            "eps_b2": self.eps_b2,
-        }
-        return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def csv_blocks(columns: dict, *tables):
@@ -679,7 +662,6 @@ def assemble_profile(left_params: LeftParams, right_params: RightParams,
 @dataclass(frozen=True)
 class BcReport:
     clauses: dict
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -690,14 +672,13 @@ class BcReport:
         return [name for name, c in self.clauses.items() if not c["passed"]]
 
 
-def check_bc(jets: WarpedJet, left: LeftParams, right: RightParams, eps_b2: float,
-             tol: float = BC_TOL) -> BcReport:
+def check_bc(jets: WarpedJet, left: LeftParams, right: RightParams, eps_b2: float) -> BcReport:
     """Verify the nine interface clauses of a profile sampled from a3 to b3.
 
     The first and last samples of ``jets`` are the two ends.  Left end (a3):
     the recorded taper end angle, h(a3) = alpha, h'(a3) <= lambda,
     f(a3) = alpha*r, f'(a3) = 0.  Right end (b3): h(b3) = beta*rho,
-    h'(b3) = 0, f(b3) = beta*N*sin(R/N), f'(b3) = cos(R/N).
+    h'(b3) = 0, f(b3) = beta*N*sin(R/N), f'(b3) = cos(R/N); each within BC_TOL.
     """
     bN, X_R = right.bN, right.angle
     targets = {
@@ -714,10 +695,10 @@ def check_bc(jets: WarpedJet, left: LeftParams, right: RightParams, eps_b2: floa
     clauses = {}
     for name, (actual, target, one_sided) in targets.items():
         residual = actual - target
-        ok = residual <= tol if one_sided else abs(residual) <= tol
+        ok = residual <= BC_TOL if one_sided else abs(residual) <= BC_TOL
         clauses[name] = {"actual": actual, "target": target,
                          "residual": residual, "one_sided": one_sided, "passed": bool(ok)}
-    return BcReport(clauses=clauses, tol=tol)
+    return BcReport(clauses=clauses)
 
 
 @dataclass(frozen=True)
@@ -770,9 +751,9 @@ def sample_verdict(m: ProfileMeasurement, mc_margin_tol: float) -> tuple:
     use ``COEFF_TOL``; the search and the certificate judge with these same
     values.
     """
-    bc = check_bc(m.jets, m.left, m.right, m.eps_b2, tol=BC_TOL)
+    bc = check_bc(m.jets, m.left, m.right, m.eps_b2)
     margin = m.margin_min(MC_VARIANT)
-    glue = interface_checks(m.jets, m.left, m.right, m.p, m.q, tol=COEFF_TOL)
+    glue = interface_checks(m.jets, m.left, m.right, m.p, m.q)
     checks = [
         check_record("bc_nine_clauses", bc.passed,
                max(abs(c["residual"]) for c in bc.clauses.values() if not c["one_sided"]),
@@ -798,12 +779,12 @@ class SearchResult:
     measurement: ProfileMeasurement
     bc: BcReport
     checks: list   # sample_verdict's four records, judged with the search's tolerance
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
-def search_parameters(p: int, q: int, R_over_N: float, lam: float,
-                      mc_margin_tol: float = 1e-9,
-                      grid_n: int = 2048, *, odes: dict | None = None) -> SearchResult:
+def search_parameters(p: int, q: int, R_over_N: float, lam: float, *,
+                      mc_margin_tol: float, grid_n: int,
+                      odes: dict | None = None) -> SearchResult:
     """Scan the (C, t1, s0) candidates for an admissible neck profile.
 
     The handoff slope s0 fixes the fiber scale b = s0/fC'(t1), and the end
@@ -836,8 +817,8 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
     (``build``) or the first failed check id rejects it and the scan goes on.
 
     Each C's warp ODE is read from ``odes``, keyed on (C, lam), and
-    integrated and stored there only when missing; a construction passes one
-    mapping to all its searches, and the default is a fresh dict.
+    integrated to :data:`ODE_HORIZON` and stored there only when missing; a
+    construction passes one mapping to all its searches (default a fresh dict).
 
     ``diagnostics`` holds ``evaluations`` (candidates built and measured)
     and ``rejected``, one (C, t1, s0, gate) per dropped candidate.  Raises
@@ -860,7 +841,7 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float,
     for C in (min(0.95, 0.95 * (q - 1) / (p - 1)), min(0.8, 0.8 * (q - 1) / (p - 1))):
         ode = odes.get((C, lam))
         if ode is None:
-            ode = odes[(C, lam)] = integrate_fC(C, lam, t_end=1.2 * SEARCH_T1[-1])
+            ode = odes[(C, lam)] = integrate_fC(C, lam, t_end=ODE_HORIZON)
         for t1 in SEARCH_T1:
             h0_t1 = float(ode.h0(t1))
             fc_t1 = float(ode.fc(t1))

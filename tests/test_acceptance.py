@@ -100,7 +100,7 @@ class TestCriterion4:
     def test_end_to_end_construction(self, pq):
         p, q = pq
         t0 = time.monotonic()
-        res = search_parameters(p, q, math.pi / 4, 0.1)
+        res = search_parameters(p, q, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
         ricci_min = res.measurement.ricci_min
         margin_min = res.measurement.margin_min("reported")
         assert ricci_min > 0.0

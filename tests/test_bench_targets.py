@@ -58,7 +58,7 @@ def test_target_resolves(mod_name, attr):
 def test_search_counts_read_the_search_diagnostics():
     # a renamed diagnostics key would read 0 candidates without failing the run
     search_counts = TRACING_MODULE._search_counts
-    res = search_parameters(4, 4, math.pi / 4, 0.1)
+    res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
     counts = search_counts((), res, None)
     assert counts == {"candidates": res.diagnostics["evaluations"], "accepted": 1}
     assert counts["candidates"] > 0

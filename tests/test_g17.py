@@ -125,7 +125,7 @@ class TestFallback:
         """The columns of a real profile and its margins, with the all-zero
         plateau of h1 and h2, reach the exact formatter only a handful of
         times in 16 384 rows."""
-        res = search_parameters(4, 4, math.pi / 4, 0.1)
+        res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
         jets = res.pair.jets(res.pair.grid(16384))
         cols = {name: getattr(jets, name) for name in PROFILE_COLUMNS}
         cols["mc_margin"] = np.resize(res.measurement.margins[MC_VARIANT], 16384)

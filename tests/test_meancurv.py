@@ -14,7 +14,7 @@ from plumbric.warped import WarpedJet
 
 @pytest.fixture(scope="module")
 def found44():
-    return search_parameters(4, 4, math.pi / 4, 0.1)
+    return search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
 
 
 class SyntheticPair:
@@ -186,7 +186,7 @@ class TestZ3:
 
     def test_curve_term_sign_on_concave_piece(self, found44):
         pair = found44.pair
-        curve = build_curve(pair, pair.right.beta, pair.right.N)
+        curve = build_curve(pair, pair.right.beta, pair.right.N, grid_n=2048)
         curve_pc = z3_mean_curvature(curve, pair, 4, 4)[0]
         right = curve.t > pair.t1
         # concave fiber profile: curve principal curvature nonnegative wherever
@@ -204,7 +204,7 @@ class TestZ3:
         # the unit-normalized margin is (mean curvature) E sqrt(D): the two
         # agree in sign on every sample with a graph description
         pair = found44.pair
-        curve = build_curve(pair, pair.right.beta, pair.right.N)
+        curve = build_curve(pair, pair.right.beta, pair.right.N, grid_n=2048)
         *_pcs, mc, degenerate = z3_mean_curvature(curve, pair, 4, 4)
         mg = neck_margins(pair.jets(curve.t), pair.right.beta, pair.right.N, 4, 4)["unit"]
         atol = 1e-7
@@ -222,7 +222,7 @@ class TestZ2:
     def test_taper_regions(self):
         ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.4)
         rep = z2_mean_curvature(ep, lambda t: 1.0 + 0.1 * np.asarray(t),
-                                r=0.1, p=4, q=4, n_samples=7)
+                                r=0.1, p=4, q=4)
         flat = rep.t <= ep.tau1
         assert np.all(np.abs(rep.mean_curvature[flat]) < 1e-6)
         tapered = rep.t >= ep.tau2
@@ -234,7 +234,7 @@ class TestZ2:
         mins = []
         for r in (0.2, 0.1, 0.05):
             rep = z2_mean_curvature(ep, lambda t: 1.0 + 0.1 * np.asarray(t),
-                                    r=r, p=4, q=4, n_samples=5)
+                                    r=r, p=4, q=4)
             mid = (rep.t > ep.tau1) & (rep.t < ep.tau2)
             mins.append(float(np.min(rep.mean_curvature[mid])))
         assert mins[1] > mins[0]
@@ -243,7 +243,7 @@ class TestZ2:
     def test_fiber_dominates_for_small_r(self):
         ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.4)
         rep = z2_mean_curvature(ep, lambda t: 1.0 + 0.1 * np.asarray(t),
-                                r=0.05, p=4, q=4, n_samples=5)
+                                r=0.05, p=4, q=4)
         mid = (rep.t > ep.tau1) & (rep.t < ep.tau2)
         assert np.all(rep.fiber_pc_min[mid] > rep.other_pc_max_abs[mid])
 

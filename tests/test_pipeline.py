@@ -507,13 +507,13 @@ class TestTopo:
         assert rep["eta"]["distinct"]
 
     def test_two_chain_kervaire(self):
-        rep = topo_report(tangent_chain(2, 3))
+        rep = topo_report(tangent_chain(2, 3), l_max=20)
         assert rep["arf"] == 1
         assert rep["boundary_homotopy_sphere"]
 
     def test_odd_euler_number_records_no_arf(self):
         verts = (PlumbingVertex(3, 3, 1, framing_q=1), PlumbingVertex(3, 3, 0, framing_q=1))
-        rep = topo_report(PlumbingTree(vertices=verts, edges=((0, 1, 1),)))
+        rep = topo_report(PlumbingTree(vertices=verts, edges=((0, 1, 1),)), l_max=20)
         assert rep["symmetry"] == "skew" and rep["arf"] is None
         assert rep["arf_note"] == ("mod-2 form is not alternating (odd Euler number at "
                                    "vertices [0]): no quadratic refinement exists")
@@ -534,7 +534,7 @@ class TestTopo:
 
         for module in (plumbing, pipeline):
             monkeypatch.setattr(module, "intersection_matrix", counted, raising=False)
-        topo_report(tree)
+        topo_report(tree, l_max=20)
         assert len(calls) == 1
 
     GOLDEN = json.loads((pathlib.Path(__file__).parent / "fixtures"

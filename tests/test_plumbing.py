@@ -281,8 +281,7 @@ class TestEta:
         lengths = tuple(range(1, 41))
         led = object.__new__(EtaLedger)
         for name, value in (("k", 1), ("lengths", lengths),
-                            ("fixed_point_counts", {l: (l * 7) % 5 for l in lengths}),
-                            ("manifold_constant", "C_V")):
+                            ("fixed_point_counts", {l: (l * 7) % 5 for l in lengths})):
             object.__setattr__(led, name, value)
         res = eta_ledger(led)
         ref = self._pairwise_result(led)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from csv_reference import first_difference, savetxt_csv
 from ode_reference import reference_solution
-from plumbric.pipeline import NiceCoordinateSpec, run_construction
+from plumbric.pipeline import NiceCoordinateSpec, params_json, run_construction
 from plumbric.plumbing import PlumbingTree, PlumbingVertex
 from plumbric.profiles import (A3, CSV_BLOCK_ROWS, PROFILE_COLUMNS, SEARCH_T1,
                                BoundaryConditionError, EpsilonProfile, InfeasibleProfileError,
@@ -119,7 +119,8 @@ class TestOnDemandOde:
 
     def test_search_at_the_first_join_stops_short(self):
         odes = {}
-        res = search_parameters(4, 4, math.pi / 4, 0.1, grid_n=256, odes=odes)
+        res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=256,
+                                odes=odes)
         assert res.right.t1 == SEARCH_T1[0]
         [(C, lam)] = odes
         ode = odes[(C, lam)]
@@ -139,13 +140,14 @@ class TestLeftPiece:
         lam, a, r = 0.1, 1.0, 0.05
         params = LeftParams(lam=lam, a=a, C=0.5, r=r)
         assert params.alpha == pytest.approx(2.1459660262893476, rel=1e-12)
-        lp = build_left_profile(params, 5.0)
+        lp = build_left_profile(params, 5.0, integrate_fC(0.5, lam, 15.0))
         assert float(lp.f(A3)) == pytest.approx(params.alpha * r, abs=1e-12)
         assert float(lp.f(A3)) == pytest.approx(0.10730, abs=5e-6)
         assert float(lp.f1(A3)) == pytest.approx(0.0, abs=1e-12)
 
     def test_collar_slope_bound(self):
-        lp = build_left_profile(LeftParams(lam=0.1, a=0.5, C=0.5, r=0.05), 5.0)
+        lp = build_left_profile(LeftParams(lam=0.1, a=0.5, C=0.5, r=0.05), 5.0,
+                                integrate_fC(0.5, 0.1, 15.0))
         assert float(lp.h1(A3)) == pytest.approx(0.05, abs=1e-10)
 
     def test_short_ode_rejected(self):
@@ -208,10 +210,10 @@ class TestEpsilonProfile:
 class TestSearch:
     def test_lambda_gate(self):
         with pytest.raises(ProfileError):
-            search_parameters(4, 4, math.pi / 4, 0.6)
+            search_parameters(4, 4, math.pi / 4, 0.6, mc_margin_tol=1e-9, grid_n=2048)
 
     def test_found_profile_has_all_properties(self):
-        res = search_parameters(4, 4, math.pi / 4, 0.1)
+        res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
         assert res.measurement.ricci_min > 0
         assert res.measurement.margin_min("reported") >= -1e-9
         assert res.bc.passed
@@ -226,20 +228,20 @@ class TestSearch:
         assert np.all(pair.f1(tr) < 1.0)
 
     def test_bc_fault_detection(self):
-        res = search_parameters(4, 4, math.pi / 4, 0.1)
+        res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
         report = check_bc(res.measurement.jets, res.left, res.right, res.pair.eps_b2)
         assert report.passed and not report.failures
 
     def test_serialization_roundtrip(self):
-        res = search_parameters(4, 4, math.pi / 4, 0.1)
+        res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
         csv = res.pair.to_csv(128)
         assert csv.splitlines()[0] == "t,f,f1,f2,h,h1,h2"
-        doc = json.loads(res.pair.params_json())
+        doc = json.loads(params_json(res))
         assert doc["schema"] == "plumbric-profile-params/2"
         assert doc["right"]["beta"] == res.right.beta
 
     def test_two_piece_grid_jets_and_params(self, tmp_path):
-        res = search_parameters(4, 4, math.pi / 4, 0.1)
+        res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
         pair = res.pair
         t = pair.grid(1024)
         # verify aligns the profile CSV on exact a3 and b3 end samples
@@ -313,7 +315,7 @@ class TestCsvWriter:
             csv_text({"a": np.zeros((3, 2))})
 
     def test_pair_to_csv_matches_savetxt(self):
-        pair = search_parameters(4, 4, math.pi / 4, 0.1).pair
+        pair = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048).pair
         t = pair.grid(300)
         ref = table_csv({"t": t, **{name: getattr(pair, name)(t)
                                     for name in ("f", "f1", "f2", "h", "h1", "h2")}})
@@ -351,7 +353,7 @@ class TestOneRunoutPerCandidate:
 
         monkeypatch.setattr(profiles, "solve_runout", counted)
         monkeypatch.setattr(profiles, "build_right_profile", build_counted)
-        res = search_parameters(p, q, rn, lam, grid_n=256)
+        res = search_parameters(p, q, rn, lam, mc_margin_tol=1e-9, grid_n=256)
         diag = res.diagnostics
         # a candidate through the five cheap gates is either rejected by
         # ``runout`` or evaluated, and solves one run-out either way
@@ -368,7 +370,7 @@ class TestRegressionFixture:
                           / "search_regression.json").read_text())
         for key, rec in fix.items():
             res = search_parameters(rec["p"], rec["q"], rec["R_over_N"],
-                                    rec["lambda"])
+                                    rec["lambda"], mc_margin_tol=1e-9, grid_n=2048)
             # the first candidate that passes the gates is accepted
             assert res.diagnostics["evaluations"] == 1
             assert res.left.a == pytest.approx(rec["left"]["a"], rel=1e-12)
