@@ -466,11 +466,13 @@ def _bad_profile_row(body: str, ncol: int) -> SpecError:
 
 
 # The keys verify reads from a parameter file, and the keys of its objects.
+# Each value read is a number (an int or a float, never a bool); p and q are
+# integers.
 _PARAMS_SHAPE = {
     "p": None, "q": None, "eps_b2": None,
-    "left": {"lambda", "a", "C", "r", "a3"},
+    "left": {"lambda", "a", "C", "r", "a3", "alpha", "b"},
     "right": {"t1", "b3", "beta", "rho", "N", "R"},
-    "markers": {"a3"},
+    "markers": {"a3", "t1", "b3"},
 }
 
 
@@ -479,23 +481,33 @@ def verify_samples(samples: dict, params: dict, p: int, q: int,
     """Re-run the sample-determined checks on stored profile data.
 
     Builds the typed parameters from ``params`` (out-of-range values raise
-    their named errors), requires the samples to run exactly from a3 to b3,
-    then runs the measurement and verdict that ``run_construction`` runs.
-    The check records equal the constructing step's; deterministic, no
+    their named errors), requires the fields the params file derives from
+    others (left.alpha, left.b, left.a3 and the markers t1 and b3) to equal
+    the derived values, and the samples to run exactly from a3 to b3, then
+    runs the measurement and verdict that ``run_construction`` runs.  The
+    check records equal the constructing step's; deterministic, no
     reconstruction, no timing data.  ``config`` is validated like a
     construction config, but the certificate records only the one setting
     read here, ``tolerances.mc_margin``.
     """
     cfg = _merge_config(config)
-    left, right = params["left"], params["right"]
+    left, right, markers = params["left"], params["right"], params["markers"]
     lp = LeftParams(lam=left["lambda"], a=left["a"], C=left["C"], r=left["r"],
                     a3=left["a3"])
     rp = RightParams(**{name: right[name] for name in _PARAMS_SHAPE["right"]})
+    for name, stored, derived, source in (
+            ("left.alpha", left["alpha"], lp.alpha, "lambda and a"),
+            ("left.b", left["b"], lp.b, "lambda, a and r"),
+            ("left.a3", lp.a3, markers["a3"], "markers.a3"),
+            ("markers.t1", markers["t1"], rp.t1, "right.t1"),
+            ("markers.b3", markers["b3"], rp.b3, "right.b3")):
+        if stored != derived:
+            raise SpecError(f"parameter file's {name} = {stored!r} is not {derived!r} "
+                            f"(from {source})")
     t = samples["t"]
-    a3 = params["markers"]["a3"]
-    if t[0] != a3 or t[-1] != rp.b3:
+    if t[0] != lp.a3 or t[-1] != rp.b3:
         raise SpecError(f"profile samples run from t = {t[0]!r} to {t[-1]!r}, "
-                        f"not from a3 = {a3!r} to b3 = {rp.b3!r}")
+                        f"not from a3 = {lp.a3!r} to b3 = {rp.b3!r}")
     m = measure_profile(WarpedJet(**samples), lp, rp, params["eps_b2"], p, q)
     bc, checks = sample_verdict(m, float(cfg["tolerances"]["mc_margin"]))
     step = {"vertex": 0, "left": left, "right": right, "eps_b2": params["eps_b2"],
@@ -509,8 +521,9 @@ def verify(profile_path, params_path, config: dict | None = None) -> Constructio
     """Load stored profile artifacts and re-run the sample-determined checks.
 
     The dimensions p and q come from the parameter file; a file without them,
-    of another schema than ``PARAMS_SCHEMA``, or of another shape than a
-    parameter file's, is rejected with a ``SpecError``.
+    of another schema than ``PARAMS_SCHEMA``, of another shape than a
+    parameter file's, or with a value of another type than
+    :data:`_PARAMS_SHAPE` asks, is rejected with a ``SpecError``.
     """
     samples = _parse_profile_csv(profile_path)
     params = json.loads(pathlib.Path(params_path).read_text())
@@ -523,11 +536,20 @@ def verify(profile_path, params_path, config: dict | None = None) -> Constructio
     for key, fields in _PARAMS_SHAPE.items():
         if key not in params:
             raise SpecError(f"parameter file lacks {key!r}")
-        if fields and not (isinstance(params[key], dict) and fields <= params[key].keys()):
+        if fields is None:
+            values = {key: params[key]}
+        elif isinstance(params[key], dict) and fields <= params[key].keys():
+            values = {f"{key}.{name}": params[key][name] for name in sorted(fields)}
+        else:
             raise SpecError(f"parameter file's {key!r} must be an object with "
                             f"keys {sorted(fields)}")
-    return verify_samples(samples, params, int(params["p"]), int(params["q"]),
-                          config=config)
+        kinds, kind_name = ((int,), "an integer") if key in ("p", "q") else \
+            ((int, float), "a number")
+        for name, value in values.items():
+            if type(value) not in kinds:
+                raise SpecError(f"parameter file's {name} must be {kind_name}, "
+                                f"got {value!r}")
+    return verify_samples(samples, params, params["p"], params["q"], config=config)
 
 
 # ---------------------------------------------------------------------------

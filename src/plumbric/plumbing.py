@@ -34,6 +34,13 @@ class TreeStructureError(ValueError):
     """The vertex/edge data does not describe a valid plumbing tree."""
 
 
+# The type of each vertex key of a tree document (``type(value) is kind``, so
+# that a bool is no integer), and how an error names it.
+_VERTEX_TYPES = {"base_dim": int, "rank": int, "euler": int, "framing_q": int,
+                 "char_label": str, "trivial": bool}
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false"}
+
+
 @dataclass(frozen=True)
 class PlumbingVertex:
     """One disk bundle in the plumbing.
@@ -154,8 +161,11 @@ class PlumbingTree:
 
     @classmethod
     def from_json(cls, text: str) -> "PlumbingTree":
-        """The tree of a ``to_json`` document; a document of another shape
-        raises a ``TreeStructureError`` naming what is wrong."""
+        """The tree of a ``to_json`` document; a document of another shape,
+        or with a value of another type than :data:`_VERTEX_TYPES` names (an
+        integer is never a bool), raises a ``TreeStructureError`` naming what
+        is wrong.  Only the keys the document has are passed on, so a missing
+        optional key takes the dataclass default."""
         doc = json.loads(text)
         if not (isinstance(doc, dict) and isinstance(doc.get("vertices"), list)
                 and isinstance(doc.get("edges"), list)):
@@ -165,16 +175,21 @@ class PlumbingTree:
             if not (isinstance(v, dict) and {"base_dim", "rank", "euler"} <= v.keys()):
                 raise TreeStructureError(
                     f"vertex {i} must be an object with 'base_dim', 'rank' and 'euler'")
+            for key, kind in _VERTEX_TYPES.items():
+                if key in v and type(v[key]) is not kind:
+                    raise TreeStructureError(
+                        f"vertex {i}'s {key!r} must be {_TYPE_NAMES[kind]}, got {v[key]!r}")
         for k, e in enumerate(doc["edges"]):
-            if not (isinstance(e, list) and len(e) == 3):
-                raise TreeStructureError(f"edge {k} must be a list [i, j, sign], got {e!r}")
-        verts = tuple(PlumbingVertex(
-            base_dim=v["base_dim"], rank=v["rank"], euler=v["euler"],
-            framing_q=v.get("framing_q", 0), char_label=v.get("char_label", ""),
-            trivial=v.get("trivial", False)) for v in doc["vertices"])
-        edges = tuple((int(i), int(j), int(s)) for i, j, s in doc["edges"])
-        return cls(vertices=verts, edges=edges,
-                   equivariant=bool(doc.get("equivariant", False)))
+            if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)):
+                raise TreeStructureError(
+                    f"edge {k} must be a list [i, j, sign] of integers, got {e!r}")
+        if "equivariant" in doc and type(doc["equivariant"]) is not bool:
+            raise TreeStructureError(
+                f"'equivariant' must be true or false, got {doc['equivariant']!r}")
+        verts = tuple(PlumbingVertex(**{key: v[key] for key in _VERTEX_TYPES if key in v})
+                      for v in doc["vertices"])
+        extra = {"equivariant": doc["equivariant"]} if "equivariant" in doc else {}
+        return cls(vertices=verts, edges=tuple(map(tuple, doc["edges"])), **extra)
 
 
 def tangent_chain(length: int, dim: int, equivariant: bool = False) -> PlumbingTree:

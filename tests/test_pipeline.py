@@ -656,6 +656,92 @@ class TestCli:
             with pytest.raises(plumbing.TreeStructureError, match=match):
                 PlumbingTree.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("rank", "x", "vertex 0's 'rank' must be an integer, got 'x'"),
+        ("euler", 0.5, "vertex 0's 'euler' must be an integer, got 0.5"),
+        ("euler", True, "vertex 0's 'euler' must be an integer, got True"),
+        ("framing_q", 1.0, "vertex 0's 'framing_q' must be an integer, got 1.0"),
+        ("trivial", "no", "vertex 0's 'trivial' must be true or false, got 'no'"),
+        ("char_label", 3, "vertex 0's 'char_label' must be a string, got 3"),
+    ], ids=["rank_str", "euler_float", "euler_bool", "framing_float", "trivial_str",
+            "label_int"])
+    def test_tree_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, key, value, match):
+        doc = json.loads(tangent_chain(2, 3, equivariant=True).to_json())
+        doc["vertices"][0][key] = value
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(json.dumps(doc))
+        assert cli_main(["topo", "--tree", str(tree_file), "--lmax", "3"]) == 2
+        assert _one_error_line(capsys, "topo", match)
+
+    @pytest.mark.parametrize("doc_edit, match", [
+        (lambda doc: doc.update(edges=[[0, 1.7, 1]]),
+         "edge 0 must be a list [i, j, sign] of integers, got [0, 1.7, 1]"),
+        (lambda doc: doc.update(edges=[[0, 1, True]]),
+         "edge 0 must be a list [i, j, sign] of integers, got [0, 1, True]"),
+        (lambda doc: doc.update(equivariant="yes"), "'equivariant' must be true or false"),
+    ], ids=["edge_float", "edge_bool", "equivariant_str"])
+    def test_tree_edge_or_flag_of_the_wrong_type_exits_2(self, tmp_path, capsys, doc_edit,
+                                                         match):
+        doc = json.loads(tangent_chain(2, 3).to_json())
+        doc_edit(doc)
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(json.dumps(doc))
+        assert cli_main(["topo", "--tree", str(tree_file), "--lmax", "3"]) == 2
+        assert _one_error_line(capsys, "topo", match)
+
+    def test_tree_without_optional_keys_takes_the_vertex_defaults(self):
+        doc = json.loads(tangent_chain(2, 3).to_json())
+        for v in doc["vertices"]:
+            del v["framing_q"], v["char_label"], v["trivial"]
+        del doc["equivariant"]
+        tree = PlumbingTree.from_json(json.dumps(doc))
+        assert tree.vertices == (PlumbingVertex(3, 3, 0),) * 2
+        assert tree.edges == ((0, 1, 1),) and tree.equivariant is False
+
+    @pytest.mark.parametrize("path, value, match", [
+        (("right", "t1"), "x", "right.t1 must be a number, got 'x'"),
+        (("p",), 4.0, "p must be an integer, got 4.0"),
+        (("q",), True, "q must be an integer, got True"),
+        (("left", "a"), True, "left.a must be a number, got True"),
+        (("markers", "b3"), None, "markers.b3 must be a number, got None"),
+        (("eps_b2",), "0.1", "eps_b2 must be a number, got '0.1'"),
+    ], ids=["right_t1_str", "p_float", "q_bool", "left_a_bool", "b3_null", "eps_str"])
+    def test_params_value_of_the_wrong_type_exits_2(self, single_run, tmp_path, capsys,
+                                                    path, value, match):
+        out, _ = single_run
+        params = json.loads((out / "profiles" / "step_0.params.json").read_text())
+        *parents, key = path
+        target = params
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        par = tmp_path / "params.json"
+        par.write_text(json.dumps(params))
+        assert cli_main(["verify", "--profiles", str(out / "profiles" / "step_0.csv"),
+                         "--params", str(par)]) == 2
+        assert _one_error_line(capsys, "verify", "parameter file's " + match)
+
+    @pytest.mark.parametrize("side, key, value, source", [
+        ("left", "alpha", 999.0, "lambda and a"),
+        ("left", "b", 999.0, "lambda, a and r"),
+        ("left", "a3", 5.0, "markers.a3"),
+        ("markers", "t1", 123.0, "right.t1"),
+        ("markers", "b3", 1e9, "right.b3"),
+    ])
+    def test_params_whose_derived_fields_disagree_exit_2(self, single_run, tmp_path, capsys,
+                                                         side, key, value, source):
+        out, _ = single_run
+        prof = out / "profiles" / "step_0.csv"
+        params = json.loads((out / "profiles" / "step_0.params.json").read_text())
+        params[side][key] = value
+        par = tmp_path / "params.json"
+        par.write_text(json.dumps(params))
+        with pytest.raises(SpecError, match=rf"parameter file's {side}\.{key} = {value!r} "
+                                            rf"is not .* \(from {source}\)"):
+            verify(prof, par)
+        assert cli_main(["verify", "--profiles", str(prof), "--params", str(par)]) == 2
+        assert _one_error_line(capsys, "verify", f"{side}.{key} = {value!r} is not")
+
     def test_rerun_writes_new_files(self, tmp_path, capsys):
         """A second run into the same outputs writes each file anew (a new
         inode, the old one kept alive by a hard link) with the same bytes."""

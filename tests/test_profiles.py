@@ -9,7 +9,7 @@ from csv_reference import first_difference, savetxt_csv
 from ode_reference import reference_solution
 from plumbric.pipeline import NiceCoordinateSpec, params_json, run_construction
 from plumbric.plumbing import PlumbingTree, PlumbingVertex
-from plumbric.profiles import (A3, CSV_BLOCK_ROWS, PROFILE_COLUMNS, SEARCH_T1,
+from plumbric.profiles import (A3, CSV_BLOCK_ROWS, ODE_HORIZON, PROFILE_COLUMNS, SEARCH_T1,
                                BoundaryConditionError, EpsilonProfile, InfeasibleProfileError,
                                LeftParams, ProfileError, build_left_profile, check_bc,
                                csv_blocks, integrate_fC, search_parameters, solve_runout)
@@ -133,6 +133,22 @@ class TestOnDemandOde:
         # a later reader continues the same solver up to where it reads
         assert _bits(ode.fc(SEARCH_T1[1])) == _bits(_reference_values(ref, SEARCH_T1[1])[1])
         assert ode.t_covered < ode.t_end
+
+    def test_a_fresh_ode_rebuilds_the_accepted_left_piece(self):
+        # a rebuild from the accepted parameters needs only the one horizon
+        res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
+        left, t1 = res.left, res.right.t1
+        piece = build_left_profile(left, t1, integrate_fC(left.C, left.lam, ODE_HORIZON))
+        jets = res.measurement.jets
+        on_left = jets.t < t1
+        assert np.count_nonzero(on_left) >= 1
+        # the check grid has few samples there, so compare on a dense grid too
+        dense = np.linspace(A3, t1, 513)[:-1]
+        for name in ("f", "f1", "f2", "h", "h1", "h2"):
+            assert np.array_equal(getattr(piece, name)(jets.t[on_left]),
+                                  getattr(jets, name)[on_left]), name
+            assert np.array_equal(getattr(piece, name)(dense),
+                                  getattr(res.pair, name)(dense)), name
 
 
 class TestLeftPiece:
