@@ -543,12 +543,11 @@ def verify(profile_path, params_path, config: dict | None = None) -> Constructio
         else:
             raise SpecError(f"parameter file's {key!r} must be an object with "
                             f"keys {sorted(fields)}")
-        kinds, kind_name = ((int,), "an integer") if key in ("p", "q") else \
-            ((int, float), "a number")
+        integer = key in ("p", "q")
         for name, value in values.items():
-            if type(value) not in kinds:
-                raise SpecError(f"parameter file's {name} must be {kind_name}, "
-                                f"got {value!r}")
+            if type(value) not in ((int,) if integer else (int, float)):
+                raise SpecError(f"parameter file's {name} must be "
+                                f"{'an integer' if integer else 'a number'}, got {value!r}")
     return verify_samples(samples, params, params["p"], params["q"], config=config)
 
 
