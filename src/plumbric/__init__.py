@@ -7,7 +7,8 @@ Layout:
 * :mod:`plumbric.warped` -- closed-form Ricci curvature of doubly warped products
 * :mod:`plumbric.oracle` / :mod:`plumbric.charts` -- the finite-difference
   curvature oracle and the coordinate patches the certificate runs it on
-* :mod:`plumbric.profiles` -- warping-profile ODEs, assembly, and search
+* :mod:`plumbric.profiles` -- warping profiles (the left piece's exact
+  series, the run-out), assembly, and search
 * :mod:`plumbric.meancurv` -- neck margins, gluing forms, taper mean curvature
   and the neck-bulk chart
 * :mod:`plumbric.plumbing` -- plumbing trees and exact topological ledgers

@@ -8,8 +8,8 @@ import math
 import pathlib
 import sys
 
-from .pipeline import (NiceCoordinateSpec, certificate_json, new_file,
-                       run_construction, topo_report, verify)
+from .pipeline import (NiceCoordinateSpec, SpecError, certificate_json, new_file,
+                       root_vertex, run_construction, topo_report, verify)
 from .plumbing import EtaLedger, PlumbingTree, eta_ledger, fixed_point_count
 
 
@@ -30,13 +30,14 @@ def _load_config(path, grid=None, tol=None) -> tuple:
 def _cmd_construct(args) -> int:
     tree = PlumbingTree.from_json(pathlib.Path(args.tree).read_text())
     cfg, cli_keys = _load_config(args.config, args.grid, args.tol)
+    root = cli_keys.get("root", 0)
+    vert = root_vertex(tree, root)
     vs = cli_keys.get("v_spec", {})
-    root = int(cli_keys.get("root", 0))
-    vert = tree.vertices[root]
-    spec = NiceCoordinateSpec(
-        p=int(vs.get("p", vert.rank)), q=int(vs.get("q", vert.base_dim)),
-        R=float(vs.get("R", math.pi / 4)), N=float(vs.get("N", 1.0)),
-        kappa=float(vs.get("kappa", 0.5)))
+    if not (isinstance(vs, dict) and vs.keys() <= {"p", "q", "R", "N", "kappa"}):
+        raise SpecError(f"config 'v_spec' must be an object with keys among p, q, R, N "
+                        f"and kappa, got {vs!r}")
+    spec = NiceCoordinateSpec(**{"p": vert.rank, "q": vert.base_dim, "R": math.pi / 4,
+                                 "N": 1.0, "kappa": 0.5, **vs})
     out = args.out or "plumbric-out"
     cert = run_construction(tree, spec, config=cfg, root=root, out_dir=out)
     print(certificate_json(cert))

@@ -25,10 +25,6 @@ inputs it reads:
   enters only its last record, ``collar_ball_bound``.  A repeated vertex
   copies the first occurrence's records and artifacts and recomputes only
   its own ``collar_ball_bound``;
-* the warp ODE, on (C, lambda), shared by the searches of all steps.  It
-  steps on demand, so a search that accepts the first join point leaves
-  the solver short of the search horizon, and a later search that reads
-  further continues the same solver;
 * the taper oracle, on (p, q, lambda, r, eps_b2).
 
 These memos belong to the call: they are made when ``run_construction``
@@ -50,9 +46,9 @@ import numpy as np
 
 from .meancurv import bulk_patch, z2_mean_curvature
 from .oracle import NonSPDMetricError, OracleDomainError, numeric_curvature
-from .plumbing import (EtaLedger, PlumbingTree, TreeStructureError, arf_invariant,
-                       boundary_sphere_test, clutching_word, eta_ledger, fixed_point_count,
-                       form_symmetry, render_word)
+from .plumbing import (EtaLedger, PlumbingTree, PlumbingVertex, TreeStructureError,
+                       arf_invariant, boundary_sphere_test, clutching_word, eta_ledger,
+                       fixed_point_count, form_symmetry, render_word)
 from .profiles import (MC_TOL_FLOOR, MC_VARIANT, PROFILE_COLUMNS, EpsilonProfile,
                        InfeasibleProfileError, LeftParams, ProfileError, RightParams,
                        check_record, csv_blocks, measure_profile, sample_verdict,
@@ -72,7 +68,7 @@ __all__ = [
     "new_file",
 ]
 
-SCHEMA = "plumbric-certificate/2"
+SCHEMA = "plumbric-certificate/3"
 PARAMS_SCHEMA = "plumbric-profile-params/2"
 
 MARGIN_COLUMNS = ("t", "f", "h", "mc_margin")  # plots-data/step_k_margins.csv
@@ -104,6 +100,12 @@ class NiceCoordinateSpec:
     provenance: str = "initial"
 
     def __post_init__(self):
+        for name in ("p", "q", "R", "N", "kappa"):
+            value, integer = getattr(self, name), name in ("p", "q")
+            if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+                    or not math.isfinite(value)):
+                raise SpecError(f"v_spec.{name} must be "
+                                f"{'an integer' if integer else 'a finite number'}, got {value!r}")
         if not (0.0 < self.R / self.N < math.pi / 2):
             raise SpecError(f"need 0 < R/N < pi/2, got {self.R / self.N}")
         if self.kappa <= 0:
@@ -187,6 +189,14 @@ def _bulk_scalar_samples(pair, p: int, q: int) -> tuple:
     return out, idx.size
 
 
+def root_vertex(tree: PlumbingTree, root) -> PlumbingVertex:
+    """The vertex a construction starts at; a ``root`` that is not an integer
+    in [0, n) raises a ``SpecError`` that names it."""
+    if type(root) is not int or not 0 <= root < tree.n:
+        raise SpecError(f"'root' must be an integer in [0, {tree.n}), got {root!r}")
+    return tree.vertices[root]
+
+
 def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
                      config: dict | None = None, root: int = 0,
                      out_dir=None) -> ConstructionCertificate:
@@ -206,22 +216,22 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
     record with its own ``vertex``, ``spec`` and ``collar_ball_bound``, and
     copies of its artifact files.  On 64 tangent 8-chains (dimensions 3-9,
     four values each of R/N and lambda) this runs 112 searches, one or two
-    per chain.  The searches share their warp ODEs, keyed on (C, lambda),
-    and each step's taper oracle runs once per (p, q, lambda, r, eps_b2).
-    On a tangent chain the root and a derived vertex mostly accept the same
-    (C, t1, s0), and then both stages run once per chain.  The memos live
+    per chain.  Each step's taper oracle runs once per (p, q, lambda, r,
+    eps_b2); on a tangent chain the root and a derived vertex mostly accept
+    the same (C, t1, s0), and then it runs once per chain.  The memos live
     for this call only.
     """
     t_start = time.perf_counter()
     cfg = _merge_config(config)
+    root_vertex(tree, root)
     mc_tol = float(cfg["tolerances"]["mc_margin"])
     steps = []
     passed = True
 
     # This call's memo, dropped when it returns: (p, q, angle) -> (index of
-    # its accepted step, derived child spec); the warp ODE on (C, lambda);
-    # the taper oracle's value on (p, q, lambda, r, eps_b2).
-    done, odes, tapers = {}, {}, {}
+    # its accepted step, derived child spec); the taper oracle's value on
+    # (p, q, lambda, r, eps_b2).
+    done, tapers = {}, {}
     stack = [(root, v_spec, v_spec.R / v_spec.N)]
     visited = {root}
     adj = tree._adj
@@ -245,7 +255,7 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
             try:
                 result = search_parameters(p_step, q_step, angle,
                                            float(cfg["lambda"]), mc_margin_tol=mc_tol,
-                                           grid_n=cfg["grid"], odes=odes)
+                                           grid_n=cfg["grid"])
             except InfeasibleProfileError as exc:
                 passed = False
                 steps.append({"vertex": vi, "spec": spec.as_dict(),

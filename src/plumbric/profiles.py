@@ -7,7 +7,9 @@ on [a3, b3] (a3 is normalized to 0).  The profile is built from two pieces:
   solve the initial value problems
 
       h0' = exp(-h0^2/2),         h0(a3) = sqrt(-2 ln lam),
-      fC'' = C exp(-h0^2) fC,     fC(a3) = 1, fC'(a3) = 0.
+      fC'' = C exp(-h0^2) fC,     fC(a3) = 1, fC'(a3) = 0,
+
+  summed exactly as power series in h0 - h0(a3) (:class:`WarpSeries`).
 
 * Right piece on [t1, b3]: the fiber radius follows the concave run-out
   family f'' = -2 kappa f'^2 f / (E (beta N)^2) with
@@ -30,24 +32,21 @@ jumps there from the left piece's convex value to the run-out's concave one.
 The certificate covers this C^1 two-piece profile.
 
 The search's inputs are (p, q, R/N, lambda), the margin tolerance and the
-check grid.  Its warp ODE depends on (C, lambda) alone, so a caller may hand
-several searches one mapping of ODEs; each ODE steps only as far as some
-search has read it.  Each candidate's run-out is
-solved once, at the search's own join state, and the right piece is built
-from it.  A vertex's collar-ball bound kappa enters no search: the
-certificate checks rho < 0.99 kappa.
+check grid.  The left piece depends on (lambda, C, t) alone.  Each
+candidate's run-out is solved once, at the search's own join state, and the
+right piece is built from it.  A vertex's collar-ball bound kappa enters no
+search: the certificate checks rho < 0.99 kappa.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
@@ -60,7 +59,8 @@ __all__ = [
     "ProfileError",
     "InfeasibleProfileError",
     "BoundaryConditionError",
-    "WarpOde",
+    "WarpSeries",
+    "WarpJets",
     "integrate_fC",
     "LeftParams",
     "RightParams",
@@ -94,7 +94,6 @@ CSV_BLOCK_ROWS = 4096  # rows formatted per block by csv_blocks
 # The parameter search's fixed choices (see search_parameters).
 SEARCH_A = 0.2                     # collar scale: h(a3) = a sqrt(-2 ln lam), h'(a3) = a lam
 SEARCH_T1 = (1e5, 1e6, 1e7, 3e7)   # join points t1, nearest first
-ODE_HORIZON = 1.2 * SEARCH_T1[-1]  # t_end of every warp ODE the search integrates
 THETA_RISE = 0.03                  # collar rise: beta rho = (1 + THETA_RISE) h(t1)
 BN_TOL = 3.0 * 0.4                 # beta N * mc_margin_tol: 3x the 0.4/(beta N) deficit bound
 
@@ -120,99 +119,112 @@ class InfeasibleProfileError(ProfileError):
 
 
 # ---------------------------------------------------------------------------
-# Profile ODEs
+# The left piece's warp functions
 # ---------------------------------------------------------------------------
 
+SERIES_EPS = 2.0 ** -53  # a series stops at a term this small against its partial sum
+NEWTON_TOL = 2.0 ** -50  # the clock inversion stops at a step this small against u
+NEWTON_STEPS = 60        # most Newton steps of the clock inversion
 
-class WarpOde:
-    """Dense solution of the warping ODEs for one (lam, C) pair, stepped on demand.
 
-    One RK45 solver runs from a3 towards ``t_end`` and is advanced only when
-    an evaluation asks for a t past its last accepted step.  Values come from
-    the continuous extension of the steps taken so far, which a later step
-    does not change, so every value equals the one a solve to ``t_end``
-    gives.  Exposes vectorized jet evaluations; first/second derivatives use
-    the defining relations, so self-consistency checks must difference the
-    dense values instead.
+WarpJets = namedtuple("WarpJets", "h0 h0_d1 h0_d2 fc fc_d1 fc_d2")
+
+
+class WarpSeries:
+    """The warping ODEs' solution for one (lam, C) pair, as power series.
+
+    With s0 = sqrt(-2 ln lam) and u = h0 - s0, both the clock and fC are
+    power series in u whose terms are all nonnegative, so no sum cancels:
+
+        lam t = sum_n d_n u^(n+1)/(n+1),   d_0 = 1, d_1 = s0,
+                (n+1) d_(n+1) = s0 d_n + d_(n-1);
+        fC    = 1 + C sum_n c_n u^n,       c_1 = 0, c_2 = 1/2,
+                (n+2)(n+1) c_(n+2) = s0 (n+1) c_(n+1) + (n+C) c_n.
+
+    The clock is dt = exp(h0^2/2) dh0 with exp(s0^2/2) = 1/lam; fC solves
+    fC'' = C exp(-h0^2) fC written in h0, y'' - h0 y' - C y = 0.  Taking the
+    factor C out of fC's coefficients keeps them normal floats for any C > 0.
+    :meth:`jets` solves u by Newton's method once per call; fC' =
+    exp(-h0^2/2) dfC/du, and the other jets are algebraic.
     """
 
-    def __init__(self, lam: float, C: float, t_end: float, solver: RK45):
-        self.lam = lam
-        self.C = C
-        self.t_end = t_end
-        self._solver = solver
-        self._ts = [solver.t]
-        self._interpolants = []
-        self._sol = None
+    def __init__(self, lam: float, C: float):
+        self.lam, self.C = lam, C
+        self.s0 = math.sqrt(-2.0 * math.log(lam))
+        self._coefficients(64)
+        self._last = None
 
-    @property
-    def t_covered(self) -> float:
-        """The end of the accepted steps: values up to it need no more steps."""
-        return self._ts[-1]
+    def _coefficients(self, n: int):
+        """n coefficients each of the clock series and of the sums (fC - 1)/C
+        and (dfC/du)/C."""
+        s0, C = self.s0, self.C
+        d, c = [1.0, s0], [0.0, 0.0, 0.5]
+        for k in range(1, n):
+            d.append((s0 * d[k] + d[k - 1]) / (k + 1))
+            c.append((s0 * (k + 1) * c[k + 1] + (k + C) * c[k]) / ((k + 2) * (k + 1)))
+        k = np.arange(1, n + 1)
+        self._coef = {"clock": np.concatenate([[0.0], np.array(d[:n - 1]) / k[:-1]]),
+                      "fc": np.array(c[:n]), "fc_du": np.array(c[1:n + 1]) * k}
 
-    def _advance(self, t: float):
-        """Step the solver until its accepted steps reach t or t_end (at
-        least one step, so that there is an interpolant)."""
-        solver = self._solver
-        while (self.t_covered < t or not self._interpolants) and solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise ProfileError(f"profile ODE integration failed: {message}")
-            self._ts.append(solver.t)
-            self._interpolants.append(solver.dense_output())
-            self._sol = None
+    def _sum(self, name: str, u: np.ndarray) -> np.ndarray:
+        """A series at each u >= 0, summed in order up to its own first term
+        past u^1 that is no larger than the one before and at most SERIES_EPS
+        of the partial sum (so no u's value depends on another's)."""
+        while True:
+            coef = self._coef[name]
+            terms = coef * u[:, np.newaxis] ** np.arange(coef.size)
+            sums = np.cumsum(terms, axis=1)
+            stop = (terms[:, 2:] <= terms[:, 1:-1]) & (terms[:, 2:] <= SERIES_EPS * sums[:, 2:])
+            if stop.any(axis=1).all():
+                return sums[np.arange(u.size), np.argmax(stop, axis=1) + 2]
+            if not np.all(np.isfinite(sums[:, -1])):
+                raise ProfileError("the warp series overflows: t is too large")
+            self._coefficients(2 * coef.size)
 
-    def _y(self, t, k: int):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        self._advance(np.max(ts))
-        if self._sol is None:
-            self._sol = OdeSolution(self._ts, self._interpolants)
-        return self._sol(ts)[k].reshape(np.shape(t))
+    def _solve_u(self, t: np.ndarray) -> np.ndarray:
+        """u at each t >= a3: Newton's method on the clock series from its
+        asymptote lam t = exp(s0 u + u^2/2)/(s0 + u) - 1/s0; each u stops at
+        its first step of at most NEWTON_TOL u."""
+        s0, y = self.s0, self.lam * t
+        u = np.zeros_like(y)
+        for _ in range(2):
+            L = np.log1p(s0 * y) + np.log1p(u / s0)
+            u = 2.0 * L / (s0 + np.sqrt(s0 * s0 + 2.0 * L))
+        active = np.ones(u.shape, dtype=bool)
+        for _ in range(NEWTON_STEPS):
+            ua = u[active]
+            step = (self._sum("clock", ua) - y[active]) / np.exp(ua * (s0 + 0.5 * ua))
+            u[active] = ua - step
+            active[np.flatnonzero(active)[np.abs(step) <= NEWTON_TOL * u[active]]] = False
+            if not active.any():
+                return u
+        raise ProfileError(f"the warp clock did not converge in {NEWTON_STEPS} Newton steps")
 
-    def h0(self, t):
-        return self._y(t, 0)
-
-    def h0_d1(self, t):
-        return np.exp(-0.5 * self.h0(t) ** 2)
-
-    def h0_d2(self, t):
-        h = self.h0(t)
-        return -h * np.exp(-h ** 2)
-
-    def fc(self, t):
-        return self._y(t, 1)
-
-    def fc_d1(self, t):
-        return self._y(t, 2)
-
-    def fc_d2(self, t):
-        return self.C * np.exp(-self.h0(t) ** 2) * self.fc(t)
+    def jets(self, t) -> WarpJets:
+        """h0, fC and their first two derivatives at t, kept for the last t:
+        a profile's six jets read the same points."""
+        t = np.asarray(t, dtype=float)
+        if self._last is None or not np.array_equal(self._last[0], t):
+            if not np.all((t >= A3) & np.isfinite(t)):
+                raise ProfileError(f"the left piece is defined on finite t >= {A3}")
+            u = self._solve_u(t.ravel())
+            e = self.lam * np.exp(-u * (self.s0 + 0.5 * u))  # h0' = exp(-h0^2/2)
+            h0, fc = self.s0 + u, 1.0 + self.C * self._sum("fc", u)
+            jets = np.stack((h0, e, -h0 * e * e, fc, e * (self.C * self._sum("fc_du", u)),
+                             self.C * e * e * fc)).reshape((6,) + t.shape)
+            jets.flags.writeable = False  # every caller of this t shares the arrays
+            self._last = (t.copy(), WarpJets(*jets))
+        return self._last[1]
 
 
-def integrate_fC(C: float, lam: float, t_end: float) -> WarpOde:
-    """Solve fC'' = C exp(-h0^2) fC jointly with h0' = exp(-h0^2/2) on [a3, t_end].
-
-    The solver takes its first step here and the rest as evaluations need
-    them; ``t_end`` bounds every step, as the end of a full solve does.
-    """
+def integrate_fC(C: float, lam: float) -> WarpSeries:
+    """The left piece's warp functions: h0 and fC from h0(a3) = sqrt(-2 ln lam),
+    fC(a3) = 1, fC'(a3) = 0."""
     if not (0.0 < C < 1.0):
         raise ProfileError(f"curvature parameter must lie in (0, 1), got {C}")
     if not (0.0 < lam < 0.5):
         raise ProfileError(f"slope parameter must lie in (0, 1/2), got {lam}")
-    if not (t_end > A3):
-        raise ProfileError(f"integration horizon must exceed {A3}, got {t_end}")
-    h0_init = math.sqrt(-2.0 * math.log(lam))
-
-    def rhs(_t, y):
-        h0, fc, fc1 = y
-        e = math.exp(-0.5 * h0 * h0)
-        return [e, fc1, C * e * e * fc]
-
-    solver = RK45(rhs, float(A3), [h0_init, 1.0, 0.0], float(t_end), rtol=1e-10, atol=1e-13)
-    ode = WarpOde(lam=lam, C=C, t_end=t_end, solver=solver)
-    assert abs(float(ode.fc(A3)) - 1.0) < 1e-12
-    assert abs(float(ode.fc_d1(A3))) < 1e-12
-    return ode
+    return WarpSeries(lam=lam, C=C)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +264,6 @@ class LeftParams:
     @property
     def b(self) -> float:
         return self.alpha * self.r
-
-    @classmethod
-    def from_b(cls, lam: float, a: float, C: float, b: float) -> "LeftParams":
-        """Build with the fiber scale ``b`` given directly (r = b/alpha)."""
-        alpha = a * math.sqrt(-2.0 * math.log(lam))
-        return cls(lam=lam, a=a, C=C, r=b / alpha)
 
 
 @dataclass(frozen=True)
@@ -338,22 +344,19 @@ class PartialProfile:
     h2: Callable
 
 
-def build_left_profile(params: LeftParams, t1: float, ode: WarpOde) -> PartialProfile:
-    """Left piece h_l = a*h0, f_l = b*fC on [a3, t1], read from ``ode``.
+def build_left_profile(params: LeftParams) -> PartialProfile:
+    """Left piece h_l = a*h0, f_l = b*fC on [a3, t1], from the warp series of
+    (params.lam, params.C).
 
     The a3 interface clauses hold by scaling; :func:`check_bc` verifies them
-    on the assembled profile.  ``ode`` must solve (params.lam, params.C) and
-    cover [a3, t1]; the search integrates it to :data:`ODE_HORIZON`.
+    on the assembled profile.
     """
-    if ode.t_end < t1:
-        raise ProfileError(f"ODE solution ends at {ode.t_end}, before t1 = {t1}")
-    if abs(ode.lam - params.lam) > 1e-12 or abs(ode.C - params.C) > 1e-12:
-        raise ProfileError("ODE solution does not match the requested (lambda, C)")
+    warp = integrate_fC(params.C, params.lam)
     a, b = params.a, params.b
     return PartialProfile(
-        f=lambda t: b * ode.fc(t), f1=lambda t: b * ode.fc_d1(t), f2=lambda t: b * ode.fc_d2(t),
-        h=lambda t: a * ode.h0(t), h1=lambda t: a * ode.h0_d1(t), h2=lambda t: a * ode.h0_d2(t),
-    )
+        f=lambda t: b * warp.jets(t).fc, f1=lambda t: b * warp.jets(t).fc_d1,
+        f2=lambda t: b * warp.jets(t).fc_d2, h=lambda t: a * warp.jets(t).h0,
+        h1=lambda t: a * warp.jets(t).h0_d1, h2=lambda t: a * warp.jets(t).h0_d2)
 
 
 def _theta_family(x, c):
@@ -783,8 +786,7 @@ class SearchResult:
 
 
 def search_parameters(p: int, q: int, R_over_N: float, lam: float, *,
-                      mc_margin_tol: float, grid_n: int,
-                      odes: dict | None = None) -> SearchResult:
+                      mc_margin_tol: float, grid_n: int) -> SearchResult:
     """Scan the (C, t1, s0) candidates for an admissible neck profile.
 
     The handoff slope s0 fixes the fiber scale b = s0/fC'(t1), and the end
@@ -799,6 +801,8 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float, *,
     gates below in order and is dropped at the first it fails:
 
     * ``s0_window``: cos(R/N) + delta < s0 < 1, delta = 0.02 (1 - cos(R/N));
+    * ``fiber_scale``: b is finite, which fails where fC'(t1) underflows to 0
+      (lambda near 1e-200 and below);
     * ``fiber_ricci``: fiber Ricci at the neck start, b^2 C lam^2 <= 0.85 (p-2);
     * ``neck_start_margin``: b^2 C lam^2 <= 0.8 (p-1);
     * ``join_convexity``: the left piece's convexity at t1 inside the
@@ -808,17 +812,13 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float, *,
     * ``runout``: a concave run-out exists through the join state.
 
     The run-out the last gate solves is the one the profile is built from,
-    so each candidate that passes the five cheap gates solves one run-out.
+    so each candidate that passes the six cheap gates solves one run-out.
     A candidate that passes them all is built and measured once on the full
     check grid (:func:`measure_profile`), and accepted when
     :func:`sample_verdict` passes all four records: the nine interface
     clauses, boundary Ricci > 0, the :data:`MC_VARIANT` mean-curvature margin
     >= -mc_margin_tol and both gluing checks.  Otherwise the build error
     (``build``) or the first failed check id rejects it and the scan goes on.
-
-    Each C's warp ODE is read from ``odes``, keyed on (C, lam), and
-    integrated to :data:`ODE_HORIZON` and stored there only when missing; a
-    construction passes one mapping to all its searches (default a fresh dict).
 
     ``diagnostics`` holds ``evaluations`` (candidates built and measured)
     and ``rejected``, one (C, t1, s0, gate) per dropped candidate.  Raises
@@ -829,32 +829,27 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float, *,
         raise ProfileError(f"need p, q >= 3, got p={p}, q={q}")
     if not (0.0 < R_over_N < math.pi / 2):
         raise ProfileError(f"need R/N in (0, pi/2), got {R_over_N}")
-    if not (0.0 < lam < 0.5):
-        raise ProfileError(f"need lambda < 1/2, got {lam}")
     cosX, sinX = math.cos(R_over_N), math.sin(R_over_N)
     delta = 0.02 * (1.0 - cosX)
     bN_floor = BN_TOL / max(mc_margin_tol, MC_TOL_FLOOR)
-    odes = {} if odes is None else odes
     rejected = []
     evals = 0
 
     for C in (min(0.95, 0.95 * (q - 1) / (p - 1)), min(0.8, 0.8 * (q - 1) / (p - 1))):
-        ode = odes.get((C, lam))
-        if ode is None:
-            ode = odes[(C, lam)] = integrate_fC(C, lam, t_end=ODE_HORIZON)
+        warp = integrate_fC(C, lam)
         for t1 in SEARCH_T1:
-            h0_t1 = float(ode.h0(t1))
-            fc_t1 = float(ode.fc(t1))
-            fc1_t1 = float(ode.fc_d1(t1))
+            w = warp.jets(t1)
+            h0_t1, fc_t1, fc1_t1 = float(w.h0), float(w.fc), float(w.fc_d1)
             hl1 = SEARCH_A * h0_t1
             for s0 in (0.78, 0.75, 0.72, cosX + 1.1 * delta):
-                b = s0 / fc1_t1
+                b = s0 / fc1_t1 if fc1_t1 > 0.0 else math.inf
                 v0 = b * fc_t1
                 bN = max(bN_floor, 50.0 * v0)
                 rho = hl1 * (1.0 + THETA_RISE) / bN
                 D_t1 = 1.0 - s0 * s0
                 gates = (
                     ("s0_window", cosX + delta < s0 < 1.0),
+                    ("fiber_scale", math.isfinite(b)),
                     ("fiber_ricci", b * b * C * lam * lam <= 0.85 * (p - 2)),
                     ("neck_start_margin", b * b * C * lam * lam <= 0.8 * (p - 1)),
                     ("join_convexity", v0 * v0 * C * math.exp(-h0_t1 * h0_t1)
@@ -870,10 +865,11 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float, *,
                 if gate is None:
                     evals += 1
                     try:
-                        left_params = LeftParams.from_b(lam, SEARCH_A, C, b)
+                        left_params = LeftParams(lam=lam, a=SEARCH_A, C=C,
+                                                 r=b / (SEARCH_A * warp.s0))
                         right_params = RightParams(t1=t1, b3=t1 + run.length, beta=bN,
                                                    rho=rho, N=1.0, R=R_over_N)
-                        lp = build_left_profile(left_params, t1, ode=ode)
+                        lp = build_left_profile(left_params)
                         rp = build_right_profile(lp, right_params, run)
                         pair = assemble_profile(left_params, right_params, lp, rp)
                     except (ProfileError, ValueError):

@@ -45,38 +45,24 @@ def bump_exp_d1(x):
     return out
 
 
-def _phi_pair(x):
-    x = np.asarray(x, dtype=float)
-    u = bump_exp(x)
-    v = bump_exp(1.0 - x)
-    return x, u, v
-
-
 def smooth_step(x):
-    """C-infinity step: 0 for x <= 0, 1 for x >= 1, strictly increasing between."""
-    x, u, v = _phi_pair(x)
-    den = u + v
-    out = np.empty_like(x)
-    lo = x <= 0.0
-    hi = x >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0
-    out[mid] = u[mid] / den[mid]
-    return out
+    """C-infinity step: 0 for x <= 0, 1 for x >= 1, strictly increasing between.
+
+    u/(u+v) is exactly 0 for x <= 0, where u = 0, and exactly 1 for x >= 1,
+    where v = 0, so one formula serves every x."""
+    x = np.asarray(x, dtype=float)
+    u, v = bump_exp(x), bump_exp(1.0 - x)
+    return u / (u + v)
 
 
 def smooth_step_d1(x):
-    """First derivative of :func:`smooth_step` (vanishes to all orders at 0, 1)."""
-    x, u, v = _phi_pair(x)
-    up = bump_exp_d1(x)
-    vp = bump_exp_d1(1.0 - x)
-    den = u + v
-    out = np.zeros_like(x)
-    mid = (x > 0.0) & (x < 1.0)
-    # d/dx [u/(u+v)] = (u'v + u v') / (u+v)^2, since dv/dx = -phi'(1-x).
-    out[mid] = (up[mid] * v[mid] + u[mid] * vp[mid]) / (den[mid] ** 2)
-    return out
+    """First derivative of :func:`smooth_step` (vanishes to all orders at 0, 1).
+
+    d/dx [u/(u+v)] = (u'v + u v') / (u+v)^2, since dv/dx = -phi'(1-x); off
+    (0, 1) both products are exactly 0."""
+    x = np.asarray(x, dtype=float)
+    u, v = bump_exp(x), bump_exp(1.0 - x)
+    return (bump_exp_d1(x) * v + u * bump_exp_d1(1.0 - x)) / (u + v) ** 2
 
 
 def smoothstep7(x):

@@ -1,9 +1,9 @@
-"""The warp ODE solved to its horizon in one ``solve_ivp`` call.
+"""The warp ODE solved by RK45, the route ``profiles.integrate_fC`` took
+before the left piece became an exact series.
 
-This is the integration ``profiles.integrate_fC`` ran before it stepped on
-demand: the same RK45 solver, start state, horizon and tolerances, with every
-step taken up front.  Tests compare the on-demand solver against it bit for
-bit.
+It is kept as an independent cross-check at RK45's own accuracy: the same
+right-hand side, start state and tolerances (rtol 1e-10, atol 1e-13) the
+program used, with every step taken up front by ``solve_ivp``.
 """
 
 import math

@@ -82,15 +82,16 @@ class TestCriterion3:
         for _ in range(20):
             lam = rng.uniform(0.05, 0.45)
             C = rng.uniform(0.05, 0.95)
-            ode = integrate_fC(C, lam, 51.0)
-            assert abs(float(ode.h0_d1(0.0)) - lam) <= 1e-8
-            assert abs(float(ode.fc_d2(0.0)) - C * lam * lam) <= 1e-8
+            ode = integrate_fC(C, lam)
+            assert abs(float(ode.jets(0.0).h0_d1) - lam) <= 1e-8
+            assert abs(float(ode.jets(0.0).fc_d2) - C * lam * lam) <= 1e-8
             t = np.linspace(0.0, 50.0, 1001)
-            ratio = ode.fc_d1(t) / (ode.fc(t) * ode.h0(t) * ode.h0_d1(t))
+            w = ode.jets(t)
+            ratio = w.fc_d1 / (w.fc * w.h0 * w.h0_d1)
             assert ratio.min() >= -1e-9
             assert ratio.max() <= 1.0 + 1e-9
-            assert float(ode.fc(50.0) * ode.h0_d1(50.0)) < \
-                float(ode.fc(1.0) * ode.h0_d1(1.0))
+            assert float(ode.jets(50.0).fc * ode.jets(50.0).h0_d1) < \
+                float(ode.jets(1.0).fc * ode.jets(1.0).h0_d1)
         announce(3, "profile ODE initial data exact to 1e-8, slope ratio in "
                     "[0, 1], end product decreasing (20 random parameter pairs)")
 

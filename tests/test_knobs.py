@@ -48,8 +48,6 @@ KNOBS = {
                                           "and eta, plain ones for construct",
     "profiles.LeftParams.a3": "two values in use: the search's A3, verify's stored a3",
     "profiles.check_record.detail": "two records (boundary Ricci, gluing) carry no detail",
-    "profiles.search_parameters.odes": "None gives a lone search its own ODE mapping; a "
-                                       "construction passes the one its searches share",
     "profiles.InfeasibleProfileError.__init__.diagnostics": "None where a run-out window "
                                                             "check raises it; the search "
                                                             "passes its gate counts",

@@ -142,13 +142,12 @@ class TestAbTerms:
 
     def test_left_piece_destabilizer_decays(self):
         # B on the collar piece shrinks with the fiber scale b and a^2
-        from plumbric.profiles import LeftParams, build_left_profile, integrate_fC
-        ode = integrate_fC(0.5, 0.1, 60.0)
+        from plumbric.profiles import LeftParams, build_left_profile
         t = np.linspace(0.0, 50.0, 400)
         maxB = {}
         for scale in (1.0, 0.5, 0.25):
             lp = build_left_profile(
-                LeftParams(lam=0.1, a=0.2 * scale, C=0.5, r=0.05 * scale), 50.0, ode=ode)
+                LeftParams(lam=0.1, a=0.2 * scale, C=0.5, r=0.05 * scale))
             jets = WarpedJet(t=t, f=lp.f(t), f1=lp.f1(t), f2=lp.f2(t),
                              h=lp.h(t), h1=lp.h1(t), h2=lp.h2(t))
             _A, B = ab_terms(jets, beta=1e3, N=1.0, p=4, q=4)["reported"]
@@ -163,10 +162,8 @@ class TestAbTerms:
 
     def test_margin_grows_with_end_scale(self):
         # on a fixed collar piece the margin becomes positive for large beta
-        from plumbric.profiles import LeftParams, build_left_profile, integrate_fC
-        ode = integrate_fC(0.5, 0.1, 60.0)
-        lp = build_left_profile(LeftParams(lam=0.1, a=0.2, C=0.5, r=0.05), 50.0,
-                                ode=ode)
+        from plumbric.profiles import LeftParams, build_left_profile
+        lp = build_left_profile(LeftParams(lam=0.1, a=0.2, C=0.5, r=0.05))
         t = np.linspace(0.0, 50.0, 400)
         jets = WarpedJet(t=t, f=lp.f(t), f1=lp.f1(t), f2=lp.f2(t),
                          h=lp.h(t), h1=lp.h1(t), h2=lp.h2(t))

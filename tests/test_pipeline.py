@@ -300,10 +300,9 @@ def _counting_search(monkeypatch):
     return _counting(monkeypatch, pipeline, "search_parameters")
 
 
-def _counting_stages(monkeypatch):
-    """Count the warp ODE integrations and the taper oracle runs."""
-    return (_counting(monkeypatch, profiles, "integrate_fC"),
-            _counting(monkeypatch, pipeline, "z2_mean_curvature"))
+def _counting_tapers(monkeypatch):
+    """Count the taper oracle runs."""
+    return _counting(monkeypatch, pipeline, "z2_mean_curvature")
 
 
 class TestRepeatedVertexInputs:
@@ -321,7 +320,7 @@ class TestRepeatedVertexInputs:
         out = tmp_path_factory.mktemp("chain8")
         with pytest.MonkeyPatch.context() as mp:
             calls = _counting_search(mp)
-            stages = _counting_stages(mp)
+            stages = _counting_tapers(mp)
             cert = run_construction(tangent_chain(8, 3), self.SPEC, self.CONFIG,
                                     out_dir=out)
         return out, cert, calls, stages
@@ -333,10 +332,12 @@ class TestRepeatedVertexInputs:
         assert len(calls) == 2
 
     def test_two_searches_share_one_ode_and_one_taper_run(self, chain8):
-        # both searches accept the same (C, t1, s0), so the same warp ODE and
-        # the same taper inputs (p, q, lambda, r, eps_b2)
-        _out, cert, _calls, (odes, tapers) = chain8
-        assert len(odes) == 1 and len(tapers) == 1
+        # both searches accept the same (C, t1, s0), so the same warp series
+        # (C, lambda) and the same taper inputs (p, q, lambda, r, eps_b2)
+        _out, cert, _calls, tapers = chain8
+        assert len(tapers) == 1
+        assert ([cert.steps[0]["left"][k] for k in ("C", "lambda")]
+                == [cert.steps[1]["left"][k] for k in ("C", "lambda")])
         assert cert.steps[0]["right"]["R"] != cert.steps[1]["right"]["R"]
         assert cert.steps[0]["eps_b2"] == cert.steps[1]["eps_b2"]
 
@@ -417,8 +418,8 @@ class TestRepeatedVertexInputs:
 
 
 class TestConstructionMemo:
-    """A construction runs its warp ODE once per (C, lambda) and its taper
-    oracle once per (p, q, lambda, r, eps_b2); nothing outlives the call."""
+    """A construction runs its taper oracle once per (p, q, lambda, r,
+    eps_b2); nothing outlives the call."""
 
     # At lambda 0.3 a fresh root on the derived spec has R/N exactly pi/4
     # (at 0.2 it misses by an ulp), so it runs the derived step's search.
@@ -430,10 +431,10 @@ class TestConstructionMemo:
 
     @pytest.mark.parametrize("d", [3, 9])
     def test_tangent_two_chain_runs_each_stage_once(self, d, monkeypatch):
-        odes, tapers = _counting_stages(monkeypatch)
+        tapers = _counting_tapers(monkeypatch)
         cert = run_construction(tangent_chain(2, d), self._spec(d), self.CONFIG)
         assert cert.passed and len(cert.steps) == 2
-        assert len(odes) == 1 and len(tapers) == 1
+        assert len(tapers) == 1
 
     @pytest.mark.parametrize("d", [3, 9])
     def test_shared_stages_leave_the_step_as_a_fresh_run(self, d):
@@ -445,10 +446,10 @@ class TestConstructionMemo:
         assert json.dumps(fresh) == json.dumps(cert.steps[1])
 
     def test_memo_does_not_outlive_its_call(self, monkeypatch):
-        odes, tapers = _counting_stages(monkeypatch)
+        tapers = _counting_tapers(monkeypatch)
         for n in (1, 2):
             assert run_construction(tangent_chain(2, 3), self._spec(3), self.CONFIG).passed
-            assert len(odes) == n and len(tapers) == n
+            assert len(tapers) == n
 
 
 class TestTaperCheck:
@@ -689,6 +690,43 @@ class TestCli:
         assert cli_main(["topo", "--tree", str(tree_file), "--lmax", "3"]) == 2
         assert _one_error_line(capsys, "topo", match)
 
+    @pytest.mark.parametrize("config, match", [
+        ({"root": 0.7}, "'root' must be an integer in [0, 2), got 0.7"),
+        ({"root": 5}, "'root' must be an integer in [0, 2), got 5"),
+        ({"root": -1}, "'root' must be an integer in [0, 2), got -1"),
+        ({"root": 0, "v_spec": {"p": 3.9}}, "v_spec.p must be an integer, got 3.9"),
+        ({"v_spec": {"R": "0.8"}}, "v_spec.R must be a finite number, got '0.8'"),
+        ({"v_spec": {"kappa": True}}, "v_spec.kappa must be a finite number, got True"),
+    ], ids=["root_float", "root_past_n", "root_negative", "p_float", "R_str", "kappa_bool"])
+    def test_construct_spec_of_the_wrong_type_exits_2(self, tmp_path, capsys, config, match):
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(tangent_chain(2, 3).to_json())
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        assert cli_main(["construct", "--tree", str(tree_file), "--config", str(cfg_file),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert _one_error_line(capsys, "construct", match)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("root", [2, -1, True])
+    def test_construction_rejects_a_root_outside_the_tree(self, root):
+        with pytest.raises(SpecError, match=r"'root' must be an integer in \[0, 2\)"):
+            run_construction(tangent_chain(2, 3), NiceCoordinateSpec(3, 3, 0.8, 1.0, 0.5),
+                             {"grid": 64}, root=root)
+
+    @pytest.mark.parametrize("lam", [1e-300, 5e-324])
+    def test_underflowing_lambda_reads_infeasible(self, tmp_path, capsys, lam):
+        # fC'(t1) underflows to 0: every candidate is a named rejection
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(tangent_chain(1, 3).to_json())
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"lambda": lam, "grid": 64}))
+        assert cli_main(["construct", "--tree", str(tree_file), "--config", str(cfg_file),
+                         "--out", str(tmp_path / "out")]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        assert doc["steps"][0]["infeasible"].endswith("by gate: fiber_scale 32")
+
     def test_tree_without_optional_keys_takes_the_vertex_defaults(self):
         doc = json.loads(tangent_chain(2, 3).to_json())
         for v in doc["vertices"]:
@@ -840,11 +878,11 @@ class TestOracleValues:
     """
 
     EXPECTED = {
-        3: {"bulk_scalar_min": 1.3182325125278054, "taper_mc_min": 0.0,
-            "mc_margin_reported": -2.7926587773457544e-10,
-            "mc_margin_curvature": -2.7926587773457544e-10,
-            "mc_margin_unit": -2.7926587773457544e-10},
-        4: {"bulk_scalar_min": 5.395231027711637, "taper_mc_min": 0.0,
+        3: {"bulk_scalar_min": 1.3182325123041014, "taper_mc_min": 0.0,
+            "mc_margin_reported": -2.7926587773457555e-10,
+            "mc_margin_curvature": -2.7926587773457555e-10,
+            "mc_margin_unit": -2.7926587773457555e-10},
+        4: {"bulk_scalar_min": 5.395231027009412, "taper_mc_min": 0.0,
             "mc_margin_reported": -2.1122102751087605e-10,
             "mc_margin_curvature": -2.1122102751087605e-10,
             "mc_margin_unit": -2.1122102751087605e-10},

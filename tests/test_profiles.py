@@ -1,15 +1,17 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from csv_reference import first_difference, savetxt_csv
 from ode_reference import reference_solution
+from warp_reference import kummer_reference
 from plumbric.pipeline import NiceCoordinateSpec, params_json, run_construction
 from plumbric.plumbing import PlumbingTree, PlumbingVertex
-from plumbric.profiles import (A3, CSV_BLOCK_ROWS, ODE_HORIZON, PROFILE_COLUMNS, SEARCH_T1,
+from plumbric.profiles import (A3, CSV_BLOCK_ROWS, PROFILE_COLUMNS, SEARCH_T1,
                                BoundaryConditionError, EpsilonProfile, InfeasibleProfileError,
                                LeftParams, ProfileError, build_left_profile, check_bc,
                                csv_blocks, integrate_fC, search_parameters, solve_runout)
@@ -21,124 +23,129 @@ class TestOdes:
     # h0 does not depend on C; these read it off the joint solve at C = 0.5
     def test_h0_initial_data(self):
         for lam in (0.1, 0.2, 0.35):
-            ode = integrate_fC(0.5, lam, 20.0)
-            assert float(ode.h0(A3)) == pytest.approx(math.sqrt(-2 * math.log(lam)), abs=1e-12)
-            assert float(ode.h0_d1(A3)) == pytest.approx(lam, abs=1e-10)
-            assert float(ode.h0_d2(A3)) == pytest.approx(
+            w = integrate_fC(0.5, lam).jets(A3)
+            assert float(w.h0) == pytest.approx(math.sqrt(-2 * math.log(lam)), abs=1e-12)
+            assert float(w.h0_d1) == pytest.approx(lam, abs=1e-10)
+            assert float(w.h0_d2) == pytest.approx(
                 -lam ** 2 * math.sqrt(-2 * math.log(lam)), rel=1e-8)
 
     def test_h0_value_example(self):
-        ode = integrate_fC(0.5, 0.1, 5.0)
-        assert float(ode.h0(A3)) == pytest.approx(2.1459660262893476, abs=1e-10)
-        ode2 = integrate_fC(0.5, 0.2, 5.0)
-        assert float(ode2.h0_d2(A3)) == pytest.approx(-0.0717649, abs=5e-7)
+        ode = integrate_fC(0.5, 0.1)
+        assert float(ode.jets(A3).h0) == pytest.approx(2.1459660262893476, abs=1e-10)
+        ode2 = integrate_fC(0.5, 0.2)
+        assert float(ode2.jets(A3).h0_d2) == pytest.approx(-0.0717649, abs=5e-7)
 
     def test_fc_initial_data(self):
-        ode = integrate_fC(0.5, 0.1, 5.0)
-        assert float(ode.fc_d2(A3)) == pytest.approx(0.005, abs=1e-12)
+        ode = integrate_fC(0.5, 0.1)
+        assert float(ode.jets(A3).fc_d2) == pytest.approx(0.005, abs=1e-12)
 
     def test_monotonicity(self):
-        ode = integrate_fC(0.4, 0.2, 60.0)
+        ode = integrate_fC(0.4, 0.2)
         t = np.linspace(A3 + 1e-6, 60.0, 500)
-        assert np.all(ode.h0_d1(t) > 0)
-        assert np.all(ode.h0_d2(t) < 0)
-        assert np.all(ode.fc(t) > 1e-12)
-        assert np.all(ode.fc_d1(t) > 1e-12)
-        assert np.all(ode.fc_d2(t) > 1e-12)
+        w = ode.jets(t)
+        assert np.all(w.h0_d1 > 0)
+        assert np.all(w.h0_d2 < 0)
+        assert np.all(w.fc > 1e-12)
+        assert np.all(w.fc_d1 > 1e-12)
+        assert np.all(w.fc_d2 > 1e-12)
 
     def test_ratio_property(self):
         # fC'/(fC h0 h0') stays inside [0, 1] along the whole run
         for lam, C in ((0.1, 0.5), (0.3, 0.9), (0.45, 0.2)):
-            ode = integrate_fC(C, lam, A3 + 50.0)
+            ode = integrate_fC(C, lam)
             t = np.linspace(A3, A3 + 50.0, 2000)
-            ratio = ode.fc_d1(t) / (ode.fc(t) * ode.h0(t) * ode.h0_d1(t))
+            w = ode.jets(t)
+            ratio = w.fc_d1 / (w.fc * w.h0 * w.h0_d1)
             assert ratio.min() >= -1e-9
             assert ratio.max() <= 1.0 + 1e-9
 
     def test_self_consistency_by_differencing(self):
-        ode = integrate_fC(0.5, 0.1, 30.0)
+        ode = integrate_fC(0.5, 0.1)
         t = np.linspace(1.0, 29.0, 200)
         d = 1e-5
-        fd_h0 = (ode.h0(t + d) - ode.h0(t - d)) / (2 * d)
-        assert np.max(np.abs(fd_h0 - ode.h0_d1(t))) < 1e-8
-        fd_fc1 = (ode.fc_d1(t + d) - ode.fc_d1(t - d)) / (2 * d)
-        assert np.max(np.abs(fd_fc1 - ode.fc_d2(t))) < 1e-8
+        fd_h0 = (ode.jets(t + d).h0 - ode.jets(t - d).h0) / (2 * d)
+        assert np.max(np.abs(fd_h0 - ode.jets(t).h0_d1)) < 1e-8
+        fd_fc1 = (ode.jets(t + d).fc_d1 - ode.jets(t - d).fc_d1) / (2 * d)
+        assert np.max(np.abs(fd_fc1 - ode.jets(t).fc_d2)) < 1e-8
 
     def test_growth_surrogate(self):
         # the fiber solution eventually grows without bound; visible within
         # 50 units once the collar dynamics are fast
-        ode = integrate_fC(0.9, 0.45, 55.0)
-        assert float(ode.fc(A3 + 50.0)) > 10.0 * float(ode.fc(A3))
+        ode = integrate_fC(0.9, 0.45)
+        assert float(ode.jets(A3 + 50.0).fc) > 10.0 * float(ode.jets(A3).fc)
 
     def test_decay_surrogate(self):
         # fc * h0' -> 0; the tenfold drop needs a slightly longer horizon
         # than the raw decrease (which criterion 3 checks at +50)
-        ode = integrate_fC(0.5, 0.1, 250.0)
-        assert float(ode.fc(210.0) * ode.h0_d1(210.0)) < \
-            0.1 * float(ode.fc(A3 + 1.0) * ode.h0_d1(A3 + 1.0))
+        ode = integrate_fC(0.5, 0.1)
+        assert float(ode.jets(210.0).fc * ode.jets(210.0).h0_d1) < \
+            0.1 * float(ode.jets(A3 + 1.0).fc * ode.jets(A3 + 1.0).h0_d1)
 
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-def _reference_values(ref, t) -> tuple:
-    """(h0, fC, fC') of the reference at t, evaluated as the solver evaluates."""
-    y = ref.sol(np.atleast_1d(np.asarray(t, dtype=float)))
-    return tuple(y[k].reshape(np.shape(t)) for k in range(3))
+def _close(got, want) -> bool:
+    """Within 1e-13 relative; a value below the least normal float (fC' at a
+    C near 5e-324) has no relative precision left to compare."""
+    return math.isclose(float(got), want, rel_tol=1e-13, abs_tol=sys.float_info.min)
 
 
-class TestOnDemandOde:
-    """The warp ODE steps only as far as its evaluations read it, and every
-    value equals the full ``solve_ivp`` solve's (``tests/ode_reference.py``)."""
+class TestWarpSeries:
+    """The left piece's series against the closed form (``warp_reference``)
+    and against the RK45 solve it replaced (``ode_reference``)."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(C=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-           lam=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
-           t_end=st.sampled_from((50.0, SEARCH_T1[0], 1.2 * SEARCH_T1[-1])),
-           order=st.sampled_from(("ascending", "descending", "shuffled")),
-           data=st.data())
-    def test_values_equal_the_reference_bit_for_bit(self, C, lam, t_end, order, data):
-        ref = reference_solution(C, lam, t_end)
-        ode = integrate_fC(C, lam, t_end)
-        # step points of the reference, points between them, and both ends
-        picks = data.draw(st.lists(st.integers(0, len(ref.t) - 1), min_size=1, max_size=10))
-        fracs = data.draw(st.lists(st.floats(0.0, 1.0), max_size=10))
-        t = [*ref.t[picks], *(A3 + x * (t_end - A3) for x in fracs), A3, t_end]
-        if order == "shuffled":
-            t = data.draw(st.permutations(t))
-        else:
-            t = sorted(t, reverse=order == "descending")
-        for x in t:
-            got = (ode.h0(x), ode.fc(x), ode.fc_d1(x))
-            assert list(map(_bits, got)) == list(map(_bits, _reference_values(ref, x))), x
-        t = np.array(t)
-        got = (ode.h0(t), ode.fc(t), ode.fc_d1(t))
-        assert list(map(_bits, got)) == list(map(_bits, _reference_values(ref, t)))
-        assert ode.t_covered in ref.t
+           log_lam=st.floats(-8.0, math.log10(0.5), exclude_max=True),
+           log_t=st.floats(-3.0, math.log10(3.6e7)))
+    def test_values_match_the_closed_form(self, C, log_lam, log_t):
+        lam, t = 10.0 ** log_lam, 10.0 ** log_t
+        assume(lam < 0.5)
+        w = integrate_fC(C, lam).jets(t)
+        h0, fc, fc1 = kummer_reference(C, lam, t)
+        assert _close(w.h0, h0) and _close(w.fc, fc) and _close(w.fc_d1, fc1)
 
-    def test_search_at_the_first_join_stops_short(self):
-        odes = {}
-        res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=256,
-                                odes=odes)
-        assert res.right.t1 == SEARCH_T1[0]
-        [(C, lam)] = odes
-        ode = odes[(C, lam)]
-        assert ode.t_end == 1.2 * SEARCH_T1[-1]
-        assert SEARCH_T1[0] <= ode.t_covered < ode.t_end
-        ref = reference_solution(C, lam, ode.t_end)
-        steps = int(np.searchsorted(ref.t, ode.t_covered))
-        assert ref.t[steps] == ode.t_covered
-        assert steps < 0.8 * (len(ref.t) - 1)
-        # a later reader continues the same solver up to where it reads
-        assert _bits(ode.fc(SEARCH_T1[1])) == _bits(_reference_values(ref, SEARCH_T1[1])[1])
-        assert ode.t_covered < ode.t_end
+    @pytest.mark.parametrize("C,lam", [(0.5, 1e-8), (0.95, 0.1), (0.01, 0.4999)])
+    def test_exact_initial_values(self, C, lam):
+        w = integrate_fC(C, lam).jets(A3)
+        assert float(w.h0) == math.sqrt(-2.0 * math.log(lam))
+        assert float(w.fc) == 1.0 and float(w.fc_d1) == 0.0
+        assert float(w.h0_d1) == lam
+
+    @settings(max_examples=20, deadline=None)
+    @given(C=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           lam=st.floats(0.05, 0.5, exclude_max=True),
+           log_t=st.lists(st.floats(4.0, math.log10(3.6e7)), min_size=1, max_size=6))
+    def test_values_match_the_rk45_reference_to_its_accuracy(self, C, lam, log_t):
+        # RK45 ran at rtol 1e-10, atol 1e-13: its measured error here is at
+        # most 4.1e-10 relative, or within atol where fC' is that small
+        t = np.sort(10.0 ** np.array(log_t))
+        ref = reference_solution(C, lam, t[-1]).sol(t)
+        w = integrate_fC(C, lam).jets(t)
+        for got, want in zip((w.h0, w.fc, w.fc_d1), ref):
+            assert np.all(np.abs(got - want) <= 2e-9 * np.abs(want) + 1e-13)
+
+    @settings(max_examples=20, deadline=None)
+    @given(C=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           lam=st.floats(1e-8, 0.5, exclude_max=True),
+           t=st.lists(st.floats(0.0, 3.6e7), min_size=2, max_size=20))
+    def test_a_value_does_not_depend_on_the_other_points(self, C, lam, t):
+        batch = integrate_fC(C, lam).jets(np.array(t))
+        for k, x in enumerate(t):
+            alone = integrate_fC(C, lam).jets(x)
+            assert list(map(_bits, alone)) == [_bits(v[k]) for v in batch], x
+
+    @pytest.mark.parametrize("t", [-1e-9, math.nan, math.inf])
+    def test_points_off_the_left_piece_rejected(self, t):
+        with pytest.raises(ProfileError, match="finite t >= 0"):
+            integrate_fC(0.5, 0.1).jets(np.array([1.0, t]))
 
     def test_a_fresh_ode_rebuilds_the_accepted_left_piece(self):
-        # a rebuild from the accepted parameters needs only the one horizon
         res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=2048)
         left, t1 = res.left, res.right.t1
-        piece = build_left_profile(left, t1, integrate_fC(left.C, left.lam, ODE_HORIZON))
+        piece = build_left_profile(left)
         jets = res.measurement.jets
         on_left = jets.t < t1
         assert np.count_nonzero(on_left) >= 1
@@ -150,27 +157,29 @@ class TestOnDemandOde:
             assert np.array_equal(getattr(piece, name)(dense),
                                   getattr(res.pair, name)(dense)), name
 
+    @pytest.mark.parametrize("lam", [1e-200, 1e-300, 5e-324])
+    def test_underflowing_join_slope_is_a_named_rejection(self, lam):
+        # fC'(t1) underflows to 0, so no fiber scale b = s0/fC'(t1) exists
+        assert float(integrate_fC(0.95, lam).jets(SEARCH_T1[-1]).fc_d1) == 0.0
+        with pytest.raises(InfeasibleProfileError) as err:
+            search_parameters(3, 3, math.pi / 4, lam, mc_margin_tol=1e-9, grid_n=256)
+        gates = {gate for *_, gate in err.value.diagnostics["rejected"]}
+        assert gates == {"fiber_scale"}
+
 
 class TestLeftPiece:
     def test_bc1_values(self):
         lam, a, r = 0.1, 1.0, 0.05
         params = LeftParams(lam=lam, a=a, C=0.5, r=r)
         assert params.alpha == pytest.approx(2.1459660262893476, rel=1e-12)
-        lp = build_left_profile(params, 5.0, integrate_fC(0.5, lam, 15.0))
+        lp = build_left_profile(params)
         assert float(lp.f(A3)) == pytest.approx(params.alpha * r, abs=1e-12)
         assert float(lp.f(A3)) == pytest.approx(0.10730, abs=5e-6)
         assert float(lp.f1(A3)) == pytest.approx(0.0, abs=1e-12)
 
     def test_collar_slope_bound(self):
-        lp = build_left_profile(LeftParams(lam=0.1, a=0.5, C=0.5, r=0.05), 5.0,
-                                integrate_fC(0.5, 0.1, 15.0))
+        lp = build_left_profile(LeftParams(lam=0.1, a=0.5, C=0.5, r=0.05))
         assert float(lp.h1(A3)) == pytest.approx(0.05, abs=1e-10)
-
-    def test_short_ode_rejected(self):
-        params = LeftParams(lam=0.1, a=0.5, C=0.5, r=0.05)
-        ode = integrate_fC(params.C, params.lam, t_end=4.0)
-        with pytest.raises(ProfileError, match="before t1"):
-            build_left_profile(params, 5.0, ode=ode)
 
     def test_a_gate(self):
         with pytest.raises(BoundaryConditionError) as err:
@@ -371,7 +380,7 @@ class TestOneRunoutPerCandidate:
         monkeypatch.setattr(profiles, "build_right_profile", build_counted)
         res = search_parameters(p, q, rn, lam, mc_margin_tol=1e-9, grid_n=256)
         diag = res.diagnostics
-        # a candidate through the five cheap gates is either rejected by
+        # a candidate through the six cheap gates is either rejected by
         # ``runout`` or evaluated, and solves one run-out either way
         gated = diag["evaluations"] + sum(g == "runout" for *_, g in diag["rejected"])
         assert len(runs) == gated >= 1
