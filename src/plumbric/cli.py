@@ -15,10 +15,14 @@ from .plumbing import EtaLedger, PlumbingTree, eta_ledger, fixed_point_count
 
 def _load_config(path, grid=None, tol=None) -> tuple:
     """The run config of a config file with the flag overrides, and the
-    file's construct-only keys ``v_spec`` and ``root``."""
+    file's construct-only keys ``v_spec`` and ``root``.  A file that does not
+    hold a JSON object raises a ``SpecError`` naming it."""
     cfg = {}
     if path:
         cfg = json.loads(pathlib.Path(path).read_text())
+        if not isinstance(cfg, dict):
+            raise SpecError(f"config file {path} must hold a JSON object, not a "
+                            f"{type(cfg).__name__}")
     cli_keys = {k: cfg.pop(k) for k in ("v_spec", "root") if k in cfg}
     if grid is not None:
         cfg["grid"] = grid

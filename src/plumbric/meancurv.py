@@ -52,7 +52,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .caps import BlockDiagonalForm, perelman_form_check
 from .oracle import MetricPatch, GraphHypersurface, numeric_second_fundamental_form
@@ -337,6 +336,8 @@ def bulk_patch(pair, p: int, q: int, d_min: float) -> tuple:
     along (t~, s), where the metric varies on the scale bN, and 1e-3 along
     the angles.
     """
+    from scipy.interpolate import CubicHermiteSpline
+
     bN = pair.right.bN
     curve = build_curve(pair, pair.right.beta, pair.right.N, grid_n=1024)
     keep = np.flatnonzero(curve.D >= d_min)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "MetricPatch",
@@ -199,6 +198,8 @@ def numeric_curvature(patch: MetricPatch, point, step=DEFAULT_STEP) -> Curvature
 
     ginv = np.linalg.inv(g0)
     scalar = float(np.einsum("ij,ij->", ginv, ric))
+    import scipy.linalg
+
     eigs = scipy.linalg.eigh(ric, g0, eigvals_only=True)
     return CurvatureReport(point=point, ricci=ric, scalar=scalar,
                            min_ricci_eigenvalue=float(eigs[0]))
@@ -297,6 +298,8 @@ def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHyper
     form = 0.5 * (form + form.T)
 
     induced = tangents @ g0 @ tangents.T
+    import scipy.linalg
+
     pcs = scipy.linalg.eigh(form, induced, eigvals_only=True)
     return SecondFundamentalFormReport(point=point, form=form, induced_metric=induced,
                                        principal_curvatures=np.asarray(pcs))

@@ -569,11 +569,12 @@ def verify(profile_path, params_path, config: dict | None = None) -> Constructio
 def topo_report(tree: PlumbingTree, l_max: int) -> dict:
     """Exact invariants of a plumbing tree as a JSON-ready dictionary.
 
-    The intersection matrix is built once, for the determinant; the Arf
-    invariant and the symmetry type read the tree itself.  A ledger the tree
-    has no value for is replaced by a note with the reason: ``arf_note`` for
-    the Arf invariant, ``clutching_note`` for the clutching word of a tree
-    that is not a path; an eta ledger runs over the lengths 1..l_max."""
+    No matrix is built: the determinant is one O(m) integer recursion over
+    the tree (``plumbing.tree_det``), and the Arf invariant and the symmetry
+    type read the tree too.  A ledger the tree has no value for is replaced
+    by a note with the reason: ``arf_note`` for the Arf invariant,
+    ``clutching_note`` for the clutching word of a tree that is not a path;
+    an eta ledger runs over the lengths 1..l_max."""
     sphere, det = boundary_sphere_test(tree)
     sym = form_symmetry(tree)
     out = {
@@ -606,5 +607,5 @@ def topo_report(tree: PlumbingTree, l_max: int) -> dict:
             led = EtaLedger(k=k, lengths=lengths, fixed_point_counts={
                 l: fixed_point_count(8 * l, "reported") for l in lengths})
             res = eta_ledger(led)
-            out["eta"] = json.loads(res.to_json())
+            out["eta"] = res.as_dict()
     return out

@@ -1,9 +1,11 @@
 """Combinatorial plumbing trees and their exact topological ledgers.
 
-Exact integer/rational arithmetic throughout: the intersection matrix and its
-Bareiss determinant, the Arf invariant by peeling leaf pairs off the tree in
-O(m), boundary clutching words, and fixed-point ledgers of pairwise-distinct
-end invariants.
+Exact integer/rational arithmetic throughout: the determinant of the
+intersection form by one O(m) recursion over the tree (no m x m matrix is
+built), the Arf invariant by peeling leaf pairs off the tree in O(m), boundary
+clutching words, and fixed-point ledgers of pairwise-distinct end invariants.
+The dense ``intersection_matrix`` and its ``bareiss_det`` are the reference
+the tree recursion is tested against; no command runs them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "form_symmetry",
     "intersection_matrix",
     "bareiss_det",
+    "tree_det",
     "boundary_sphere_test",
     "arf_invariant",
     "clutching_word",
@@ -254,11 +257,48 @@ def bareiss_det(matrix) -> int:
     return sign * M[-1][-1]
 
 
+def tree_det(tree: PlumbingTree) -> int:
+    """Exact determinant of the intersection form, in O(m) integer steps.
+
+    The matrix is supported on a tree, so only the permutations made of fixed
+    points and edge transpositions contribute: the determinant is a sum over
+    matchings.  A transposition (i j) contributes -M_ij M_ji = sigma s^2 =
+    sigma, with sigma = -1 for a symmetric form and +1 for a skew one.  Root
+    the tree at vertex 0.  Let F(v) be the determinant of v's subtree, and
+    G(v) = prod_c F(c) over v's children c, the determinant of that subtree
+    less v.  Then
+
+        F(v) = e_v G(v) + sigma sum_c G(c) prod_{c' != c} F(c'),
+
+    and the determinant is F(0).  The prefix products and the sum are carried
+    child by child: with P the product of F and S the sum over the children
+    seen so far, a child c sets S <- S F(c) + G(c) P, then P <- P F(c), so
+    nothing is divided and no product is taken twice.  The tree is walked by
+    an iterative breadth-first search, so a chain of any length works."""
+    sigma = 1 if form_symmetry(tree) == "skew" else -1
+    adj, n = tree._adj, tree.n
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    prod = [1] * n   # P(v): product of F over v's children done so far, then G(v)
+    cross = [0] * n  # S(v): the sum term over v's children done so far
+    for v in reversed(order):
+        det = tree.vertices[v].euler * prod[v] + sigma * cross[v]
+        u = parent[v]
+        if u >= 0:
+            cross[u] = cross[u] * det + prod[v] * prod[u]
+            prod[u] *= det
+    return det
+
+
 def boundary_sphere_test(tree: PlumbingTree):
     """(is_homotopy_sphere, det): |det| = 1 detects homotopy-sphere boundaries
     for simply connected tree plumbings over spheres (p, q >= 3)."""
-    M, _sym = intersection_matrix(tree)
-    det = bareiss_det(M)
+    det = tree_det(tree)
     return abs(det) == 1, det
 
 
@@ -408,14 +448,19 @@ class EtaLedgerResult:
     distinct: bool
     collisions: tuple
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def as_dict(self) -> dict:
+        """The JSON-ready dictionary: each eta as [numerator, denominator]
+        under its length's decimal string, each collision as a list."""
+        return {
             "n": self.n,
             "cv_coefficient": self.cv_coefficient,
             "etas": {str(l): [v.numerator, v.denominator] for l, v in self.etas.items()},
             "distinct": self.distinct,
             "collisions": [list(c) for c in self.collisions],
-        }, sort_keys=True, indent=1)
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True, indent=1)
 
 
 def eta_ledger(ledger: EtaLedger) -> EtaLedgerResult:

@@ -47,8 +47,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from .meancurv import MC_VARIANTS, interface_checks, neck_margins
 from .steps import smooth_step, smooth_step_d1, smoothstep7
@@ -387,6 +385,8 @@ def _collar_decay() -> float:
 
     It depends on nothing else, so it is solved once per process, on first use.
     """
+    from scipy.optimize import brentq
+
     return brentq(lambda c: float(np.trapezoid(_theta_family(COLLAR_NODES, c), COLLAR_NODES))
                   - COLLAR_MEAN, 0.0, 400.0, xtol=1e-13)
 
@@ -429,6 +429,7 @@ class Runout:
         # the value curve f(u) is its Hermite inverse (df/du = -sigma exact
         # at the nodes), anchored at u = 0 <-> f = f_end.
         from scipy.integrate import cumulative_simpson
+        from scipy.interpolate import CubicHermiteSpline
 
         fs = np.linspace(v0, self.f_end, 65537)
         inv = 1.0 / self.sigma(fs)
@@ -508,6 +509,7 @@ def build_right_profile(left: PartialProfile, params: RightParams, run: Runout
             "reduce rho", {"span": span})
     t_h = t1 + span
     c_h = _collar_decay()
+    from scipy.interpolate import CubicHermiteSpline
 
     t_nodes = t1 + span * COLLAR_NODES
     sig_nodes = hs1 * _theta_family(COLLAR_NODES, c_h)

@@ -35,13 +35,17 @@ def bump_exp(x):
 
 
 def bump_exp_d1(x):
-    """Derivative of :func:`bump_exp`: exp(-1/x)/x^2 on x > 0."""
+    """Derivative of :func:`bump_exp`: exp(-1/x)/x^2 on x > 0.
+
+    It is 0 wherever exp(-1/x) underflows to 0, which covers the x whose
+    square underflows too (x < 1.5e-162), where the quotient would be 0/0."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0.0
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         xp = x[pos]
-        out[pos] = np.exp(-1.0 / xp) / (xp * xp)
+        num = np.exp(-1.0 / xp)
+        out[pos] = np.divide(num, xp * xp, out=np.zeros_like(num), where=num > 0.0)
     return out
 
 

@@ -18,7 +18,8 @@ from plumbric.cli import main as cli_main
 from plumbric.pipeline import (DEFAULT_CONFIG, EPSILON_I, NiceCoordinateSpec, SpecError,
                                certificate_json, run_construction, topo_report,
                                verify, verify_samples)
-from plumbric.plumbing import EtaLedger, PlumbingTree, PlumbingVertex, eta_ledger, tangent_chain
+from plumbric.plumbing import (EtaLedger, PlumbingTree, PlumbingVertex, bareiss_det, eta_ledger,
+                               intersection_matrix, tangent_chain)
 from plumbric.profiles import (CSV_BLOCK_ROWS, MC_VARIANT, BoundaryConditionError,
                                ProfileError)
 
@@ -525,18 +526,16 @@ class TestTopo:
                                                              PlumbingVertex(5, 3, -2)),
                                                    edges=((0, 1, -1),))],
                              ids=["skew_8", "skew_7", "symmetric_2"])
-    def test_one_intersection_matrix_per_report(self, tree, monkeypatch):
+    def test_report_builds_no_matrix(self, tree, monkeypatch):
         # count calls through the plumbing module and any name pipeline binds
-        calls, build = [], plumbing.intersection_matrix
-
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
-
-        for module in (plumbing, pipeline):
-            monkeypatch.setattr(module, "intersection_matrix", counted, raising=False)
-        topo_report(tree, l_max=20)
-        assert len(calls) == 1
+        calls = []
+        for name in ("intersection_matrix", "bareiss_det"):
+            for module in (plumbing, pipeline):
+                monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name),
+                                    raising=False)
+        rep = topo_report(tree, l_max=20)
+        assert calls == []
+        assert rep["det"] == bareiss_det(intersection_matrix(tree)[0])
 
     GOLDEN = json.loads((pathlib.Path(__file__).parent / "fixtures"
                          / "topo_golden.json").read_text())
@@ -706,6 +705,24 @@ class TestCli:
         assert cli_main(["construct", "--tree", str(tree_file), "--config", str(cfg_file),
                          "--out", str(tmp_path / "out")]) == 2
         assert _one_error_line(capsys, "construct", match)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["construct", "verify"])
+    @pytest.mark.parametrize("config, kind", [([1, 2], "list"), (3, "int")],
+                             ids=["list", "int"])
+    def test_config_that_is_not_an_object_exits_2(self, single_run, tmp_path, capsys,
+                                                  command, config, kind):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(tangent_chain(2, 3).to_json())
+        out, _ = single_run
+        args = {"construct": ["--tree", str(tree_file), "--out", str(tmp_path / "out")],
+                "verify": ["--profiles", str(out / "profiles" / "step_0.csv"),
+                           "--params", str(out / "profiles" / "step_0.params.json")]}[command]
+        assert cli_main([command, "--config", str(cfg_file), *args]) == 2
+        assert _one_error_line(
+            capsys, command, f"config file {cfg_file} must hold a JSON object, not a {kind}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("root", [2, -1, True])

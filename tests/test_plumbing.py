@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from plumbric.plumbing import (EtaLedger, EtaLedgerResult, NonUnimodularFormErro
                                boundary_sphere_test, clutching_word, eta_ledger,
                                eta_local_contribution, fixed_point_count,
                                form_symmetry, intersection_matrix, render_word,
-                               tangent_chain)
+                               tangent_chain, tree_det)
 
 from gf2_reference import arf_of_refinement, reference_arf
 
@@ -91,13 +92,14 @@ class TestIntersectionForm:
 
 
 @st.composite
-def skew_trees(draw, matched: bool):
+def skew_trees(draw, matched: bool, symmetric: bool = False):
     """Skew trees with random signs, framings and even Euler numbers, their
     vertices relabelled at random.  A ``matched`` tree has the perfect
     matching (2i, 2i + 1): each pair joins an earlier pair by one edge between
     random ends, so contracting the pairs leaves a random tree (every tree
-    with a perfect matching arises so)."""
-    d = draw(st.sampled_from((3, 5, 7)))
+    with a perfect matching arises so).  A ``symmetric`` tree is built on the
+    same links with dimensions (4, 4), or (3, 5) and (5, 3) alternating
+    across each edge, and Euler numbers of either parity."""
     if matched:
         n = 2 * draw(st.integers(1, 12))
         links = [(2 * i, 2 * i + 1) for i in range(n // 2)]
@@ -107,10 +109,56 @@ def skew_trees(draw, matched: bool):
         n = draw(st.integers(1, 24))
         links = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     label = draw(st.permutations(range(n)))
-    verts = tuple(PlumbingVertex(d, d, 2 * draw(st.integers(-3, 3)),
-                                 framing_q=draw(st.integers(0, 1))) for _ in range(n))
+    if symmetric:
+        p, q = draw(st.sampled_from(((4, 4), (3, 5))))
+        side = {label[i]: s for i, s in _two_colouring(n, links).items()}
+        verts = tuple(PlumbingVertex(*((q, p) if side[k] else (p, q)), draw(st.integers(-3, 3)))
+                      for k in range(n))
+    else:
+        d = draw(st.sampled_from((3, 5, 7)))
+        verts = tuple(PlumbingVertex(d, d, 2 * draw(st.integers(-3, 3)),
+                                     framing_q=draw(st.integers(0, 1))) for _ in range(n))
     edges = tuple((label[i], label[j], draw(st.sampled_from((1, -1)))) for i, j in links)
     return PlumbingTree(vertices=verts, edges=edges)
+
+
+def _two_colouring(n, links):
+    """0/1 sides of the tree on range(n) with edges ``links``, adjacent
+    vertices on opposite sides."""
+    adj = {k: [] for k in range(n)}
+    for i, j in links:
+        adj[i].append(j)
+        adj[j].append(i)
+    side, order = {0: 0}, [0]
+    for v in order:
+        for w in adj[v]:
+            if w not in side:
+                side[w] = 1 - side[v]
+                order.append(w)
+    return side
+
+
+class TestTreeDet:
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["skew", "symmetric"])
+    @pytest.mark.parametrize("matched", [True, False], ids=["matched", "random"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bareiss(self, matched, symmetric, data):
+        # 600 trees in all: nonzero diagonals, odd and even m, random signs
+        tree = data.draw(skew_trees(matched, symmetric))
+        assert form_symmetry(tree) == ("symmetric" if symmetric else "skew")
+        assert tree_det(tree) == bareiss_det(intersection_matrix(tree)[0])
+
+    def test_long_chain(self):
+        # 1e5 vertices: the walk is iterative, so no recursion limit is met
+        for m in (100_000, 100_001):
+            assert tree_det(tangent_chain(m, 3)) == 1 - m % 2
+
+    def test_odd_total_dim_rejected(self):
+        tree = PlumbingTree(vertices=(PlumbingVertex(3, 4, 0), PlumbingVertex(4, 3, 0)),
+                            edges=((0, 1, 1),))
+        with pytest.raises(TreeStructureError):
+            tree_det(tree)
 
 
 def _arf_outcome(route, tree):
@@ -288,11 +336,20 @@ class TestEta:
         assert len(res.collisions) == 5 * 28 == len(ref.collisions)
         assert res.collisions == ref.collisions
         assert res.to_json() == ref.to_json()
+        assert res.as_dict() == json.loads(res.to_json())
+
+    @pytest.mark.parametrize("l_max", [2, 800])
+    def test_dict_equals_the_json_round_trip(self, l_max):
+        # topo_report embeds as_dict(); its digests were taken of the round trip
+        lengths = tuple(range(1, l_max + 1))
+        led = EtaLedger(k=2, lengths=lengths, fixed_point_counts={
+            l: fixed_point_count(8 * l, "reported") for l in lengths})
+        res = eta_ledger(led)
+        assert res.as_dict() == json.loads(res.to_json())
 
     def test_result_serialization(self):
         led = EtaLedger(k=2, lengths=(1, 2), fixed_point_counts={1: 3, 2: 5})
         res = eta_ledger(led)
-        import json
         doc = json.loads(res.to_json())
         assert doc["n"] == 5
         assert doc["etas"]["1"] == [-3, 16]

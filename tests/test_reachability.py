@@ -29,6 +29,8 @@ NEVER_ENTERED = {
     "profiles.InfeasibleProfileError.__init__": "error path: no candidate is accepted",
     "meancurv.z3_mean_curvature": "named by the benchmark's per-layer spans",
     "profiles.ProfilePair.to_csv": "named by the benchmark's per-layer spans",
+    "plumbing.intersection_matrix": "named by the benchmark's per-layer spans",
+    "plumbing.bareiss_det": "named by the benchmark's per-layer spans",
 }
 
 
