@@ -7,6 +7,8 @@ Layout:
 * :mod:`plumbric.warped` -- closed-form Ricci curvature of doubly warped products
 * :mod:`plumbric.oracle` / :mod:`plumbric.charts` -- the finite-difference
   curvature oracle and the coordinate patches the certificate runs it on
+* :mod:`plumbric.numerics` -- the cubic Hermite evaluator and the cumulative
+  Simpson table the profiles are built with, bit-equal to scipy's
 * :mod:`plumbric.profiles` -- warping profiles (the left piece's exact
   series, the run-out), assembly, and search
 * :mod:`plumbric.meancurv` -- neck margins, gluing forms, taper mean curvature

@@ -56,6 +56,7 @@ import numpy as np
 from .caps import BlockDiagonalForm, perelman_form_check
 from .oracle import MetricPatch, GraphHypersurface, numeric_second_fundamental_form
 from .charts import POLE_MARGIN, cylinder_patch, flat_patch, warped_patch
+from .numerics import CubicHermite
 from .warped import WarpedJet
 
 __all__ = [
@@ -336,8 +337,6 @@ def bulk_patch(pair, p: int, q: int, d_min: float) -> tuple:
     along (t~, s), where the metric varies on the scale bN, and 1e-3 along
     the angles.
     """
-    from scipy.interpolate import CubicHermiteSpline
-
     bN = pair.right.bN
     curve = build_curve(pair, pair.right.beta, pair.right.N, grid_n=1024)
     keep = np.flatnonzero(curve.D >= d_min)
@@ -345,7 +344,7 @@ def bulk_patch(pair, p: int, q: int, d_min: float) -> tuple:
         raise ValueError("no well-conditioned samples on this profile")
     keep = keep[np.concatenate([[True], np.diff(curve.t_tilde[keep]) > 1e-9])]
     tt = curve.t_tilde[keep]
-    t_of_tt = CubicHermiteSpline(tt, curve.t[keep], np.sqrt(1.0 + curve.F1[keep] ** 2))
+    t_of_tt = CubicHermite(tt, curve.t[keep], np.sqrt(1.0 + curve.F1[keep] ** 2))
     patch = warped_patch(cylinder_patch(p, bN), lambda xb: pair.h(t_of_tt(xb[..., 0])), q - 1)
     domain = ((tt[0], tt[-1]), (1e-6 * bN, (math.pi - POLE_MARGIN) * bN)) + patch.domain[2:]
     step = np.concatenate([[1e-4 * bN, 1e-4 * bN], np.full(patch.dim - 2, 1e-3)])

@@ -11,6 +11,7 @@ the tree recursion is tested against; no command runs them.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ class TreeStructureError(ValueError):
 _VERTEX_TYPES = {"base_dim": int, "rank": int, "euler": int, "framing_q": int,
                  "char_label": str, "trivial": bool}
 _TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false"}
+_vertex_values = operator.itemgetter(*_VERTEX_TYPES)  # in PlumbingVertex's field order
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,13 @@ class PlumbingTree:
         if n == 0:
             raise TreeStructureError("tree needs at least one vertex")
         seen = set()
-        adj = {i: [] for i in range(n)}
+        adj = [[] for _ in range(n)]
         for (i, j, s) in self.edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise TreeStructureError(f"bad edge ({i}, {j})")
-            if s not in (1, -1):
+            if s != 1 and s != -1:
                 raise TreeStructureError(f"edge sign must be +-1, got {s}")
-            key = frozenset((i, j))
+            key = i * n + j if i < j else j * n + i  # the pair (min, max), as one int
             if key in seen:
                 raise TreeStructureError(f"duplicate edge between {i} and {j}")
             seen.add(key)
@@ -103,25 +105,26 @@ class PlumbingTree:
             raise TreeStructureError(
                 f"a tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}")
         # connectivity
-        stack, visited = [0], {0}
+        stack, visited = [0], [False] * n
+        visited[0] = True
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in visited:
-                    visited.add(w)
+            for w in adj[stack.pop()]:
+                if not visited[w]:
+                    visited[w] = True
                     stack.append(w)
-        if len(visited) != n:
+        if not all(visited):
             raise TreeStructureError("plumbing graph is not connected")
         # dimensions must alternate across each plumbing point
+        verts = self.vertices
         for (i, j, _s) in self.edges:
-            vi, vj = self.vertices[i], self.vertices[j]
+            vi, vj = verts[i], verts[j]
             if vi.base_dim != vj.rank or vi.rank != vj.base_dim:
                 raise TreeStructureError(
                     f"edge ({i}, {j}): base/fiber dimensions do not cross-match")
-        if self.equivariant and any(len(adj[v]) > 2 for v in adj):
+        if self.equivariant and any(len(ns) > 2 for ns in adj):
             raise TreeStructureError(
                 "equivariant plumbing requires a path (straight-line) graph")
-        object.__setattr__(self, "_adj", {k: tuple(v) for k, v in adj.items()})
+        object.__setattr__(self, "_adj", dict(enumerate(map(tuple, adj))))
 
     @property
     def n(self) -> int:
@@ -174,7 +177,16 @@ class PlumbingTree:
                 and isinstance(doc.get("edges"), list)):
             raise TreeStructureError(
                 "a plumbing tree document is a JSON object with lists 'vertices' and 'edges'")
+        kinds = tuple(_VERTEX_TYPES.values())
+        args = []  # each vertex's field values, or the keyword arguments it has
         for i, v in enumerate(doc["vertices"]):
+            # A vertex with the six keys, each of its type (as to_json writes
+            # them), passes on one comparison; any other is checked key by key.
+            if type(v) is dict and v.keys() == _VERTEX_TYPES.keys():
+                values = _vertex_values(v)
+                if tuple(map(type, values)) == kinds:
+                    args.append(values)
+                    continue
             if not (isinstance(v, dict) and {"base_dim", "rank", "euler"} <= v.keys()):
                 raise TreeStructureError(
                     f"vertex {i} must be an object with 'base_dim', 'rank' and 'euler'")
@@ -182,15 +194,17 @@ class PlumbingTree:
                 if key in v and type(v[key]) is not kind:
                     raise TreeStructureError(
                         f"vertex {i}'s {key!r} must be {_TYPE_NAMES[kind]}, got {v[key]!r}")
+            args.append({key: v[key] for key in _VERTEX_TYPES if key in v})
         for k, e in enumerate(doc["edges"]):
-            if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)):
+            if not (isinstance(e, list) and len(e) == 3
+                    and type(e[0]) is int and type(e[1]) is int and type(e[2]) is int):
                 raise TreeStructureError(
                     f"edge {k} must be a list [i, j, sign] of integers, got {e!r}")
         if "equivariant" in doc and type(doc["equivariant"]) is not bool:
             raise TreeStructureError(
                 f"'equivariant' must be true or false, got {doc['equivariant']!r}")
-        verts = tuple(PlumbingVertex(**{key: v[key] for key in _VERTEX_TYPES if key in v})
-                      for v in doc["vertices"])
+        verts = tuple(PlumbingVertex(**a) if type(a) is dict else PlumbingVertex(*a)
+                      for a in args)
         extra = {"equivariant": doc["equivariant"]} if "equivariant" in doc else {}
         return cls(vertices=verts, edges=tuple(map(tuple, doc["edges"])), **extra)
 

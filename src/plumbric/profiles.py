@@ -40,7 +40,6 @@ search: the certificate checks rho < 0.99 kappa.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
@@ -49,6 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .meancurv import MC_VARIANTS, interface_checks, neck_margins
+from .numerics import CubicHermite, simpson_table
 from .steps import smooth_step, smooth_step_d1, smoothstep7
 from .warped import WarpedJet, doubly_warped_ricci
 
@@ -377,18 +377,10 @@ def _theta_family_d1(x, c):
 
 COLLAR_NODES = np.linspace(0.0, 1.0, 4097)  # quadrature nodes of the collar rise
 COLLAR_MEAN = 0.35  # mean of the collar slope shape over the rise, in units of h'(t1)
-
-
-@functools.cache
-def _collar_decay() -> float:
-    """The decay c for which Theta_c has mean COLLAR_MEAN on COLLAR_NODES.
-
-    It depends on nothing else, so it is solved once per process, on first use.
-    """
-    from scipy.optimize import brentq
-
-    return brentq(lambda c: float(np.trapezoid(_theta_family(COLLAR_NODES, c), COLLAR_NODES))
-                  - COLLAR_MEAN, 0.0, 400.0, xtol=1e-13)
+# The decay c for which Theta_c has mean COLLAR_MEAN on COLLAR_NODES by the
+# trapezoid rule: brentq's root on [0, 400] at xtol 1e-13, 0x1.66d2f61a08d94p+0.
+COLLAR_DECAY = 1.4016565145073843
+RUNOUT_NODES = 65537  # nodes of the run-out's arclength table
 
 
 class Runout:
@@ -428,16 +420,11 @@ class Runout:
         # Arclength u(f) = int_f^{f_end} df'/sigma(f') by cumulative Simpson;
         # the value curve f(u) is its Hermite inverse (df/du = -sigma exact
         # at the nodes), anchored at u = 0 <-> f = f_end.
-        from scipy.integrate import cumulative_simpson
-        from scipy.interpolate import CubicHermiteSpline
-
-        fs = np.linspace(v0, self.f_end, 65537)
-        inv = 1.0 / self.sigma(fs)
-        cum = np.concatenate([[0.0], cumulative_simpson(inv, x=fs)])
+        fs = np.linspace(v0, self.f_end, RUNOUT_NODES)
+        sig = self.sigma(fs)
+        cum = simpson_table(1.0 / sig, fs)
         self.length = float(cum[-1])
-        u_nodes = self.length - cum
-        self._f_of_u = CubicHermiteSpline(u_nodes[::-1], fs[::-1],
-                                          -self.sigma(fs[::-1]))
+        self._f_of_u = CubicHermite((self.length - cum)[::-1], fs[::-1], -sig[::-1])
 
     def E(self, f):
         return 1.0 - (np.asarray(f, dtype=float) / self.bN) ** 2
@@ -445,9 +432,9 @@ class Runout:
     def sigma(self, f):
         return self.scale * self.E(f) ** self.kappa
 
-    def sigma_df(self, f):
-        f = np.asarray(f, dtype=float)
-        return -2.0 * self.kappa * self.sigma(f) * f / (self.E(f) * self.bN ** 2)
+    def sigma_df(self, f, sigma):
+        """d sigma/df at f, given sigma = sigma(f)."""
+        return -2.0 * self.kappa * sigma * f / (self.E(f) * self.bN ** 2)
 
     def f_of_u(self, u):
         """Fiber radius at distance u before the far end (u = b3 - t)."""
@@ -485,17 +472,30 @@ def build_right_profile(left: PartialProfile, params: RightParams, run: Runout
             f"b3 - t1 = {L} inconsistent with the run-out length {run.length}",
             {"expected_length": run.length, "kappa": run.kappa})
 
-    def f(t):
-        # u = b3 - t, clamped to the run-out: b3 - t1 may round past its length
+    last = None
+
+    def f_sigma(t):
+        # f and sigma(f) at t, kept for the last t: f, f1 and f2 read the same
+        # points
+        nonlocal last
         t = np.asarray(t, dtype=float)
-        return run.f_of_u(np.clip(b3 - t, 0.0, run.length)).reshape(t.shape)
+        if last is None or not np.array_equal(last[0], t):
+            # u = b3 - t, clamped to the run-out: b3 - t1 may round past its length
+            fv = run.f_of_u(np.clip(b3 - t, 0.0, run.length)).reshape(t.shape)
+            sig = np.asarray(run.sigma(fv))
+            fv.flags.writeable = sig.flags.writeable = False  # every caller shares them
+            last = (t.copy(), fv, sig)
+        return last[1:]
+
+    def f(t):
+        return f_sigma(t)[0]
 
     def f1(t):
-        return run.sigma(f(t))
+        return f_sigma(t)[1]
 
     def f2(t):
-        fv = f(t)
-        return run.sigma_df(fv) * run.sigma(fv)
+        fv, sig = f_sigma(t)
+        return run.sigma_df(fv, sig) * sig
 
     # ---- collar radius: short concave rise, then plateau --------------------
     rise = params.beta * params.rho - hl1
@@ -508,15 +508,12 @@ def build_right_profile(left: PartialProfile, params: RightParams, run: Runout
             f"collar rise needs span {span:.3e} > 0.5 L; "
             "reduce rho", {"span": span})
     t_h = t1 + span
-    c_h = _collar_decay()
-    from scipy.interpolate import CubicHermiteSpline
-
     t_nodes = t1 + span * COLLAR_NODES
-    sig_nodes = hs1 * _theta_family(COLLAR_NODES, c_h)
+    sig_nodes = hs1 * _theta_family(COLLAR_NODES, COLLAR_DECAY)
     cum = np.concatenate([[0.0], np.cumsum((sig_nodes[1:] + sig_nodes[:-1]) * 0.5
                                            * np.diff(t_nodes))])
     cum *= rise / cum[-1]  # absorb the quadrature defect: h(t_h) = beta*rho exactly
-    h_spline = CubicHermiteSpline(t_nodes, hl1 + cum, sig_nodes)
+    h_spline = CubicHermite(t_nodes, hl1 + cum, sig_nodes)
     h_end = params.beta * params.rho
 
     def _collar(t, rise_fn, plateau):
@@ -531,11 +528,11 @@ def build_right_profile(left: PartialProfile, params: RightParams, run: Runout
         return _collar(t, h_spline, h_end)
 
     def h1(t):
-        return _collar(t, lambda tm: hs1 * _theta_family((tm - t1) / span, c_h), 0.0)
+        return _collar(t, lambda tm: hs1 * _theta_family((tm - t1) / span, COLLAR_DECAY), 0.0)
 
     def h2(t):
-        return _collar(t, lambda tm: hs1 * _theta_family_d1((tm - t1) / span, c_h) / span,
-                       0.0)
+        return _collar(
+            t, lambda tm: hs1 * _theta_family_d1((tm - t1) / span, COLLAR_DECAY) / span, 0.0)
 
     return PartialProfile(f=f, f1=f1, f2=f2, h=h, h1=h1, h2=h2)
 

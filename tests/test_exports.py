@@ -5,6 +5,7 @@ A deleted or renamed function that stays listed in ``__all__`` would break
 """
 
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -30,17 +31,41 @@ def test_every_export_resolves(name):
     assert missing == [], f"plumbric.{name}.__all__ lists missing names {missing}"
 
 
-def test_topo_imports_no_scipy_submodule():
-    # The scipy submodules load on first use, so a process that only runs the
-    # exact ledgers never pays for them (tens of MB of resident memory).
-    code = ("import sys, plumbric\n"
-            "from plumbric.plumbing import tangent_chain\n"
-            "plumbric.topo_report(tangent_chain(64, 5, equivariant=True), l_max=20)\n"
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.linalg')"
-            " if m in sys.modules))\n")
+def _loaded_scipy_submodules(code: str, names) -> list:
+    """The modules among ``names`` that a fresh interpreter running ``code``
+    has imported at its end."""
+    code += ("\nimport json, sys\n"
+             f"print(json.dumps(sorted(m for m in {tuple(names)!r} if m in sys.modules)))\n")
     src = str(pathlib.Path(plumbric.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_topo_imports_no_scipy_submodule():
+    # The scipy submodules load on first use, so a process that only runs the
+    # exact ledgers never pays for them (tens of MB of resident memory).
+    code = ("import plumbric\n"
+            "from plumbric.plumbing import tangent_chain\n"
+            "plumbric.topo_report(tangent_chain(64, 5, equivariant=True), l_max=20)\n")
+    assert _loaded_scipy_submodules(
+        code, ("scipy.interpolate", "scipy.optimize", "scipy.linalg")) == []
+
+
+def test_construct_and_verify_import_only_scipy_linalg(tmp_path):
+    # The run-out table, the collar rise and the bulk chart's interpolant are
+    # in-house (plumbric.numerics): only the oracle's eigh loads a scipy
+    # submodule.
+    code = ("import math, plumbric\n"
+            "from plumbric.plumbing import tangent_chain\n"
+            "from plumbric.pipeline import NiceCoordinateSpec, run_construction, verify\n"
+            "spec = NiceCoordinateSpec(p=3, q=3, R=math.pi / 4, N=1.0, kappa=0.5)\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert run_construction(tangent_chain(2, 3), spec, out_dir=out).passed\n"
+            "assert verify(out + '/profiles/step_1.csv',"
+            " out + '/profiles/step_1.params.json').passed\n")
+    assert _loaded_scipy_submodules(
+        code, ("scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize")
+    ) == ["scipy.linalg"]

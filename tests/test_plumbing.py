@@ -41,6 +41,39 @@ class TestTreeValidation:
         back = PlumbingTree.from_json(tree.to_json())
         assert back == tree
 
+    @pytest.mark.parametrize("edit, match", [
+        # a vertex with all six keys but one of the wrong type
+        (lambda d: d["vertices"][1].update(rank=True),
+         "vertex 1's 'rank' must be an integer, got True"),
+        # type faults are named before a vertex's value fault and an edge fault
+        (lambda d: (d["vertices"][0].update(base_dim=0), d["vertices"][2].update(trivial=1),
+                    d["edges"].append([0, 1])),
+         "vertex 2's 'trivial' must be true or false, got 1"),
+        (lambda d: (d["vertices"][0].update(base_dim=0), d["edges"].append([0, 1])),
+         "edge 3 must be a list"),
+        (lambda d: (d["vertices"][0].update(base_dim=0), d.update(equivariant=1)),
+         "'equivariant' must be true or false"),
+        (lambda d: d["vertices"][0].update(base_dim=0), "base dimension and rank must be positive"),
+        (lambda d: d["edges"].__setitem__(2, [1, 0, 1]), "duplicate edge between 1 and 0"),
+        (lambda d: d["edges"].__setitem__(2, [2, 2, 1]), r"bad edge \(2, 2\)"),
+        (lambda d: d["edges"].__setitem__(2, [2, 4, 1]), r"bad edge \(2, 4\)"),
+        (lambda d: d["edges"].__setitem__(2, [2, 3, 0]), "edge sign must be"),
+        (lambda d: d["edges"].pop(), "needs 3 edges, got 2"),
+    ])
+    def test_json_faults_are_named(self, edit, match):
+        doc = json.loads(tangent_chain(4, 3).to_json())
+        edit(doc)
+        with pytest.raises(TreeStructureError, match=match):
+            PlumbingTree.from_json(json.dumps(doc))
+
+    def test_json_vertex_keys_beyond_the_six_are_ignored(self):
+        doc = json.loads(tangent_chain(3, 5).to_json())
+        doc["vertices"][1]["note"] = "kept out of the vertex"
+        del doc["vertices"][2]["char_label"]
+        tree = PlumbingTree.from_json(json.dumps(doc))
+        assert tree.vertices[:2] == tangent_chain(3, 5).vertices[:2]
+        assert tree.vertices[2].char_label == ""
+
 
 class TestIntersectionForm:
     def test_single_tangent_vertex(self):

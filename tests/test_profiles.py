@@ -212,6 +212,42 @@ class TestRunout:
         with pytest.raises(InfeasibleProfileError):
             solve_runout(v0=1.0, s0=0.5, bN=50.0, X_R=math.pi / 4)
 
+    def test_jets_evaluate_the_runout_once(self, monkeypatch):
+        import plumbric.profiles as profiles
+
+        runs = []
+        build = profiles.build_right_profile
+
+        def build_kept(left, params, run):
+            runs.append(run)
+            return build(left, params, run)
+
+        monkeypatch.setattr(profiles, "build_right_profile", build_kept)
+        res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=256)
+        run, pair = runs[-1], res.pair
+        calls = []
+
+        def counted(name):
+            method = getattr(profiles.Runout, name)
+
+            def wrapper(self, *args):
+                calls.append(name)
+                return method(self, *args)
+            return wrapper
+
+        for name in ("f_of_u", "sigma"):
+            monkeypatch.setattr(profiles.Runout, name, counted(name))
+        t = pair.grid(3001)
+        jets = pair.jets(t)
+        assert sorted(calls) == ["f_of_u", "sigma"]
+        # the same bits as evaluating f, sigma(f) and sigma'(f) sigma(f) afresh
+        right = t >= pair.t1
+        f = run.f_of_u(np.clip(pair.b3 - t[right], 0.0, run.length))
+        sig = run.sigma(f)
+        f2 = -2.0 * run.kappa * run.sigma(f) * f / (run.E(f) * run.bN ** 2) * sig
+        for got, want in ((jets.f, f), (jets.f1, sig), (jets.f2, f2)):
+            assert _bits(got[right]) == _bits(want)
+
 
 class TestEpsilonProfile:
     def test_shape(self):
