@@ -17,6 +17,8 @@ Layout:
 * :mod:`plumbric.g17` -- the vectorized ``%.17g`` text of the CSV columns
 * :mod:`plumbric.pipeline` / :mod:`plumbric.cli` -- end-to-end runs,
   certificates, re-verification, and the command-line interface
+
+The package needs only numpy at run time; scipy is a test reference.
 """
 
 from .caps import BlockDiagonalForm, perelman_form_check

@@ -14,6 +14,14 @@ are matrix products.  On a diagonal metric, as every chart in ``charts`` and
 one nonzero product, so its value does not depend on the summation order: the
 products give the same doubles as plain index loops.
 
+The least Ricci eigenvalue and the principal curvatures are eigenvalues of
+symmetric-definite pencils (Ricci against the metric, the second fundamental
+form against the induced metric).  Each is reduced by the Cholesky factor
+L of its metric to the standard symmetric eigenproblem of L^-1 A L^-T (Martin
+and Wilkinson 1968; Golub and Van Loan, Matrix Computations, 8.7), solved by
+numpy, so the oracle needs nothing beyond numpy.  A metric whose Cholesky
+factorization fails raises ``NonSPDMetricError`` naming the matrix.
+
 This module is deliberately independent of every closed-form curvature
 formula in the package: it is the second route used to validate them.
 """
@@ -68,15 +76,29 @@ class CurvatureReport:
     min_ricci_eigenvalue: float
 
 
-def _metric_checked(patch: MetricPatch, point: np.ndarray) -> np.ndarray:
+def _cholesky(B: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of ``B``; a ``NonSPDMetricError`` naming ``what``
+    if ``B`` is not positive definite."""
+    try:
+        return np.linalg.cholesky(B)
+    except np.linalg.LinAlgError as exc:
+        raise NonSPDMetricError(f"{what} matrix is not positive definite at the point") from exc
+
+
+def _pencil_eigenvalues(A: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric-definite pencil A x = lambda B x
+    with B = L L^T: those of C = L^-1 A L^-T (Cholesky reduction to a
+    standard eigenproblem, as LAPACK's sygvd does)."""
+    Linv = np.linalg.inv(L)
+    return np.linalg.eigvalsh(Linv @ A @ Linv.T)
+
+
+def _metric_checked(patch: MetricPatch, point: np.ndarray) -> tuple:
+    """The metric at ``point`` and its Cholesky factor."""
     g0 = patch.g(point[np.newaxis, :])[0]
     if not np.allclose(g0, g0.T, atol=1e-10 * (1.0 + np.abs(g0).max())):
         raise NonSPDMetricError("metric matrix is not symmetric at the point")
-    try:
-        np.linalg.cholesky(g0)
-    except np.linalg.LinAlgError as exc:
-        raise NonSPDMetricError("metric matrix is not positive definite at the point") from exc
-    return g0
+    return g0, _cholesky(g0, "metric")
 
 
 def _stencil(x: np.ndarray, h: np.ndarray, corners: bool) -> np.ndarray:
@@ -190,7 +212,7 @@ def numeric_curvature(patch: MetricPatch, point, step=DEFAULT_STEP) -> Curvature
         raise ValueError(f"point must have shape ({patch.dim},), got {point.shape}")
     h = _step_vector(patch, step)
     _require_interior(patch, point, h, "point")
-    g0 = _metric_checked(patch, point)
+    g0, L = _metric_checked(patch, point)
 
     ric_h = _ricci_fixed_step(patch, point, h)
     ric_h2 = _ricci_fixed_step(patch, point, h / 2.0)
@@ -198,9 +220,7 @@ def numeric_curvature(patch: MetricPatch, point, step=DEFAULT_STEP) -> Curvature
 
     ginv = np.linalg.inv(g0)
     scalar = float(np.einsum("ij,ij->", ginv, ric))
-    import scipy.linalg
-
-    eigs = scipy.linalg.eigh(ric, g0, eigvals_only=True)
+    eigs = _pencil_eigenvalues(ric, L)
     return CurvatureReport(point=point, ricci=ric, scalar=scalar,
                            min_ricci_eigenvalue=float(eigs[0]))
 
@@ -268,7 +288,7 @@ def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHyper
     point[others] = bp
     point[a] = W[0]
     _require_interior(patch, point, h, "graph point")
-    g0 = _metric_checked(patch, point)
+    g0, _ = _metric_checked(patch, point)
     ginv = np.linalg.inv(g0)
 
     # Tangent vectors T_i = e_{others[i]} + grad_i e_a.
@@ -298,8 +318,6 @@ def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHyper
     form = 0.5 * (form + form.T)
 
     induced = tangents @ g0 @ tangents.T
-    import scipy.linalg
-
-    pcs = scipy.linalg.eigh(form, induced, eigvals_only=True)
+    pcs = _pencil_eigenvalues(form, _cholesky(induced, "induced metric"))
     return SecondFundamentalFormReport(point=point, form=form, induced_metric=induced,
-                                       principal_curvatures=np.asarray(pcs))
+                                       principal_curvatures=pcs)

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import oracle_reference
 from charts_reference import (doubly_warped_patch, doubly_warped_scalar, euclidean_patch,
                               scaled_patch, sphere_polar, sphere_stereographic)
-from plumbric import oracle, pipeline
+from plumbric import meancurv, oracle, pipeline
 from plumbric.charts import cylinder_patch, flat_patch, warped_patch
 from plumbric.oracle import (GraphHypersurface, NonSPDMetricError, OracleDomainError,
                              MetricPatch, numeric_curvature,
                              numeric_second_fundamental_form)
+from plumbric.pipeline import NiceCoordinateSpec, run_construction
+from plumbric.plumbing import tangent_chain
 from plumbric.warped import WarpedJet, doubly_warped_ricci
 
 RNG = np.random.default_rng(20240817)
@@ -84,7 +87,7 @@ class TestRicciOracle:
             return out
 
         patch = MetricPatch(dim=2, domain=((-1, 1), (-1, 1)), g=g)
-        with pytest.raises(NonSPDMetricError):
+        with pytest.raises(NonSPDMetricError, match="^metric matrix is not positive definite"):
             numeric_curvature(patch, [0.0, 0.0])
 
 
@@ -303,6 +306,14 @@ class TestSecondFundamentalForm:
         assert rep.principal_curvatures == pytest.approx(
             np.full(3, expected), rel=1e-4)
 
+    def test_singular_induced_metric_error(self):
+        # A graph of slope K = 1e9 along both base directions in flat R^3:
+        # the induced metric I + K^2 (1, 1)(1, 1)^T rounds to a singular
+        # matrix, which the pencil's Cholesky factorization rejects.
+        hs = GraphHypersurface(axis=2, height=lambda x: 1e9 * (x[..., 0] + x[..., 1]))
+        with pytest.raises(NonSPDMetricError, match="^induced metric matrix"):
+            numeric_second_fundamental_form(euclidean_patch(3), hs, [0.0, 0.0])
+
     def test_flat_circle(self):
         a = 0.5
         patch = euclidean_patch(2, half_width=1.0)
@@ -312,3 +323,78 @@ class TestSecondFundamentalForm:
         rep = numeric_second_fundamental_form(patch, hs, [0.0])
         assert rep.principal_curvatures[0] == pytest.approx(1.0 / a, rel=1e-5)
         assert rep.mean_curvature == pytest.approx(1.0 / a, rel=1e-5)
+
+
+# Pencil eigenvalues against scipy.linalg.eigh.  The reduction C = L^-1 A L^-T
+# rounds each entry of C to a few ulps of its size when B is diagonal (it only
+# rescales A, whatever cond(B) is) or well conditioned, so both routes' errors
+# are a few d eps max|lambda|: the bound is PENCIL_C d eps max|lambda|.
+PENCIL_C = 8.0
+EPS = np.finfo(float).eps
+
+
+def _pencil_bound(ref) -> float:
+    return PENCIL_C * ref.size * EPS * np.abs(ref).max()
+
+
+@st.composite
+def pencils(draw):
+    """Random symmetric A and SPD B, d in 1..20: B diagonal with cond up to
+    1e17, as on the bulk chart, or dense with cond up to 1e2."""
+    d = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-5, 5)
+    if draw(st.booleans()):
+        B = np.diag(10.0 ** (rng.uniform(-8, 8) + rng.uniform(0, 17, d)))
+    else:
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        B = (Q * 10.0 ** rng.uniform(-1, 1, d)) @ Q.T
+        B = 0.5 * (B + B.T)
+    return M + M.T, B
+
+
+@given(pencils())
+@settings(max_examples=300, deadline=None)
+def test_pencil_eigenvalues_match_scipy(pencil):
+    A, B = pencil
+    eigs = oracle._pencil_eigenvalues(A, oracle._cholesky(B, "metric"))
+    ref = scipy.linalg.eigh(A, B, eigvals_only=True)
+    assert np.abs(eigs - ref).max() <= _pencil_bound(ref)
+
+
+def test_indefinite_pencil_is_a_named_error():
+    B = np.diag([2.0, -1.0, 3.0])
+    with pytest.raises(NonSPDMetricError, match="^induced metric matrix is not positive"):
+        oracle._cholesky(B, "induced metric")
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 9])
+def test_chain_oracle_eigenvalues_match_scipy(dim, monkeypatch):
+    # Every bulk and taper oracle call of a tangent 2-chain's construction.
+    bulk, taper = [], []
+
+    def curvature(patch, point, **kw):
+        rep = oracle.numeric_curvature(patch, point, **kw)
+        bulk.append((rep, patch.g(rep.point[np.newaxis])[0]))
+        return rep
+
+    def second_form(*args, **kw):
+        rep = oracle.numeric_second_fundamental_form(*args, **kw)
+        taper.append(rep)
+        return rep
+
+    monkeypatch.setattr(pipeline, "numeric_curvature", curvature)
+    monkeypatch.setattr(meancurv, "numeric_second_fundamental_form", second_form)
+    spec = NiceCoordinateSpec(p=dim, q=dim, R=math.pi / 4, N=1.0, kappa=0.5)
+    assert run_construction(tangent_chain(2, dim), spec).passed
+    assert bulk and taper
+    for rep, g0 in bulk:
+        ref = scipy.linalg.eigh(rep.ricci, g0, eigvals_only=True)
+        assert abs(rep.min_ricci_eigenvalue - ref[0]) <= _pencil_bound(ref)
+    for rep in taper:
+        ref = scipy.linalg.eigh(rep.form, rep.induced_metric, eigvals_only=True)
+        assert np.abs(rep.principal_curvatures - ref).max() <= _pencil_bound(ref)
+        # a zero form gives +0.0, as eigh does: the certificate records the
+        # taper minimum, and -0.0 would change its bytes
+        zero = ref == 0.0
+        assert (np.signbit(rep.principal_curvatures[zero]) == np.signbit(ref[zero])).all()
