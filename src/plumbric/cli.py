@@ -64,7 +64,7 @@ def _cmd_verify(args) -> int:
 def _cmd_topo(args) -> int:
     tree = PlumbingTree.from_json(pathlib.Path(args.tree).read_text())
     rep = topo_report(tree, l_max=args.lmax)
-    text = json.dumps(rep, sort_keys=True, indent=1, default=str)
+    text = json.dumps(rep, sort_keys=True, indent=1)
     if args.out:
         new_file(args.out).write_text(text)
     print(text)
@@ -83,10 +83,40 @@ def _cmd_eta(args) -> int:
     return 0 if res.distinct else 1
 
 
+_CHECK_KEYS = ("id", "passed", "value", "tolerance", "detail")  # a check record's keys
+
+
+def _report_steps(doc, path) -> list:
+    """The steps of a certificate document.  A document that is not an
+    object, a step that is not an object with a ``vertex``, and a check that
+    is not an object with every key of ``_CHECK_KEYS`` raise a
+    ``SpecError`` naming the first one."""
+    if not isinstance(doc, dict):
+        raise SpecError(f"certificate {path} must hold a JSON object, not a "
+                        f"{type(doc).__name__}")
+    steps = doc.get("steps", [])
+    if not isinstance(steps, list):
+        raise SpecError(f"certificate 'steps' must be a list, not a {type(steps).__name__}")
+    for i, step in enumerate(steps):
+        if not (isinstance(step, dict) and "vertex" in step
+                and isinstance(step.get("checks", []), list)):
+            raise SpecError(f"certificate step {i} must be an object with a 'vertex' "
+                            f"and a list of 'checks'")
+        for j, check in enumerate(step.get("checks", [])):
+            if not isinstance(check, dict):
+                raise SpecError(f"certificate step {i} check {j} must be an object, not a "
+                                f"{type(check).__name__}")
+            missing = [key for key in _CHECK_KEYS if key not in check]
+            if missing:
+                raise SpecError(f"certificate step {i} check {j} lacks {missing}")
+    return steps
+
+
 def _cmd_report(args) -> int:
     doc = json.loads(pathlib.Path(args.certificate).read_text())
+    steps = _report_steps(doc, args.certificate)
     print(f"certificate: {doc.get('schema')}  passed: {doc.get('passed')}")
-    for i, step in enumerate(doc.get("steps", [])):
+    for i, step in enumerate(steps):
         if "infeasible" in step:
             print(f"  step {i} (vertex {step['vertex']}): INFEASIBLE -- {step['infeasible']}")
             continue

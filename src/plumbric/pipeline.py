@@ -8,11 +8,11 @@ every check into a machine-readable certificate.
 The four sample-determined checks come from one kernel in
 :mod:`plumbric.profiles`: :func:`measure_profile` on the check-grid samples,
 then :func:`sample_verdict` with the margin tolerance.  Construction judges
-the search's accepted measurement, adds the oracle-only checks (bulk scalar,
-taper, collar attachment) and last the vertex's collar-ball bound, and writes
-its artifacts from the same samples.  ``verify`` parses stored artifacts and
-runs the same kernel, so its check records equal the constructing step's; its
-output is deterministic.
+the search's accepted measurement, adds the oracle-only checks (bulk scalar
+and taper, also from :mod:`plumbric.profiles`, then collar attachment) and
+last the vertex's collar-ball bound, and writes its artifacts from the same
+samples.  ``verify`` parses stored artifacts and runs the same kernel, so its
+check records equal the constructing step's; its output is deterministic.
 
 The config has three settings: ``lambda``, ``grid`` and
 ``tolerances.mc_margin``; an unknown key is rejected.
@@ -39,21 +39,15 @@ import math
 import pathlib
 import shutil
 import time
-import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .meancurv import bulk_patch, z2_mean_curvature
-from .oracle import NonSPDMetricError, OracleDomainError, numeric_curvature
+# The geometry modules are bound as modules and read at call time, so that a
+# process that only computes ledgers never executes them (see the package
+# docstring).
+from . import profiles, warped
 from .plumbing import (EtaLedger, PlumbingTree, PlumbingVertex, TreeStructureError,
                        arf_invariant, boundary_sphere_test, clutching_word, eta_ledger,
                        fixed_point_count, form_symmetry, render_word)
-from .profiles import (MC_TOL_FLOOR, MC_VARIANT, PROFILE_COLUMNS, EpsilonProfile,
-                       InfeasibleProfileError, LeftParams, ProfileError, RightParams,
-                       check_record, csv_blocks, measure_profile, sample_verdict,
-                       search_parameters)
-from .warped import WarpedJet
 
 __all__ = [
     "NiceCoordinateSpec",
@@ -74,7 +68,6 @@ PARAMS_SCHEMA = "plumbric-profile-params/2"
 MARGIN_COLUMNS = ("t", "f", "h", "mc_margin")  # plots-data/step_k_margins.csv
 
 EPSILON_I = math.pi / 4  # a child's cap radius is alpha*EPSILON_I in the sphere of scale alpha
-BULK_SAMPLES = 4         # oracle points of the bulk scalar-curvature check
 
 DEFAULT_CONFIG = {
     "lambda": 0.1,
@@ -162,31 +155,11 @@ def _merge_config(config: dict | None) -> dict:
         raise SpecError(f"config 'grid' must be an integer >= 2, got {grid!r}")
     tol = cfg["tolerances"]["mc_margin"]
     if not (isinstance(tol, (int, float)) and not isinstance(tol, bool)
-            and math.isfinite(tol) and tol >= MC_TOL_FLOOR):
-        raise SpecError(f"tolerances.mc_margin must be a finite number >= {MC_TOL_FLOOR:g}, "
-                        f"the floor of the beta N sizing, got {tol!r}")
+            and math.isfinite(tol) and tol >= profiles.MC_TOL_FLOOR):
+        raise SpecError(f"tolerances.mc_margin must be a finite number >= "
+                        f"{profiles.MC_TOL_FLOOR:g}, the floor of the beta N sizing, "
+                        f"got {tol!r}")
     return cfg
-
-
-def _bulk_scalar_samples(pair, p: int, q: int) -> tuple:
-    """Oracle scalar curvature at interior points of the neck bulk, and the
-    number of points tried.  Points the chart cannot difference are dropped.
-    """
-    patch, curve, keep, step = bulk_patch(pair, p, q, d_min=1e-4)
-    tts, F = curve.t_tilde[keep], curve.F[keep]
-    bN = pair.right.bN
-    idx = np.unique(np.linspace(2, tts.size - 3, BULK_SAMPLES).astype(int))
-    out = []
-    for i in idx:
-        tt0 = float(tts[i])
-        s0 = max(0.5 * float(F[i]), 3e-4 * bN)
-        point = np.concatenate([[tt0, s0], np.full(patch.dim - 2, math.pi / 2 + 0.1)])
-        try:
-            rep = numeric_curvature(patch, point, step=step)
-        except (OracleDomainError, NonSPDMetricError):
-            continue
-        out.append(float(rep.scalar))
-    return out, idx.size
 
 
 def root_vertex(tree: PlumbingTree, root) -> PlumbingVertex:
@@ -253,10 +226,10 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
             rec["checks"][-1] = _collar_ball_record(rec["right"]["rho"], spec.kappa)
         else:
             try:
-                result = search_parameters(p_step, q_step, angle,
-                                           float(cfg["lambda"]), mc_margin_tol=mc_tol,
-                                           grid_n=cfg["grid"])
-            except InfeasibleProfileError as exc:
+                result = profiles.search_parameters(p_step, q_step, angle,
+                                                    float(cfg["lambda"]), mc_margin_tol=mc_tol,
+                                                    grid_n=cfg["grid"])
+            except profiles.InfeasibleProfileError as exc:
                 passed = False
                 steps.append({"vertex": vi, "spec": spec.as_dict(),
                               "infeasible": str(exc), "checks": [], "margins": {}})
@@ -264,7 +237,7 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
             taper_key = (p_step, q_step, result.left.lam, result.left.r,
                          result.pair.eps_b2)
             if taper_key not in tapers:
-                tapers[taper_key] = _taper_check(*taper_key)
+                tapers[taper_key] = profiles.taper_check(*taper_key)
             rec = _step_record(vi, spec, result, mc_tol, tapers[taper_key])
             first = len(steps)
             derived = NiceCoordinateSpec(
@@ -297,27 +270,8 @@ def run_construction(tree: PlumbingTree, v_spec: NiceCoordinateSpec,
 
 def _collar_ball_record(rho: float, kappa: float) -> dict:
     """The vertex's collar-ball bound: the collar end rho below 0.99 kappa."""
-    return check_record("collar_ball_bound", rho < 0.99 * kappa, rho, 0.99 * kappa,
-                        f"rho < 0.99 kappa, kappa = {kappa!r}")
-
-
-def _taper_check(p: int, q: int, lam: float, r: float, eps_end: float) -> float | ValueError:
-    """Least oracle mean curvature of the taper-region boundary at the
-    accepted scales, or the named error that left it unmeasured.
-
-    The oracle samples the boundary s = eps r / sin(eps) five times over the
-    taper eps: pi/2 -> eps_end on [-1, 0], with collar warp 1 + lam t.  An
-    end angle outside (0, pi/2) returns a ``ProfileError`` naming eps_b2; a
-    point the chart cannot difference returns the oracle's domain error.
-    """
-    if not 0.0 < eps_end < math.pi / 2:
-        return ProfileError(f"eps_b2 = {eps_end!r} lies outside (0, pi/2)")
-    try:
-        zrep = z2_mean_curvature(EpsilonProfile(a2=-1.0, b2=0.0, eps_end=eps_end),
-                                 lambda tt: 1.0 + lam * np.asarray(tt), r=r, p=p, q=q)
-    except (OracleDomainError, NonSPDMetricError) as exc:
-        return exc
-    return float(np.min(zrep.mean_curvature))
+    return profiles.check_record("collar_ball_bound", rho < 0.99 * kappa, rho, 0.99 * kappa,
+                                 f"rho < 0.99 kappa, kappa = {kappa!r}")
 
 
 def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: float,
@@ -328,13 +282,14 @@ def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: floa
     measurement, judged with the margin tolerance ``mc_tol`` exactly as
     ``verify`` judges the stored samples; the oracle-only checks follow, and
     the vertex's collar-ball bound comes last.  ``taper`` is the step's
-    :func:`_taper_check` value: a minimum passes at >= -mc_tol, as the neck
-    margin does, and an error fails with its name as the detail.
+    :func:`plumbric.profiles.taper_check` value: a minimum passes at
+    >= -mc_tol, as the neck margin does, and an error fails with its name as
+    the detail.
     """
     p, q = spec.p, spec.q
     left, right, pair, m = result.left, result.right, result.pair, result.measurement
     checks = list(result.checks)
-    bulk, tried = _bulk_scalar_samples(pair, p, q)
+    bulk, tried = profiles.bulk_scalar_samples(pair, p, q)
     bulk_min = min(bulk) if bulk else float("nan")
     if isinstance(taper, ValueError):
         taper_min, taper_ok = float("nan"), False
@@ -343,12 +298,13 @@ def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: floa
         taper_min, taper_ok, taper_detail = taper, taper >= -mc_tol, ""
 
     checks += [
-        check_record("bulk_scalar_positive", bool(bulk) and bulk_min > 0.0, bulk_min, 0.0,
-               f"{len(bulk)} of {tried} oracle samples; "
-               f"{tried - len(bulk)} dropped by the chart"),
-        check_record("taper_mc_nonnegative", taper_ok, taper_min, -mc_tol, taper_detail),
+        profiles.check_record("bulk_scalar_positive", bool(bulk) and bulk_min > 0.0,
+                              bulk_min, 0.0, f"{len(bulk)} of {tried} oracle samples; "
+                              f"{tried - len(bulk)} dropped by the chart"),
+        profiles.check_record("taper_mc_nonnegative", taper_ok, taper_min, -mc_tol,
+                              taper_detail),
     ]
-    checks.append(check_record(
+    checks.append(profiles.check_record(
         "collar_attachment_hypothesis",
         all(c["passed"] for c in checks[1:]), None, None,
         "boundary Ricci, neck and taper mean curvature, bulk scalar"))
@@ -367,7 +323,7 @@ def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: floa
     }
 
 
-def _param_objects(left: LeftParams, right: RightParams) -> tuple:
+def _param_objects(left: profiles.LeftParams, right: profiles.RightParams) -> tuple:
     """The ``left`` and ``right`` objects of a step record; the params file's
     ``left`` adds a3."""
     return ({"lambda": left.lam, "a": left.a, "C": left.C, "r": left.r,
@@ -409,11 +365,12 @@ def _write_step_artifacts(out_dir, idx: int, result):
     (out / "profiles").mkdir(parents=True, exist_ok=True)
     (out / "plots-data").mkdir(parents=True, exist_ok=True)
     m = result.measurement
-    cols = {name: getattr(m.jets, name) for name in PROFILE_COLUMNS}
-    cols["mc_margin"] = m.margins[MC_VARIANT]
+    cols = {name: getattr(m.jets, name) for name in profiles.PROFILE_COLUMNS}
+    cols["mc_margin"] = m.margins[profiles.MC_VARIANT]
     with open(new_file(out / "profiles" / f"step_{idx}.csv"), "w") as prof, \
             open(new_file(out / "plots-data" / f"step_{idx}_margins.csv"), "w") as marg:
-        for prof_text, marg_text in csv_blocks(cols, PROFILE_COLUMNS, MARGIN_COLUMNS):
+        for prof_text, marg_text in profiles.csv_blocks(cols, profiles.PROFILE_COLUMNS,
+                                                        MARGIN_COLUMNS):
             prof.write(prof_text)
             marg.write(marg_text)
     new_file(out / "profiles" / f"step_{idx}.params.json").write_text(params_json(result))
@@ -430,49 +387,6 @@ def _copy_step_artifacts(out_dir, src: int, dst: int):
 # ---------------------------------------------------------------------------
 # Re-verification of stored artifacts
 # ---------------------------------------------------------------------------
-
-
-def _parse_profile_csv(path):
-    """Columns of a profile CSV; a body that is not a numeric table of the
-    profile's columns raises a ``SpecError`` naming its first bad row.
-
-    The body is parsed from the open file, so the text is never held whole;
-    only the error path reads it back."""
-    expected = list(PROFILE_COLUMNS)
-    with open(path) as fh:
-        header = next((line for line in iter(fh.readline, "") if line.strip()), "")
-        header = header.strip().split(",")
-        if header != expected:
-            raise SpecError(f"profile CSV columns must be {expected}, got {header}")
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported below, not as loadtxt's warning
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            data = None
-        if data is not None and data.shape[0] and data.shape[1] == len(expected):
-            return {name: data[:, k] for k, name in enumerate(expected)}
-        fh.seek(0)
-        body = fh.read().lstrip().partition("\n")[2]
-    if not body.strip():
-        raise SpecError("profile CSV has a header but no rows")
-    raise _bad_profile_row(body, len(expected))
-
-
-def _bad_profile_row(body: str, ncol: int) -> SpecError:
-    """The error naming the first row (1 = the line after the header) that
-    fails to parse on its own or has other than ``ncol`` fields."""
-    for i, line in enumerate(body.split("\n"), 1):
-        if not line:
-            continue   # loadtxt skips empty lines
-        try:
-            n = np.loadtxt([line], delimiter=",", ndmin=2, comments=None).shape[1]
-        except ValueError:
-            return SpecError(f"profile CSV row {i} is not numeric: {line!r}")
-        if n != ncol:
-            return SpecError(f"profile CSV row {i} has {n} fields, not {ncol}")
-    return SpecError("profile CSV body is not a numeric table")
 
 
 # The keys verify reads from a parameter file, and the keys of its objects.
@@ -502,9 +416,9 @@ def verify_samples(samples: dict, params: dict, p: int, q: int,
     """
     cfg = _merge_config(config)
     left, right, markers = params["left"], params["right"], params["markers"]
-    lp = LeftParams(lam=left["lambda"], a=left["a"], C=left["C"], r=left["r"],
-                    a3=left["a3"])
-    rp = RightParams(**{name: right[name] for name in _PARAMS_SHAPE["right"]})
+    lp = profiles.LeftParams(lam=left["lambda"], a=left["a"], C=left["C"], r=left["r"],
+                             a3=left["a3"])
+    rp = profiles.RightParams(**{name: right[name] for name in _PARAMS_SHAPE["right"]})
     for name, stored, derived, source in (
             ("left.alpha", left["alpha"], lp.alpha, "lambda and a"),
             ("left.b", left["b"], lp.b, "lambda, a and r"),
@@ -518,8 +432,8 @@ def verify_samples(samples: dict, params: dict, p: int, q: int,
     if t[0] != lp.a3 or t[-1] != rp.b3:
         raise SpecError(f"profile samples run from t = {t[0]!r} to {t[-1]!r}, "
                         f"not from a3 = {lp.a3!r} to b3 = {rp.b3!r}")
-    m = measure_profile(WarpedJet(**samples), lp, rp, params["eps_b2"], p, q)
-    bc, checks = sample_verdict(m, float(cfg["tolerances"]["mc_margin"]))
+    m = profiles.measure_profile(warped.WarpedJet(**samples), lp, rp, params["eps_b2"], p, q)
+    bc, checks = profiles.sample_verdict(m, float(cfg["tolerances"]["mc_margin"]))
     step = {"vertex": 0, "left": left, "right": right, "eps_b2": params["eps_b2"],
             "bc_clauses": bc.clauses, "checks": checks, "margins": m.summary()}
     return ConstructionCertificate(
@@ -535,7 +449,7 @@ def verify(profile_path, params_path, config: dict | None = None) -> Constructio
     parameter file's, or with a value of another type than
     :data:`_PARAMS_SHAPE` asks, is rejected with a ``SpecError``.
     """
-    samples = _parse_profile_csv(profile_path)
+    samples = profiles.parse_profile_csv(profile_path)
     params = json.loads(pathlib.Path(params_path).read_text())
     if not isinstance(params, dict):
         raise SpecError(f"parameter file must hold a JSON object, not a "

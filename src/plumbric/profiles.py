@@ -41,14 +41,18 @@ search: the certificate checks rho < 0.99 kappa.
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .meancurv import MC_VARIANTS, interface_checks, neck_margins
+from . import pipeline  # for SpecError; a module binding, so neither import runs the other
+from .meancurv import (MC_VARIANTS, bulk_patch, interface_checks, neck_margins,
+                       z2_mean_curvature)
 from .numerics import CubicHermite, simpson_table
+from .oracle import NonSPDMetricError, OracleDomainError, numeric_curvature
 from .steps import smooth_step, smooth_step_d1, smoothstep7
 from .warped import WarpedJet, doubly_warped_ricci
 
@@ -71,11 +75,14 @@ __all__ = [
     "PROFILE_COLUMNS",
     "CSV_BLOCK_ROWS",
     "csv_blocks",
+    "parse_profile_csv",
     "BcReport",
     "check_bc",
     "ProfileMeasurement",
     "measure_profile",
     "sample_verdict",
+    "bulk_scalar_samples",
+    "taper_check",
     "SearchResult",
     "search_parameters",
 ]
@@ -88,6 +95,7 @@ MC_VARIANT = "reported"  # the margin variant the certificate claims
 
 PROFILE_COLUMNS = ("t", "f", "f1", "f2", "h", "h1", "h2")  # the profile CSV's columns
 CSV_BLOCK_ROWS = 4096  # rows formatted per block by csv_blocks
+BULK_SAMPLES = 4       # oracle points of the bulk scalar-curvature check
 
 # The parameter search's fixed choices (see search_parameters).
 SEARCH_A = 0.2                     # collar scale: h(a3) = a sqrt(-2 ln lam), h'(a3) = a lam
@@ -640,6 +648,50 @@ def csv_blocks(columns: dict, *tables):
         yield tuple(join_rows([text[name] for name in table]) for table in tables)
 
 
+def parse_profile_csv(path) -> dict:
+    """Columns of a profile CSV, as :func:`csv_blocks` writes it; a body that
+    is not a numeric table of the profile's columns raises a ``SpecError``
+    naming its first bad row.
+
+    The body is parsed from the open file, so the text is never held whole;
+    only the error path reads it back."""
+    expected = list(PROFILE_COLUMNS)
+    with open(path) as fh:
+        header = next((line for line in iter(fh.readline, "") if line.strip()), "")
+        header = header.strip().split(",")
+        if header != expected:
+            raise pipeline.SpecError(f"profile CSV columns must be {expected}, got {header}")
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below, not as loadtxt's warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            data = None
+        if data is not None and data.shape[0] and data.shape[1] == len(expected):
+            return {name: data[:, k] for k, name in enumerate(expected)}
+        fh.seek(0)
+        body = fh.read().lstrip().partition("\n")[2]
+    if not body.strip():
+        raise pipeline.SpecError("profile CSV has a header but no rows")
+    raise _bad_profile_row(body, len(expected))
+
+
+def _bad_profile_row(body: str, ncol: int) -> pipeline.SpecError:
+    """The error naming the first row (1 = the line after the header) that
+    fails to parse on its own or has other than ``ncol`` fields."""
+    for i, line in enumerate(body.split("\n"), 1):
+        if not line:
+            continue   # loadtxt skips empty lines
+        try:
+            n = np.loadtxt([line], delimiter=",", ndmin=2, comments=None).shape[1]
+        except ValueError:
+            return pipeline.SpecError(f"profile CSV row {i} is not numeric: {line!r}")
+        if n != ncol:
+            return pipeline.SpecError(f"profile CSV row {i} has {n} fields, not {ncol}")
+    return pipeline.SpecError("profile CSV body is not a numeric table")
+
+
 def assemble_profile(left_params: LeftParams, right_params: RightParams,
                      left: PartialProfile, right: PartialProfile) -> ProfilePair:
     """Join the raw pieces into the C^1 profile, checking the jets agree at t1."""
@@ -766,6 +818,51 @@ def sample_verdict(m: ProfileMeasurement, mc_margin_tol: float) -> tuple:
         check_record("glue_interfaces", glue, glue, True),
     ]
     return bc, checks
+
+
+# ---------------------------------------------------------------------------
+# Oracle checks of an accepted step
+# ---------------------------------------------------------------------------
+
+
+def bulk_scalar_samples(pair: ProfilePair, p: int, q: int) -> tuple:
+    """Oracle scalar curvature at interior points of the neck bulk, and the
+    number of points tried.  Points the chart cannot difference are dropped.
+    """
+    patch, curve, keep, step = bulk_patch(pair, p, q, d_min=1e-4)
+    tts, F = curve.t_tilde[keep], curve.F[keep]
+    bN = pair.right.bN
+    idx = np.unique(np.linspace(2, tts.size - 3, BULK_SAMPLES).astype(int))
+    out = []
+    for i in idx:
+        tt0 = float(tts[i])
+        s0 = max(0.5 * float(F[i]), 3e-4 * bN)
+        point = np.concatenate([[tt0, s0], np.full(patch.dim - 2, math.pi / 2 + 0.1)])
+        try:
+            rep = numeric_curvature(patch, point, step=step)
+        except (OracleDomainError, NonSPDMetricError):
+            continue
+        out.append(float(rep.scalar))
+    return out, idx.size
+
+
+def taper_check(p: int, q: int, lam: float, r: float, eps_end: float) -> float | ValueError:
+    """Least oracle mean curvature of the taper-region boundary at the
+    accepted scales, or the named error that left it unmeasured.
+
+    The oracle samples the boundary s = eps r / sin(eps) five times over the
+    taper eps: pi/2 -> eps_end on [-1, 0], with collar warp 1 + lam t.  An
+    end angle outside (0, pi/2) returns a ``ProfileError`` naming eps_b2; a
+    point the chart cannot difference returns the oracle's domain error.
+    """
+    if not 0.0 < eps_end < math.pi / 2:
+        return ProfileError(f"eps_b2 = {eps_end!r} lies outside (0, pi/2)")
+    try:
+        zrep = z2_mean_curvature(EpsilonProfile(a2=-1.0, b2=0.0, eps_end=eps_end),
+                                 lambda tt: 1.0 + lam * np.asarray(tt), r=r, p=p, q=q)
+    except (OracleDomainError, NonSPDMetricError) as exc:
+        return exc
+    return float(np.min(zrep.mean_curvature))
 
 
 # ---------------------------------------------------------------------------

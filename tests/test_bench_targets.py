@@ -7,6 +7,10 @@ drops one of them breaks ``bench/run_bench.py --trace 1``; this test makes the
 tier-1 suite fail first.  The search's candidate counter reads a diagnostics key,
 so a test also runs it on a real search result and a real infeasible error.
 
+``import plumbric`` registers the package's modules in ``sys.modules`` without
+running them, and the tracer looks its targets up there; a test installs and
+removes the tracer in a fresh interpreter that has run only a ledger.
+
 ``bench/run_bench.py`` fails a run in which any op reports a problem: a
 certificate that does not pass, a verify that differs between repeats, or a
 ledger off its closed form.  The op tests run one op of each kind through the
@@ -26,6 +30,7 @@ import pytest
 
 import plumbric
 import plumbric.pipeline  # noqa: F401  (the workloads reach it as plumbric.pipeline)
+from fresh_interpreter import last_json
 from plumbric.profiles import InfeasibleProfileError, search_parameters
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -53,6 +58,44 @@ def test_target_resolves(mod_name, attr):
         assert hasattr(obj, part), f"plumbric.{mod_name} has no {attr}"
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_tracer_installs_after_a_ledger_only_run():
+    # The geometry modules are registered but have not run when the tracer is
+    # installed; it must wrap every target, record the ledger's spans, and
+    # put every original back.
+    code = f"""
+import importlib.util, json, time
+import plumbric
+from plumbric.plumbing import tangent_chain
+tree = tangent_chain(64, 5, equivariant=True)
+first = plumbric.pipeline.topo_report(tree, l_max=20)
+spec = importlib.util.spec_from_file_location("tracing", {str(BENCH / "tracing.py")!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+
+def current(mod, attr):
+    obj = getattr(plumbric, mod)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+tracer = tracing.Tracer(time.perf_counter)
+tracer.install()
+traced = [current(m, a) for m, a, _n, _e in tracing.TARGETS]
+second = plumbric.pipeline.topo_report(tree, l_max=20)
+tracer.uninstall()
+print(json.dumps({{
+    "wrapped": all(hasattr(fn, "__wrapped__") for fn in traced),
+    "restored": all(current(m, a) is fn.__wrapped__
+                    for (m, a, _n, _e), fn in zip(tracing.TARGETS, traced)),
+    "spans": sorted({{s["name"] for s in tracer.spans}}),
+    "same": first == second}}))
+"""
+    got = last_json(code)
+    assert got["wrapped"] and got["restored"] and got["same"]
+    assert got["spans"] == ["pipeline.topo_report", "plumbing.arf_invariant",
+                            "plumbing.clutching_word", "plumbing.eta_ledger"]
 
 
 def test_search_counts_read_the_search_diagnostics():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracle_reference
 from charts_reference import (doubly_warped_patch, doubly_warped_scalar, euclidean_patch,
                               scaled_patch, sphere_polar, sphere_stereographic)
-from plumbric import meancurv, oracle, pipeline
+from plumbric import meancurv, oracle, profiles
 from plumbric.charts import cylinder_patch, flat_patch, warped_patch
 from plumbric.oracle import (GraphHypersurface, NonSPDMetricError, OracleDomainError,
                              MetricPatch, numeric_curvature,
@@ -185,8 +185,8 @@ class TestContractionRoutes:
     @pytest.mark.parametrize("p,q", [(3, 3), (9, 9)])
     def test_taper_minimum_equal(self, p, q):
         # the certificate records only the taper's minimum
-        taper = pipeline._taper_check(p, q, 0.2, 1.0, 0.6)
-        assert taper == _einsum_route(pipeline._taper_check, p, q, 0.2, 1.0, 0.6)
+        taper = profiles.taper_check(p, q, 0.2, 1.0, 0.6)
+        assert taper == _einsum_route(profiles.taper_check, p, q, 0.2, 1.0, 0.6)
 
 
 class TestClosedFormBridge:
@@ -383,7 +383,7 @@ def test_chain_oracle_eigenvalues_match_scipy(dim, monkeypatch):
         taper.append(rep)
         return rep
 
-    monkeypatch.setattr(pipeline, "numeric_curvature", curvature)
+    monkeypatch.setattr(profiles, "numeric_curvature", curvature)
     monkeypatch.setattr(meancurv, "numeric_second_fundamental_form", second_form)
     spec = NiceCoordinateSpec(p=dim, q=dim, R=math.pi / 4, N=1.0, kappa=0.5)
     assert run_construction(tangent_chain(2, dim), spec).passed

@@ -225,7 +225,7 @@ class TestVerifyFailsClosed:
         path = tmp_path / "profiles" / "step_0.csv"
         tracemalloc.start()
         try:
-            samples = pipeline._parse_profile_csv(path)
+            samples = profiles.parse_profile_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -298,12 +298,12 @@ def _counting(monkeypatch, module, name):
 
 def _counting_search(monkeypatch):
     """Count the calls of the search that run_construction makes."""
-    return _counting(monkeypatch, pipeline, "search_parameters")
+    return _counting(monkeypatch, profiles, "search_parameters")
 
 
 def _counting_tapers(monkeypatch):
     """Count the taper oracle runs."""
-    return _counting(monkeypatch, pipeline, "z2_mean_curvature")
+    return _counting(monkeypatch, profiles, "z2_mean_curvature")
 
 
 class TestRepeatedVertexInputs:
@@ -464,12 +464,12 @@ class TestTaperCheck:
         return cert, rec
 
     def test_end_angle_outside_the_chart_fails_closed(self):
-        err = pipeline._taper_check(3, 3, 0.1, 1.0, math.pi / 2)
+        err = profiles.taper_check(3, 3, 0.1, 1.0, math.pi / 2)
         assert isinstance(err, ProfileError)
         assert "eps_b2 = 1.5707963267948966" in str(err)
 
     def test_unmeasured_taper_fails_the_step(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_taper_check",
+        monkeypatch.setattr(profiles, "taper_check",
                             lambda *key: ProfileError("eps_b2 = 2.0 lies outside (0, pi/2)"))
         cert, rec = self._taper_record({})
         assert not cert.passed and not rec["passed"] and math.isnan(rec["value"])
@@ -478,7 +478,7 @@ class TestTaperCheck:
     @pytest.mark.parametrize("tol,passed", [(1e-8, True), (1e-9, False)])
     def test_decided_by_the_recorded_tolerance(self, tol, passed, monkeypatch):
         stub = SimpleNamespace(mean_curvature=np.array([0.0, -5e-9, 3.0]))
-        monkeypatch.setattr(pipeline, "z2_mean_curvature", lambda *a, **k: stub)
+        monkeypatch.setattr(profiles, "z2_mean_curvature", lambda *a, **k: stub)
         cert, rec = self._taper_record({"tolerances": {"mc_margin": tol}})
         assert rec["value"] == -5e-9 and rec["tolerance"] == -tol
         assert rec["passed"] is passed and cert.passed is passed
@@ -486,12 +486,10 @@ class TestTaperCheck:
 
 class TestOracleFailures:
     def test_unexpected_bulk_error_propagates(self, monkeypatch):
-        import plumbric.pipeline as pipeline
-
         def broken(*args, **kwargs):
             raise RuntimeError("oracle broke")
 
-        monkeypatch.setattr(pipeline, "numeric_curvature", broken)
+        monkeypatch.setattr(profiles, "numeric_curvature", broken)
         tree = PlumbingTree(
             vertices=(PlumbingVertex(base_dim=3, rank=3, euler=2, char_label="v1"),),
             edges=())
@@ -567,6 +565,22 @@ def _one_error_line(capsys, command, match):
             and lines[0].startswith(f"plumbric {command}: error: ") and match in lines[0])
 
 
+def _report_text(doc) -> str:
+    """What ``plumbric report`` prints for a certificate of the right shape."""
+    lines = [f"certificate: {doc['schema']}  passed: {doc['passed']}"]
+    for i, step in enumerate(doc["steps"]):
+        if "infeasible" in step:
+            lines.append(f"  step {i} (vertex {step['vertex']}): INFEASIBLE -- "
+                         f"{step['infeasible']}")
+            continue
+        lines.append(f"  step {i} (vertex {step['vertex']}):")
+        for c in step["checks"]:
+            val = f"{c['value']:.3e}" if isinstance(c["value"], float) else c["value"]
+            lines.append(f"    [{'pass' if c['passed'] else 'FAIL'}] {c['id']}: {val} "
+                         f"(tol {c['tolerance']}) {c['detail']}")
+    return "\n".join(lines) + "\n"
+
+
 class TestCli:
     def test_full_cycle(self, tmp_path, capsys):
         tree_file = tmp_path / "tree.json"
@@ -601,6 +615,47 @@ class TestCli:
         assert cli_main(["eta", "--k", "1", "--lmax", "5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["distinct"]
+
+    @pytest.mark.parametrize("name", sorted(TestTopo.GOLDEN))
+    def test_topo_prints_the_report_as_json(self, name, tmp_path, capsys):
+        # every value of the report is JSON-native: no default= conversion
+        text = TestTopo.GOLDEN[name]["tree"]
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(text)
+        assert cli_main(["topo", "--tree", str(tree_file), "--lmax", "20"]) == 0
+        rep = topo_report(PlumbingTree.from_json(text), 20)
+        assert capsys.readouterr().out == json.dumps(rep, sort_keys=True, indent=1) + "\n"
+
+    def test_report_prints_construct_verify_and_infeasible_certificates(
+            self, single_run, tmp_path, capsys):
+        out, _ = single_run
+        assert cli_main(["verify", "--profiles", str(out / "profiles" / "step_0.csv"),
+                         "--params", str(out / "profiles" / "step_0.params.json"),
+                         "--out", str(tmp_path / "verify")]) == 0
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(tangent_chain(1, 3).to_json())
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"lambda": 1e-300, "grid": 64}))
+        assert cli_main(["construct", "--tree", str(tree_file), "--config", str(cfg_file),
+                         "--out", str(tmp_path / "infeasible")]) == 1
+        capsys.readouterr()
+        for cert, rc in ((out, 0), (tmp_path / "verify", 0), (tmp_path / "infeasible", 1)):
+            path = cert / "certificate.json"
+            assert cli_main(["report", "--certificate", str(path)]) == rc
+            assert capsys.readouterr().out == _report_text(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize("doc, match", [
+        ([1, 2], "must hold a JSON object, not a list"),
+        ({"schema": "plumbric-certificate/3", "passed": True, "steps": [
+            {"vertex": 0, "checks": [{"id": "glue_interfaces", "value": True,
+                                      "tolerance": True, "detail": ""}]}]},
+         "certificate step 0 check 0 lacks ['passed']"),
+    ], ids=["list", "check_without_passed"])
+    def test_report_of_the_wrong_shape_exits_2(self, tmp_path, capsys, doc, match):
+        cert = tmp_path / "certificate.json"
+        cert.write_text(json.dumps(doc))
+        assert cli_main(["report", "--certificate", str(cert)]) == 2
+        assert _one_error_line(capsys, "report", match)
 
     def test_ledger_of_fewer_than_two_lengths_fails(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="at least two lengths"):
@@ -944,7 +999,7 @@ class TestDiagonalCharts:
     @pytest.mark.parametrize("p", [3, 9])
     def test_oracle_metrics_have_zero_off_diagonal(self, p, monkeypatch):
         bulk, taper = [], []
-        monkeypatch.setattr(pipeline, "bulk_patch", self._recording(meancurv.bulk_patch, bulk))
+        monkeypatch.setattr(profiles, "bulk_patch", self._recording(meancurv.bulk_patch, bulk))
         monkeypatch.setattr(meancurv, "z2_patch", self._recording(meancurv.z2_patch, taper))
         tree = PlumbingTree(
             vertices=(PlumbingVertex(base_dim=p, rank=p, euler=2, char_label="v1"),),

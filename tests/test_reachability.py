@@ -24,7 +24,7 @@ from plumbric.plumbing import tangent_chain
 PACKAGE_DIR = str(pathlib.Path(plumbric.__file__).parent)
 
 NEVER_ENTERED = {
-    "pipeline._bad_profile_row": "error path: names the CSV row that fails to parse",
+    "profiles._bad_profile_row": "error path: names the CSV row that fails to parse",
     "profiles.BoundaryConditionError.__init__": "error path: a clause fails at build time",
     "profiles.InfeasibleProfileError.__init__": "error path: no candidate is accepted",
     "meancurv.z3_mean_curvature": "named by the benchmark's per-layer spans",
