@@ -1,11 +1,14 @@
 """Combinatorial plumbing trees and their exact topological ledgers.
 
-Exact integer/rational arithmetic throughout: the determinant of the
-intersection form by one O(m) recursion over the tree (no m x m matrix is
-built), the Arf invariant by peeling leaf pairs off the tree in O(m), boundary
-clutching words, and fixed-point ledgers of pairwise-distinct end invariants.
-The dense ``intersection_matrix`` and its ``bareiss_det`` are the reference
-the tree recursion is tested against; no command runs them.
+Exact integer arithmetic throughout: the determinant of the intersection form
+by one O(m) recursion over the tree (no m x m matrix is built), the Arf
+invariant by peeling leaf pairs off the tree in O(m), boundary clutching words,
+and fixed-point ledgers of pairwise-distinct end invariants, each a rational
+with a power-of-two denominator kept as an integer pair in lowest terms.
+``Fraction`` values are built only when a caller asks for them
+(``eta_local_contribution``, ``EtaLedgerResult.etas``), so no command imports
+``fractions``.  The dense ``intersection_matrix`` and its ``bareiss_det`` are
+the reference the tree recursion is tested against; no command runs them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "PlumbingVertex",
@@ -394,8 +396,11 @@ def render_word(tokens) -> str:
 # ---------------------------------------------------------------------------
 
 
-def eta_local_contribution(n: int) -> Fraction:
-    """Local index contribution of an isolated fixed point: exactly 2^-n."""
+def eta_local_contribution(n: int):
+    """Local index contribution of an isolated fixed point: exactly 2^-n, as
+    a Fraction."""
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("need n >= 1")
     return Fraction(1, 2 ** n)
@@ -427,8 +432,10 @@ class EtaLedger:
     ``k`` fixes the boundary dimension 4k+1 (so n = 2k+1); ``lengths``
     indexes the family, at least two members, since the ledger certifies
     that they differ; ``fixed_point_counts`` maps each length to its
-    isolated fixed-point count.  The ambient offset C_V shared by every
-    member stays symbolic: it cancels in differences.
+    isolated fixed-point count.  ``k``, the lengths and the counts are
+    integers (a bool is none), or a ``ValueError`` names the value.  The
+    ambient offset C_V shared by every member stays symbolic: it cancels in
+    differences.
     """
 
     k: int
@@ -436,15 +443,27 @@ class EtaLedger:
     fixed_point_counts: dict
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("need k >= 1")
-        if len(self.lengths) < 2:
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        lengths, table = self.lengths, self.fixed_point_counts
+        if len(lengths) < 2:
             raise ValueError(f"a distinctness ledger needs at least two lengths, "
-                             f"got {len(self.lengths)}")
-        counts = [self.fixed_point_counts[l] for l in self.lengths]
-        if sorted(self.lengths) != list(self.lengths):
+                             f"got {len(lengths)}")
+        if set(map(type, lengths)) != {int}:
+            bad = next(l for l in lengths if type(l) is not int)
+            raise ValueError(f"each length must be an integer, got {bad!r}")
+        try:
+            counts = [table[l] for l in lengths]
+        except KeyError as exc:
+            raise ValueError(
+                f"fixed_point_counts has no count for length {exc.args[0]}") from None
+        if set(map(type, counts)) != {int}:
+            l, c = next((l, c) for l, c in zip(lengths, counts) if type(c) is not int)
+            raise ValueError(f"the fixed-point count of length {l} must be an integer, "
+                             f"got {c!r}")
+        if sorted(lengths) != list(lengths):
             raise ValueError("lengths must be increasing")
-        if any(c2 <= c1 for c1, c2 in zip(counts, counts[1:])):
+        if not all(map(operator.lt, counts, counts[1:])):
             raise ValueError("fixed-point counts must be strictly increasing in the length")
 
     @property
@@ -454,21 +473,34 @@ class EtaLedger:
 
 @dataclass(frozen=True)
 class EtaLedgerResult:
-    """End invariants eta_l = -2 (count_l 2^-n + C_V) and their distinctness."""
+    """End invariants eta_l = -2 (count_l 2^-n + C_V) and their distinctness.
+
+    ``eta_pairs`` maps each length to the rational part of its eta as the
+    integer pair (numerator, denominator) in lowest terms; the denominator is
+    a power of two.  ``etas`` gives the same values as Fractions, built when
+    read."""
 
     n: int
-    etas: dict                   # length -> Fraction (rational part)
+    eta_pairs: dict              # length -> (numerator, denominator) of the rational part
     cv_coefficient: int          # coefficient of the symbolic constant (always -2)
     distinct: bool
     collisions: tuple
 
+    @property
+    def etas(self) -> dict:
+        """Each length's rational part as a Fraction."""
+        from fractions import Fraction
+
+        return {l: Fraction(*pair) for l, pair in self.eta_pairs.items()}
+
     def as_dict(self) -> dict:
         """The JSON-ready dictionary: each eta as [numerator, denominator]
         under its length's decimal string, each collision as a list."""
+        pairs = self.eta_pairs
         return {
             "n": self.n,
             "cv_coefficient": self.cv_coefficient,
-            "etas": {str(l): [v.numerator, v.denominator] for l, v in self.etas.items()},
+            "etas": dict(zip(map(str, pairs), map(list, pairs.values()))),
             "distinct": self.distinct,
             "collisions": [list(c) for c in self.collisions],
         }
@@ -478,19 +510,33 @@ class EtaLedgerResult:
 
 
 def eta_ledger(ledger: EtaLedger) -> EtaLedgerResult:
-    """Evaluate the ledger exactly and certify pairwise distinctness.
+    """Evaluate the ledger exactly, in integers, and certify pairwise
+    distinctness.
 
-    Each end invariant is -2(count * 2^-n + C_V); differences cancel the
-    symbolic constant exactly, so distinctness reduces to distinct counts.
+    Each end invariant is -2(count * 2^-n + C_V).  Its rational part is
+    x / 2^n with x = -2 count; with 2^v the lowest set bit of x (x & -x),
+    capped at 2^n, the pair (x / 2^v, 2^(n-v)) is that rational in lowest
+    terms, and a count of 0 gives (0, 1).  For fixed n the rational part is
+    injective in the count, and differences cancel the symbolic constant, so
+    lengths collide exactly when their counts do.
     """
-    n = ledger.n
-    unit = eta_local_contribution(n)
-    etas = {l: -2 * ledger.fixed_point_counts[l] * unit for l in ledger.lengths}
-    groups = {}
-    for l in ledger.lengths:
-        groups.setdefault(etas[l], []).append(l)
-    # The lengths increase strictly, so sorted pairs come in pairwise-scan order.
-    collisions = sorted((a, b) for group in groups.values()
-                        for i, a in enumerate(group) for b in group[i + 1:])
-    return EtaLedgerResult(n=n, etas=etas, cv_coefficient=-2,
-                           distinct=not collisions, collisions=tuple(collisions))
+    n, lengths = ledger.n, ledger.lengths
+    counts = list(map(ledger.fixed_point_counts.__getitem__, lengths))
+    top = 1 << n
+    pairs = []
+    for c in counts:
+        x = -2 * c
+        low = x & -x or top  # 2^v, the lowest set bit of x; a count of 0 takes 2^n
+        if low > top:
+            low = top
+        pairs.append((x // low, top // low))
+    collisions = ()
+    if len(set(counts)) < len(counts):
+        groups = {}
+        for l, c in zip(lengths, counts):
+            groups.setdefault(c, []).append(l)
+        # The lengths increase strictly, so sorted pairs come in pairwise-scan order.
+        collisions = tuple(sorted((a, b) for group in groups.values()
+                                  for i, a in enumerate(group) for b in group[i + 1:]))
+    return EtaLedgerResult(n=n, eta_pairs=dict(zip(lengths, pairs)), cv_coefficient=-2,
+                           distinct=not collisions, collisions=collisions)

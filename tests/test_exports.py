@@ -5,7 +5,8 @@ A deleted or renamed function that stays listed in ``__all__`` would break
 ``from plumbric.<module> import *`` without failing any other test.  The
 import-footprint tests run in a fresh interpreter: ``import plumbric``
 executes no module of the package, the ledger commands execute no geometry
-module and import no numpy, and construct and verify import no scipy.
+module and import neither numpy nor ``fractions``, and construct and verify
+import no scipy.
 """
 
 import importlib
@@ -39,15 +40,17 @@ def _fresh_imports(code: str) -> dict:
     """What a fresh interpreter running ``code`` has imported at its end: the
     ``plumbric`` modules in ``sys.modules`` (``registered``), those of them
     that have executed (``executed``; a registered module that has not run is
-    still of the lazy loader's module type), whether numpy is loaded, and the
-    scipy modules loaded."""
+    still of the lazy loader's module type), whether numpy is loaded, the
+    scipy modules loaded, and which of ``fractions`` and ``decimal`` are
+    loaded (``rationals``)."""
     code += ("\nimport json, sys, types\n"
              "ours = sorted(m for m in sys.modules if m.startswith('plumbric.'))\n"
              "print(json.dumps({'registered': ours,"
              " 'executed': [m for m in ours if type(sys.modules[m]) is types.ModuleType],"
              " 'numpy': 'numpy' in sys.modules,"
              " 'scipy': sorted(m for m in sys.modules"
-             " if m == 'scipy' or m.startswith('scipy.'))}))\n")
+             " if m == 'scipy' or m.startswith('scipy.')),"
+             " 'rationals': [m for m in ('decimal', 'fractions') if m in sys.modules]}))\n")
     return last_json(code)
 
 
@@ -60,8 +63,8 @@ def test_package_import_executes_no_module():
 
 
 def test_ledgers_import_no_geometry_and_no_numpy(tmp_path):
-    # The exact ledgers are integer and Fraction arithmetic: topo_report and
-    # the topo, eta and report commands run pipeline and plumbing only.
+    # The exact ledgers are integer arithmetic: topo_report and the topo, eta
+    # and report commands run pipeline and plumbing only, and build no Fraction.
     tree = tmp_path / "chain.json"
     tree.write_text(tangent_chain(64, 5, equivariant=True).to_json())
     cert = tmp_path / "certificate.json"
@@ -79,6 +82,7 @@ def test_ledgers_import_no_geometry_and_no_numpy(tmp_path):
     got = _fresh_imports(code)
     assert got["executed"] == ["plumbric.cli", "plumbric.pipeline", "plumbric.plumbing"]
     assert not got["numpy"] and got["scipy"] == []
+    assert got["rationals"] == []
 
 
 def test_construct_and_verify_import_no_scipy(tmp_path):

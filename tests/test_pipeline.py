@@ -555,6 +555,17 @@ class TestTopo:
         digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
         assert digest == gold["sha256"]
 
+    LARGE_L = json.loads((pathlib.Path(__file__).parent / "fixtures"
+                          / "ledger_large_l.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(LARGE_L["topo"]))
+    def test_large_l_report_bytes(self, name):
+        # an eta block of 800 lengths, pinned while it was computed in Fractions
+        d, m = map(int, name[1:].split("_m"))
+        rep = topo_report(tangent_chain(m, d, equivariant=True), 800)
+        text = json.dumps(rep, sort_keys=True, indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.LARGE_L["topo"][name]
+
 
 def _one_error_line(capsys, command, match):
     """Whether stderr holds exactly one ``plumbric <command>: error:`` line
@@ -615,6 +626,13 @@ class TestCli:
         assert cli_main(["eta", "--k", "1", "--lmax", "5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["distinct"]
+
+    @pytest.mark.parametrize("name", sorted(TestTopo.LARGE_L["eta"]))
+    def test_large_l_eta_bytes(self, name, capsys):
+        k, convention = name[1:].split("_")
+        assert cli_main(["eta", "--k", k, "--lmax", "800", "--convention", convention]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == TestTopo.LARGE_L["eta"][name]
 
     @pytest.mark.parametrize("name", sorted(TestTopo.GOLDEN))
     def test_topo_prints_the_report_as_json(self, name, tmp_path, capsys):

@@ -1,9 +1,10 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plumbric.plumbing import (EtaLedger, EtaLedgerResult, NonUnimodularFormError,
                                PlumbingTree, PlumbingVertex, TreeStructureError,
@@ -13,6 +14,7 @@ from plumbric.plumbing import (EtaLedger, EtaLedgerResult, NonUnimodularFormErro
                                form_symmetry, intersection_matrix, render_word,
                                tangent_chain, tree_det)
 
+from eta_reference import reference_etas, reference_json
 from gf2_reference import arf_of_refinement, reference_arf
 
 RNG = np.random.default_rng(99)
@@ -339,10 +341,10 @@ class TestEta:
     def _pairwise_result(led):
         """The O(L^2) reference: compare every pair of lengths."""
         res = eta_ledger(led)
-        ls = led.lengths
+        ls, etas = led.lengths, res.etas
         pairs = tuple((a, b) for i, a in enumerate(ls) for b in ls[i + 1:]
-                      if res.etas[a] == res.etas[b])
-        return EtaLedgerResult(n=res.n, etas=res.etas, cv_coefficient=-2,
+                      if etas[a] == etas[b])
+        return EtaLedgerResult(n=res.n, eta_pairs=res.eta_pairs, cv_coefficient=-2,
                                distinct=not pairs, collisions=pairs)
 
     @pytest.mark.parametrize("convention", ["reported", "chain"])
@@ -368,8 +370,42 @@ class TestEta:
         ref = self._pairwise_result(led)
         assert len(res.collisions) == 5 * 28 == len(ref.collisions)
         assert res.collisions == ref.collisions
-        assert res.to_json() == ref.to_json()
+        assert res.to_json() == ref.to_json() == reference_json(led)
         assert res.as_dict() == json.loads(res.to_json())
+
+    # Counts of every kind the integer pairs must reduce: 0, negative, even,
+    # odd, and powers of two past 2^n, whose eta is an integer.
+    COUNTS = st.one_of(st.integers(-64, 64), st.integers(0, 130).map(lambda e: 1 << e),
+                       st.integers(-2 ** 130, 2 ** 130))
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 40),
+           counts=st.lists(COUNTS, min_size=2, max_size=40, unique=True).map(sorted))
+    @example(k=1, counts=[-4, -3, 0, 2, 8, 16, 17])
+    def test_integer_pairs_match_the_fraction_reference(self, k, counts):
+        lengths = tuple(range(1, len(counts) + 1))
+        led = EtaLedger(k=k, lengths=lengths, fixed_point_counts=dict(zip(lengths, counts)))
+        res = eta_ledger(led)
+        assert res.to_json() == reference_json(led)
+        assert res.etas == reference_etas(led)
+        assert all(type(v) is Fraction for v in res.etas.values())
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"k": 1.5}, "k must be an integer >= 1, got 1.5"),
+        ({"k": True}, "k must be an integer >= 1, got True"),
+        ({"k": 0}, "k must be an integer >= 1, got 0"),
+        ({"lengths": (1, 2.0)}, "each length must be an integer, got 2.0"),
+        ({"fixed_point_counts": {1: 3}}, "no count for length 2"),
+        ({"fixed_point_counts": {1: 3, 2: 5.0}},
+         "the fixed-point count of length 2 must be an integer, got 5.0"),
+        ({"fixed_point_counts": {1: False, 2: True}},
+         "the fixed-point count of length 1 must be an integer, got False"),
+    ], ids=["k_float", "k_bool", "k_zero", "length_float", "count_missing",
+            "count_float", "count_bool"])
+    def test_ledger_fails_closed_naming_the_value(self, fields, match):
+        args = {"k": 1, "lengths": (1, 2), "fixed_point_counts": {1: 3, 2: 5}} | fields
+        with pytest.raises(ValueError, match=re.escape(match)):
+            EtaLedger(**args)
 
     @pytest.mark.parametrize("l_max", [2, 800])
     def test_dict_equals_the_json_round_trip(self, l_max):

@@ -31,6 +31,10 @@ NEVER_ENTERED = {
     "profiles.ProfilePair.to_csv": "named by the benchmark's per-layer spans",
     "plumbing.intersection_matrix": "named by the benchmark's per-layer spans",
     "plumbing.bareiss_det": "named by the benchmark's per-layer spans",
+    "plumbing.eta_local_contribution": "library API: the ledger reduces integer pairs, "
+                                       "and no command builds a Fraction",
+    "plumbing.EtaLedgerResult.etas": "library API: the Fractions of the integer pairs "
+                                     "that the commands print",
 }
 
 
