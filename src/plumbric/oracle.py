@@ -6,13 +6,16 @@ Ricci from analytic contractions of those, and one Richardson extrapolation
 level (steps h and h/2) removes the leading O(h^2) truncation error.  Ricci
 and the second fundamental form of a graph take every difference on one
 stencil (``_stencil`` / ``_differences``) and share the Christoffel assembly.
+Each evaluates the metric once, on one stack of stencil rows whose first row
+is the point itself; Ricci's stack holds the stencils of both steps.
 
-The contractions that cost O(d^5) as index loops (the derivative of the
-Christoffel symbols, and the Christoffel term of the second fundamental form)
-are matrix products.  On a diagonal metric, as every chart in ``charts`` and
-``meancurv`` is, each entry of the Ricci contractions is a sum with at most
-one nonzero product, so its value does not depend on the summation order: the
-products give the same doubles as plain index loops.
+Of the derivative of the Christoffel symbols Ricci reads only two traces,
+d_a Gamma^a_jk and d_j Gamma^a_ak, and forms only those: each is an einsum to
+a d^3 array with one row per summand a, summed over a in order.  The Ricci
+path has no contraction of cost O(d^5).  On a diagonal metric, as every chart
+in ``charts`` and ``meancurv`` is, each summand is a single nonzero product,
+so its value does not depend on the contraction order: the traces are the
+same doubles as those of the full derivative tensor.
 
 The least Ricci eigenvalue and the principal curvatures are eigenvalues of
 symmetric-definite pencils (Ricci against the metric, the second fundamental
@@ -93,22 +96,21 @@ def _pencil_eigenvalues(A: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(Linv @ A @ Linv.T)
 
 
-def _metric_checked(patch: MetricPatch, point: np.ndarray) -> tuple:
-    """The metric at ``point`` and its Cholesky factor."""
-    g0 = patch.g(point[np.newaxis, :])[0]
+def _metric_factor(g0: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the metric ``g0`` at the point, which must be symmetric."""
     if not np.allclose(g0, g0.T, atol=1e-10 * (1.0 + np.abs(g0).max())):
         raise NonSPDMetricError("metric matrix is not symmetric at the point")
-    return g0, _cholesky(g0, "metric")
+    return _cholesky(g0, "metric")
 
 
-def _stencil(x: np.ndarray, h: np.ndarray, corners: bool) -> np.ndarray:
-    """Central-difference stencil around ``x`` with per-coordinate steps ``h``.
+def _stencil(h: np.ndarray, corners: bool) -> np.ndarray:
+    """Offsets of the central-difference stencil with per-coordinate steps ``h``.
 
-    Rows: the center; x + h_k e_k and x - h_k e_k for each k; then, with
-    ``corners``, the four corners x +/- h_k e_k +/- h_l e_l (++, +-, -+, --)
-    of each pair k < l.
+    Rows: zero (the center); h_k e_k and -h_k e_k for each k; then, with
+    ``corners``, the four corners +/- h_k e_k +/- h_l e_l (++, +-, -+, --)
+    of each pair k < l.  The offsets of steps h/2 are exactly half these.
     """
-    n = x.size
+    n = h.size
     e = np.diag(h)
     offsets = [np.zeros((1, n)), np.stack([e, -e], axis=1).reshape(2 * n, n)]
     if corners:
@@ -116,7 +118,7 @@ def _stencil(x: np.ndarray, h: np.ndarray, corners: bool) -> np.ndarray:
         sk = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
         sl = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
         offsets.append((sk * e[k] + sl * e[l]).transpose(1, 0, 2).reshape(-1, n))
-    return x + np.concatenate(offsets)
+    return np.concatenate(offsets)
 
 
 def _differences(values: np.ndarray, h: np.ndarray, corners: bool) -> tuple:
@@ -150,35 +152,23 @@ def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> tuple:
     return 0.5 * np.einsum("lm,ijm->lij", ginv, T), T
 
 
-def _christoffel_derivative(ginv: np.ndarray, dg: np.ndarray, T: np.ndarray,
-                            dT: np.ndarray) -> np.ndarray:
-    """dgamma[m, l, i, j] = d_m Gamma^l_ij, with dT[m, i, j, k] = d_m T[i, j, k].
+def _ricci(G: np.ndarray, ginv: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Ricci tensor from the metric ``G`` on the corner stencil of steps ``h``,
+    with ``ginv`` the inverse metric at its center.
 
-    Both contractions over k are matrix products:
-    d_m Gamma^l_ij = (d_m g^{lk} T_ijk + g^{lk} d_m T_ijk) / 2.
+    Of the derivative d_m Gamma^l_ij = (d_m g^{lc} T_ijc + g^{lc} d_m T_ijc) / 2
+    only the two traces Ricci reads are formed, d_a Gamma^a_jk and
+    d_j Gamma^a_ak, each from a d^3 array with one row per summand a.
     """
-    d = ginv.shape[0]
-    dginv = -((ginv @ dg) @ ginv)  # dginv[m, l, k] = d_m g^{lk}
-    from_dginv = (dginv.reshape(d * d, d) @ T.reshape(d * d, d).T).reshape(d, d, d, d)
-    from_dT = (dT.reshape(d ** 3, d) @ ginv.T).reshape(d, d, d, d).transpose(0, 3, 1, 2)
-    return 0.5 * (from_dginv + from_dT)
-
-
-def _ricci_fixed_step(patch: MetricPatch, point: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Ricci tensor at ``point`` from central differences with step vector ``h``."""
-    G = patch.g(_stencil(point, h, corners=True))
     dg, d2g = _differences(G, h, corners=True)   # d2g[m, k, a, b] = d^2_{mk} g_ab
-    ginv = np.linalg.inv(G[0])
     gamma, T = _christoffel(ginv, dg)
+    dT = d2g + d2g.transpose(0, 2, 1, 3) - d2g.transpose(0, 2, 3, 1)  # d_m T[i, j, k]
+    dginv = -((ginv @ dg) @ ginv)  # dginv[m, l, k] = d_m g^{lk}
+    div = 0.5 * (np.einsum("aac,jkc->ajk", dginv, T) + np.einsum("ac,ajkc->ajk", ginv, dT))
+    grad = 0.5 * (np.einsum("jac,akc->ajk", dginv, T) + np.einsum("ac,jakc->ajk", ginv, dT))
 
-    # dT[m, i, j, k] = d_m T[i, j, k]
-    dT = (d2g
-          + d2g.transpose(0, 2, 1, 3)
-          - d2g.transpose(0, 2, 3, 1))
-    dgamma = _christoffel_derivative(ginv, dg, T, dT)
-
-    term1 = np.einsum("aajk->jk", dgamma)
-    term2 = np.einsum("jaak->jk", dgamma)
+    term1 = np.einsum("ajk->jk", div)
+    term2 = np.einsum("ajk->jk", grad)
     contracted = np.einsum("aab->b", gamma)
     term3 = np.einsum("b,bjk->jk", contracted, gamma)
     term4 = np.einsum("ajb,bak->jk", gamma, gamma)
@@ -212,13 +202,14 @@ def numeric_curvature(patch: MetricPatch, point, step=DEFAULT_STEP) -> Curvature
         raise ValueError(f"point must have shape ({patch.dim},), got {point.shape}")
     h = _step_vector(patch, step)
     _require_interior(patch, point, h, "point")
-    g0, L = _metric_checked(patch, point)
-
-    ric_h = _ricci_fixed_step(patch, point, h)
-    ric_h2 = _ricci_fixed_step(patch, point, h / 2.0)
-    ric = (4.0 * ric_h2 - ric_h) / 3.0
-
+    offsets = _stencil(h, corners=True)
+    G = patch.g(point + np.concatenate([offsets, 0.5 * offsets]))  # steps h, then h/2
+    g0 = G[0]
+    L = _metric_factor(g0)
     ginv = np.linalg.inv(g0)
+
+    n = len(offsets)
+    ric = (4.0 * _ricci(G[n:], ginv, 0.5 * h) - _ricci(G[:n], ginv, h)) / 3.0
     scalar = float(np.einsum("ij,ij->", ginv, ric))
     eigs = _pencil_eigenvalues(ric, L)
     return CurvatureReport(point=point, ricci=ric, scalar=scalar,
@@ -281,14 +272,16 @@ def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHyper
     hb = h[others]
 
     # Height value, gradient, and Hessian by central differences.
-    W = np.asarray(hypersurface.height(_stencil(bp, hb, corners=True)), dtype=float)
+    W = np.asarray(hypersurface.height(bp + _stencil(hb, corners=True)), dtype=float)
     grad, hess = _differences(W, hb, corners=True)
 
     point = np.empty(d)
     point[others] = bp
     point[a] = W[0]
     _require_interior(patch, point, h, "graph point")
-    g0, _ = _metric_checked(patch, point)
+    G = patch.g(point + _stencil(h, corners=False))
+    g0 = G[0]
+    _metric_factor(g0)  # a named error if g0 is not symmetric positive definite
     ginv = np.linalg.inv(g0)
 
     # Tangent vectors T_i = e_{others[i]} + grad_i e_a.
@@ -309,7 +302,7 @@ def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHyper
         nu = -nu
 
     # Christoffel symbols at the point (central differences of g).
-    dg, _ = _differences(patch.g(_stencil(point, h, corners=False)), h, corners=False)
+    dg, _ = _differences(G, h, corners=False)
     gamma, _ = _christoffel(ginv, dg)
 
     gnu = g0 @ nu

@@ -91,6 +91,61 @@ class TestRicciOracle:
             numeric_curvature(patch, [0.0, 0.0])
 
 
+def _counting(patch):
+    """``patch`` with a ``g`` that records the number of points of each call."""
+    calls = []
+
+    def g(x):
+        calls.append(len(x))
+        return patch.g(x)
+
+    return MetricPatch(dim=patch.dim, domain=patch.domain, g=g), calls
+
+
+FLAT_GRAPH = GraphHypersurface(axis=0, height=lambda x: np.full(x.shape[:-1], 0.1))
+
+
+class TestFailBeforeEvaluating:
+    """Both oracles reject a point near the boundary before evaluating the
+    metric, and a bad metric at the point before differencing it."""
+
+    @pytest.mark.parametrize("point", [[0.9999, 0.0], [0.0, -1.0 + 1.5e-3]])
+    def test_boundary_point_evaluates_no_metric(self, point):
+        patch, calls = _counting(euclidean_patch(2))
+        with pytest.raises(OracleDomainError, match="^point .* within 2\\*step"):
+            numeric_curvature(patch, point)
+        graph = GraphHypersurface(axis=0, height=lambda x: np.full(x.shape[:-1], point[0]))
+        with pytest.raises(OracleDomainError, match="^graph point .* within 2\\*step"):
+            numeric_second_fundamental_form(patch, graph, point[1:])
+        assert calls == []
+
+    @pytest.mark.parametrize("entries,message", [
+        ((1.0, 0.5, 0.0, 1.0), "metric matrix is not symmetric at the point"),
+        ((1.0, 0.0, 0.0, -1.0), "metric matrix is not positive definite at the point"),
+    ], ids=["asymmetric", "indefinite"])
+    @pytest.mark.parametrize("route", ["ricci", "second_form"])
+    def test_bad_metric_is_not_differenced(self, entries, message, route, monkeypatch):
+        def g(x):
+            return np.broadcast_to(np.reshape(entries, (2, 2)), x.shape[:-1] + (2, 2))
+
+        patch, calls = _counting(MetricPatch(dim=2, domain=((-1, 1), (-1, 1)), g=g))
+        differenced, differences = [], oracle._differences
+
+        def recording(values, h, corners):
+            differenced.append(values.ndim)
+            return differences(values, h, corners)
+
+        monkeypatch.setattr(oracle, "_differences", recording)
+        with pytest.raises(NonSPDMetricError, match=f"^{message}$"):
+            if route == "ricci":
+                numeric_curvature(patch, [0.0, 0.0])
+            else:
+                numeric_second_fundamental_form(patch, FLAT_GRAPH, [0.0])
+        assert len(calls) == 1
+        # only the graph height (one value per stencil row) was differenced
+        assert all(ndim == 1 for ndim in differenced)
+
+
 def _sheared_sphere(n, r):
     """Round S^n(r) in the stereographic chart pulled back by the linear map
     y -> A y: g_A(y) = A^T g(A y) A, with a fixed invertible A."""
@@ -104,10 +159,9 @@ def _sheared_sphere(n, r):
 
 
 def _einsum_route(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with the oracle's contractions done by the
-    einsum reference in place of matrix products."""
+    """``fn(*args, **kwargs)`` with the second fundamental form's Christoffel
+    term contracted by the einsum reference in place of matrix products."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_christoffel_derivative", oracle_reference.christoffel_derivative)
         mp.setattr(oracle, "_normal_christoffel", oracle_reference.normal_christoffel)
         return fn(*args, **kwargs)
 
@@ -153,12 +207,14 @@ def dense_metrics(draw):
 
 
 class TestContractionRoutes:
-    """The oracle's matrix-product contractions against the einsum reference.
+    """The oracle's contractions against the einsum references.
 
-    On a diagonal metric every entry of the Ricci contractions is a sum with at
-    most one nonzero product, so any summation order gives the same double:
-    the two routes agree bit for bit.  On a dense metric they agree to
-    roundoff.
+    Ricci's two traces of the Christoffel derivative are compared with the
+    traces of the full (d, d, d, d) tensor, and the second fundamental form's
+    matrix products with one einsum.  On a diagonal metric every entry of
+    these contractions is a sum with at most one nonzero product, so any
+    summation order gives the same double: the routes agree bit for bit.  On
+    a dense metric they agree to roundoff.
     """
 
     @given(diagonal_charts())
@@ -166,7 +222,7 @@ class TestContractionRoutes:
     def test_diagonal_charts_bit_equal(self, chart):
         patch, point, step = chart
         rep = numeric_curvature(patch, point, step=step)
-        ref = _einsum_route(numeric_curvature, patch, point, step=step)
+        ref = oracle_reference.numeric_curvature(patch, point, step=step)
         assert rep.ricci.tobytes() == ref.ricci.tobytes()
         assert (rep.scalar, rep.min_ricci_eigenvalue) == (ref.scalar, ref.min_ricci_eigenvalue)
 
@@ -175,7 +231,7 @@ class TestContractionRoutes:
     def test_dense_metrics_agree(self, metric):
         patch, point = metric
         ric = numeric_curvature(patch, point).ricci
-        ref = _einsum_route(numeric_curvature, patch, point).ricci
+        ref = oracle_reference.numeric_curvature(patch, point).ricci
         assert np.abs(ric - ref).max() <= 1e-8 * np.abs(ref).max()
         hyper = GraphHypersurface(axis=0, height=lambda x: 0.1 * np.sin(x.sum(axis=-1)))
         form = numeric_second_fundamental_form(patch, hyper, point[1:]).form

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import certificate_pins
 from csv_reference import first_difference, savetxt_csv
 from plumbric import meancurv, pipeline, plumbing, profiles
 from plumbric.cli import main as cli_main
@@ -1025,14 +1026,27 @@ class TestDiagonalCharts:
         spec = NiceCoordinateSpec(p=p, q=p, R=math.pi / 4 + 0.1, N=1.0, kappa=0.5)
         assert run_construction(tree, spec, config={"lambda": 0.2}).passed
         d = 2 * p
-        # the Ricci stencil has corners, the second fundamental form's does not
-        for name, seen, rows in (("bulk", bulk, 1 + 2 * d + 2 * d * (d - 1)),
+        # Ricci's stack holds the corner stencils of steps h and h/2, the
+        # second fundamental form's one stencil without corners
+        for name, seen, rows in (("bulk", bulk, 2 * (1 + 2 * d + 2 * d * (d - 1))),
                                  ("taper", taper, 1 + 2 * d)):
             assert any(G.shape == (rows, d, d) for G in seen), name
             off = np.concatenate([G[..., ~np.eye(d, dtype=bool)].ravel() for G in seen])
             assert np.all(off == 0.0), (
                 f"the {name} chart has nonzero off-diagonal metric entries: the oracle's "
                 "matrix-product contractions may move certificate bits")
+
+
+class TestCertificatePins:
+    """Certificate bytes, apart from ``wall_time_s``, against sha256 pins
+    taken at the parent of a change (``tests/certificate_pins.py``)."""
+
+    PINS = json.loads((pathlib.Path(__file__).parent / "fixtures"
+                       / "certificate_digests.json").read_text())["pins"]
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_certificate_bytes(self, name):
+        assert certificate_pins.case_digests(name) == self.PINS[name]
 
 
 class TestConfig:
