@@ -1,10 +1,12 @@
 """The finite-difference curvature oracle vs closed forms.
 ===========================================================
 
-The oracle differences an arbitrary coordinate-patch metric twice, assembles
+The oracle differences a diagonal coordinate-patch metric twice, assembles
 Christoffel symbols and Ricci, and sharpens the result with one Richardson
-level.  It knows nothing about warped products, which is what makes it a
-trustworthy second route for the closed-form doubly warped curvature.
+level.  A chart gives the metric's diagonal: ``patch.g`` returns one row of
+d entries per point.  The oracle knows nothing about warped products, which
+is what makes it a trustworthy second route for the closed-form doubly
+warped curvature.
 """
 
 import numpy as np
@@ -49,4 +51,4 @@ rt, rh, rf = doubly_warped_ricci(jet, p, q)
 g0 = patch.g(point[np.newaxis])[0]
 print("\ncomponent   closed form     oracle")
 for name, closed, idx in (("line", rt, 0), ("collar", rh, 1), ("fiber", rf, q)):
-    print(f"  {name:6s}  {closed: .10f}  {rep.ricci[idx, idx] / g0[idx, idx]: .10f}")
+    print(f"  {name:6s}  {closed: .10f}  {rep.ricci[idx, idx] / g0[idx]: .10f}")

@@ -6,8 +6,15 @@ sphere factor over a base patch with a radius that depends on the base point.
 :func:`cylinder_patch` is the metric line x sphere under the neck bulk; the
 taper bundle and the neck bulk warp further factors over these.  The sphere
 factors use nested-angle (hyperspherical) coordinates, so every metric here
-is diagonal.  Grid sampling should stay at least POLE_MARGIN radians away
-from the angle endpoints.
+is diagonal, and each chart's ``g`` returns the diagonal, shape (..., dim):
+the contract of ``oracle.MetricPatch``.  The oracle forms each Christoffel
+contraction that has one nonzero summand on a diagonal metric as
+``0.0 + product``, so no chart builds, and the oracle never differences, a
+zero-filled (rows, dim, dim) stack.  That gives the dense route's doubles
+because ``inv`` and ``cholesky`` of a diagonal matrix have exact +0 off the
+diagonal, and because every sum with more than one nonzero summand runs on
+C-contiguous operands, as in the dense route (see ``oracle``).  Grid sampling
+should stay at least POLE_MARGIN radians away from the angle endpoints.
 """
 
 from __future__ import annotations
@@ -43,12 +50,12 @@ def _unit_sphere_diag(angles: np.ndarray) -> np.ndarray:
 
 
 def flat_patch(domain) -> MetricPatch:
-    """Flat metric on the coordinate box ``domain`` (one (lo, hi) per coordinate)."""
+    """Flat metric on the coordinate box ``domain`` (one (lo, hi) per coordinate):
+    every diagonal entry is 1."""
     d = len(domain)
 
     def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d)).copy()
+        return np.ones(np.shape(x))
 
     return MetricPatch(dim=d, domain=tuple(domain), g=g)
 
@@ -56,21 +63,19 @@ def flat_patch(domain) -> MetricPatch:
 def warped_patch(base: MetricPatch, radius_of_base_point, fiber_dim: int) -> MetricPatch:
     """base + radius^2 ds_{fiber_dim}^2: a round sphere factor warped over ``base``.
 
-    The new coordinates are (base coordinates..., fiber angles...).
-    ``radius_of_base_point`` takes base points of shape (..., base.dim) and
-    returns the fiber radius there.
+    The new coordinates are (base coordinates..., fiber angles...), and the
+    diagonal is the base's followed by the fiber's.  ``radius_of_base_point``
+    takes base points of shape (..., base.dim) and returns the fiber radius
+    there.
     """
     db = base.dim
     d = db + fiber_dim
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (d, d))
-        out[..., :db, :db] = base.g(x[..., :db])
         rad = np.asarray(radius_of_base_point(x[..., :db]))
-        idx = np.arange(db, d)
-        out[..., idx, idx] = rad[..., np.newaxis] ** 2 * _unit_sphere_diag(x[..., db:])
-        return out
+        fiber = rad[..., np.newaxis] ** 2 * _unit_sphere_diag(x[..., db:])
+        return np.concatenate([base.g(x[..., :db]), fiber], axis=-1)
 
     return MetricPatch(dim=d, domain=base.domain + (ANGLE_BOX,) * fiber_dim, g=g)
 

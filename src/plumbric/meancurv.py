@@ -40,9 +40,10 @@ end samples).  ``z2_mean_curvature`` is the taper's mean curvature through
 the second-fundamental-form oracle.  ``bulk_patch`` is the one neck-bulk
 metric, the collar sphere warped (``charts.warped_patch``) over
 ``charts.cylinder_patch``, with the oracle's finite-difference step for it;
-the bulk scalar-curvature samples run on it.  ``z3_mean_curvature`` gives the
-neck boundary's principal curvatures in closed form, for comparison with an
-oracle route on the same chart.
+the bulk scalar-curvature samples run on it.  Like ``z2_patch``, the taper's
+chart, it returns the metric's diagonal, as every chart in ``charts`` does.
+``z3_mean_curvature`` gives the neck boundary's principal curvatures in
+closed form, for comparison with an oracle route on the same chart.
 """
 
 from __future__ import annotations

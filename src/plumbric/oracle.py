@@ -1,21 +1,36 @@
-"""Generic finite-difference curvature oracle for coordinate-patch metrics.
+"""Generic finite-difference curvature oracle for diagonal coordinate-patch metrics.
 
-Given a metric as a callable ``point -> symmetric matrix`` on a coordinate
-box, Christoffel symbols are assembled from central differences of the metric,
-Ricci from analytic contractions of those, and one Richardson extrapolation
-level (steps h and h/2) removes the leading O(h^2) truncation error.  Ricci
-and the second fundamental form of a graph take every difference on one
-stencil (``_stencil`` / ``_differences``) and share the Christoffel assembly.
-Each evaluates the metric once, on one stack of stencil rows whose first row
-is the point itself; Ricci's stack holds the stencils of both steps.
+A chart is a callable ``points -> metric diagonals`` on a coordinate box:
+every chart in ``charts`` and ``meancurv`` is diagonal, and the oracle reads
+only the diagonal, shape (..., dim).  Christoffel symbols are assembled from
+central differences of the metric, Ricci from analytic contractions of those,
+and one Richardson extrapolation level (steps h and h/2) removes the leading
+O(h^2) truncation error.  Ricci and the second fundamental form of a graph
+take every difference on one stencil (``_stencil`` / ``_differences``) and
+share the Christoffel assembly.  Each evaluates the metric once, on one
+(rows, dim) stack of diagonals whose first row is the point itself; Ricci's
+stack holds the stencils of both steps.  A stack of the wrong shape raises
+``MetricShapeError``, and an entry that is not finite and positive raises
+``NonSPDMetricError``, before any differencing.
 
 Of the derivative of the Christoffel symbols Ricci reads only two traces,
-d_a Gamma^a_jk and d_j Gamma^a_ak, and forms only those: each is an einsum to
-a d^3 array with one row per summand a, summed over a in order.  The Ricci
-path has no contraction of cost O(d^5).  On a diagonal metric, as every chart
-in ``charts`` and ``meancurv`` is, each summand is a single nonzero product,
-so its value does not depend on the contraction order: the traces are the
-same doubles as those of the full derivative tensor.
+d_a Gamma^a_jk and d_j Gamma^a_ak, and forms only those, as (d, d, d) arrays
+with one row per summand a, summed over a in order.  No array of d^4 entries
+is formed.  On a diagonal metric three groups of sums have exactly one
+nonzero summand per entry: Gamma = g^{lm} T_ijm / 2 (m = l), the two traces
+of dT that Ricci reads, and the four contractions of d g^-1 with T and of
+g^-1 with dT (c = a).  Each is formed as ``0.0 + product``, which is the
+value of any sum that starts at +0 and adds the exact zeros of the other
+summands (einsum's, for one), zero signs included.  Two conditions make this
+the value of the dense route (``tests/oracle_reference.py``) bit for bit:
+
+* ``np.linalg.inv`` and ``np.linalg.cholesky`` of diag(D) have exact +0 off
+  the diagonal, so every other summand is an exact zero;
+* every sum with more than one nonzero summand (Ricci's four terms, the
+  contraction Gamma^a_ab, the scalar, d g^-1 = -g^-1 (dg) g^-1 and the
+  Christoffel term of the second fundamental form) runs, as before, on
+  C-contiguous operands: numpy's reduction order follows the layout, and a
+  transposed operand can move the last bit of a sum.
 
 The least Ricci eigenvalue and the principal curvatures are eigenvalues of
 symmetric-definite pencils (Ricci against the metric, the second fundamental
@@ -31,8 +46,9 @@ formula in the package: it is the second route used to validate them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +61,7 @@ __all__ = [
     "numeric_second_fundamental_form",
     "OracleDomainError",
     "NonSPDMetricError",
+    "MetricShapeError",
 ]
 
 DEFAULT_STEP = 1e-3
@@ -55,7 +72,12 @@ class OracleDomainError(ValueError):
 
 
 class NonSPDMetricError(ValueError):
-    """Metric matrix not symmetric positive definite at the point."""
+    """A metric, or an induced metric, that is not finite and positive definite
+    where the oracle reads it."""
+
+
+class MetricShapeError(ValueError):
+    """A chart returned something other than one metric diagonal per point."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +85,8 @@ class MetricPatch:
     """A coordinate-box metric.
 
     ``g`` must accept an array of points of shape (..., dim) and return the
-    metric matrices with shape (..., dim, dim).
+    diagonals of the metric matrices there, shape (..., dim): the metric is
+    diagonal in these coordinates.
     """
 
     dim: int
@@ -96,11 +119,20 @@ def _pencil_eigenvalues(A: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(Linv @ A @ Linv.T)
 
 
-def _metric_factor(g0: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the metric ``g0`` at the point, which must be symmetric."""
-    if not np.allclose(g0, g0.T, atol=1e-10 * (1.0 + np.abs(g0).max())):
-        raise NonSPDMetricError("metric matrix is not symmetric at the point")
-    return _cholesky(g0, "metric")
+def _metric_diagonals(patch: MetricPatch, x: np.ndarray) -> np.ndarray:
+    """The chart's metric diagonals at the stencil points ``x``, one row each.
+
+    A ``MetricShapeError`` unless the chart returned shape ``x.shape``, and a
+    ``NonSPDMetricError`` unless every entry is finite and positive.
+    """
+    D = np.asarray(patch.g(x), dtype=float)
+    if D.shape != x.shape:
+        raise MetricShapeError(f"metric diagonals must have shape {x.shape}, got {D.shape}")
+    if not np.isfinite(D).all():
+        raise NonSPDMetricError("metric matrix is not finite on the stencil")
+    if not (D > 0.0).all():
+        raise NonSPDMetricError("metric matrix is not positive definite on the stencil")
+    return D
 
 
 def _stencil(h: np.ndarray, corners: bool) -> np.ndarray:
@@ -142,30 +174,85 @@ def _differences(values: np.ndarray, h: np.ndarray, corners: bool) -> tuple:
     return d1, d2
 
 
+class _Gathers(NamedTuple):
+    """Flat indices of the entries read by the one-summand contractions."""
+
+    eye: np.ndarray       # (d, d) mask of the diagonal
+    diag: np.ndarray      # [a] -> (a, a) of a (d, d) array
+    last_first: np.ndarray  # [a, j, k] -> (j, k, a) of a (d, d, d) array
+    aaa: np.ndarray       # [a] -> (a, a, a)
+    jaa: np.ndarray       # [a, j] -> (j, a, a)
+    aak: np.ndarray       # [a, k] -> (a, a, k)
+    div: tuple            # the three d2g entries of d_a T[j, k, a]
+    grad: tuple           # the three d2g entries of d_j T[a, k, a]
+
+
+@functools.lru_cache(maxsize=None)
+def _gathers(d: int) -> _Gathers:
+    """The gathers of dimension d, each shaped like the array it builds; one
+    cache entry per chart dimension, read and never written by its callers.
+
+    ``div`` and ``grad`` index the second differences d2D[m, i, b] =
+    d^2_{mi} g_bb with one +0 appended (flat index d^3), which stands for
+    every off-diagonal d^2_{mi} g_bc.
+    """
+    a, j, k = np.ogrid[:d, :d, :d]
+
+    def flat(x, y, z):
+        return (x * d + y) * d + z
+
+    def d2g(m, i, b, c):  # d^2_{mi} g_bc
+        return np.where(b == c, flat(m, i, b), d ** 3)
+
+    def dT(m, i, b, c):  # d_m T[i, b, c] = d2g(m, i, b, c) + d2g(m, b, i, c) - d2g(m, c, i, b)
+        return d2g(m, i, b, c), d2g(m, b, i, c), d2g(m, c, i, b)
+
+    return _Gathers(eye=np.eye(d, dtype=bool), diag=a * (d + 1), last_first=flat(j, k, a),
+                    aaa=flat(a, a, a), jaa=flat(j, a, a), aak=flat(a, a, k),
+                    div=dT(a, j, k, a), grad=dT(j, a, k, a))
+
+
+def _embed(dD: np.ndarray) -> np.ndarray:
+    """dg[k, a, b] = d_k g_ab from dD[k, a] = d_k g_aa: exact +0 off the diagonal."""
+    return np.where(_gathers(dD.shape[-1]).eye, dD[..., np.newaxis], 0.0)
+
+
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> tuple:
     """Christoffel symbols gamma[l, i, j] = Gamma^l_ij from dg[k, a, b] = d_k g_ab.
 
-    Also returns T[i, j, m] = d_i g_jm + d_j g_im - d_m g_ij, so that
-    gamma = g^{lm} T_ijm / 2.
+    Also returns Tl[l, i, j] = T[i, j, l], with T[i, j, m] = d_i g_jm + d_j g_im
+    - d_m g_ij, so that gamma = g^{lm} T_ijm / 2, whose one nonzero summand
+    is m = l.
     """
+    ix = _gathers(len(ginv))
     T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("lm,ijm->lij", ginv, T), T
+    Tl = T.take(ix.last_first)
+    return 0.5 * (0.0 + ginv.take(ix.diag) * Tl), Tl
 
 
-def _ricci(G: np.ndarray, ginv: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Ricci tensor from the metric ``G`` on the corner stencil of steps ``h``,
-    with ``ginv`` the inverse metric at its center.
+def _ricci(D: np.ndarray, ginv: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Ricci tensor from the metric diagonals ``D`` on the corner stencil of
+    steps ``h``, with ``ginv`` the inverse metric at its center.
 
     Of the derivative d_m Gamma^l_ij = (d_m g^{lc} T_ijc + g^{lc} d_m T_ijc) / 2
     only the two traces Ricci reads are formed, d_a Gamma^a_jk and
-    d_j Gamma^a_ak, each from a d^3 array with one row per summand a.
+    d_j Gamma^a_ak, as (d, d, d) arrays indexed [a, j, k].  In each sum over c
+    only c = a is nonzero, and of d_m T only the entries the traces read are
+    formed, from the second differences of the diagonal.
     """
-    dg, d2g = _differences(G, h, corners=True)   # d2g[m, k, a, b] = d^2_{mk} g_ab
-    gamma, T = _christoffel(ginv, dg)
-    dT = d2g + d2g.transpose(0, 2, 1, 3) - d2g.transpose(0, 2, 3, 1)  # d_m T[i, j, k]
+    dD, d2D = _differences(D, h, corners=True)   # d2D[m, k, a] = d^2_{mk} g_aa
+    ix = _gathers(len(ginv))
+    dg = _embed(dD)
+    gamma, Tl = _christoffel(ginv, dg)
     dginv = -((ginv @ dg) @ ginv)  # dginv[m, l, k] = d_m g^{lk}
-    div = 0.5 * (np.einsum("aac,jkc->ajk", dginv, T) + np.einsum("ac,ajkc->ajk", ginv, dT))
-    grad = 0.5 * (np.einsum("jac,akc->ajk", dginv, T) + np.einsum("ac,jakc->ajk", ginv, dT))
+    d2 = np.append(d2D.ravel(), 0.0)
+
+    def dT(terms):
+        return d2.take(terms[0]) + d2.take(terms[1]) - d2.take(terms[2])
+
+    gd = ginv.take(ix.diag)
+    div = 0.5 * ((0.0 + dginv.take(ix.aaa) * Tl) + (0.0 + gd * dT(ix.div)))
+    grad = 0.5 * ((0.0 + dginv.take(ix.jaa) * Tl.take(ix.aak)) + (0.0 + gd * dT(ix.grad)))
 
     term1 = np.einsum("ajk->jk", div)
     term2 = np.einsum("ajk->jk", grad)
@@ -203,13 +290,13 @@ def numeric_curvature(patch: MetricPatch, point, step=DEFAULT_STEP) -> Curvature
     h = _step_vector(patch, step)
     _require_interior(patch, point, h, "point")
     offsets = _stencil(h, corners=True)
-    G = patch.g(point + np.concatenate([offsets, 0.5 * offsets]))  # steps h, then h/2
-    g0 = G[0]
-    L = _metric_factor(g0)
+    D = _metric_diagonals(patch, point + np.concatenate([offsets, 0.5 * offsets]))
+    g0 = np.diag(D[0])
+    L = _cholesky(g0, "metric")
     ginv = np.linalg.inv(g0)
 
-    n = len(offsets)
-    ric = (4.0 * _ricci(G[n:], ginv, 0.5 * h) - _ricci(G[:n], ginv, h)) / 3.0
+    n = len(offsets)  # rows of step h, then of step h/2
+    ric = (4.0 * _ricci(D[n:], ginv, 0.5 * h) - _ricci(D[:n], ginv, h)) / 3.0
     scalar = float(np.einsum("ij,ij->", ginv, ric))
     eigs = _pencil_eigenvalues(ric, L)
     return CurvatureReport(point=point, ricci=ric, scalar=scalar,
@@ -279,9 +366,8 @@ def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHyper
     point[others] = bp
     point[a] = W[0]
     _require_interior(patch, point, h, "graph point")
-    G = patch.g(point + _stencil(h, corners=False))
-    g0 = G[0]
-    _metric_factor(g0)  # a named error if g0 is not symmetric positive definite
+    D = _metric_diagonals(patch, point + _stencil(h, corners=False))
+    g0 = np.diag(D[0])
     ginv = np.linalg.inv(g0)
 
     # Tangent vectors T_i = e_{others[i]} + grad_i e_a.
@@ -302,8 +388,8 @@ def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHyper
         nu = -nu
 
     # Christoffel symbols at the point (central differences of g).
-    dg, _ = _differences(G, h, corners=False)
-    gamma, _ = _christoffel(ginv, dg)
+    dD, _ = _differences(D, h, corners=False)
+    gamma, _ = _christoffel(ginv, _embed(dD))
 
     gnu = g0 @ nu
     # II_ij = Hess_ij * (g nu)_a + Gamma^m_{bc} T_i^b T_j^c (g nu)_m

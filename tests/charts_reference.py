@@ -33,8 +33,7 @@ def sphere_stereographic(n: int, r: float, half_width: float = 0.8) -> MetricPat
     def g(x):
         x = np.asarray(x, dtype=float)
         conf = 4.0 * r ** 4 / (r ** 2 + np.sum(x * x, axis=-1)) ** 2
-        eye = np.eye(n)
-        return conf[..., np.newaxis, np.newaxis] * eye
+        return conf[..., np.newaxis] * np.ones(n)
 
     return MetricPatch(dim=n, domain=tuple((-half_width, half_width) for _ in range(n)), g=g)
 

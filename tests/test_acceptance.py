@@ -65,9 +65,9 @@ class TestCriterion2:
                             h1=float(h1(t_at)), h2=float(h2(t_at)))
             rt, rh, rf = doubly_warped_ricci(jet, p, q)
             g0 = patch.g(point[np.newaxis])[0]
-            pairs = ((rt, rep.ricci[0, 0] / g0[0, 0]),
-                     (rh, rep.ricci[1, 1] / g0[1, 1]),
-                     (rf, rep.ricci[q, q] / g0[q, q]))
+            pairs = ((rt, rep.ricci[0, 0] / g0[0]),
+                     (rh, rep.ricci[1, 1] / g0[1]),
+                     (rf, rep.ricci[q, q] / g0[q]))
             for closed, oracle in pairs:
                 assert abs(closed - oracle) <= 1e-5 * (1.0 + abs(closed))
         elapsed = time.monotonic() - t0

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from charts_reference import (doubly_warped_patch, doubly_warped_scalar, euclide
                               scaled_patch, sphere_polar, sphere_stereographic)
 from plumbric import meancurv, oracle, profiles
 from plumbric.charts import cylinder_patch, flat_patch, warped_patch
-from plumbric.oracle import (GraphHypersurface, NonSPDMetricError, OracleDomainError,
-                             MetricPatch, numeric_curvature,
+from plumbric.oracle import (GraphHypersurface, MetricShapeError, NonSPDMetricError,
+                             OracleDomainError, MetricPatch, numeric_curvature,
                              numeric_second_fundamental_form)
 from plumbric.pipeline import NiceCoordinateSpec, run_construction
 from plumbric.plumbing import tangent_chain
@@ -65,12 +67,12 @@ class TestRicciOracle:
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("r", [0.5, 2.0])
     def test_round_sphere_in_sheared_chart(self, n, r):
-        # off-diagonal metric entries, where the summation order can move bits
+        # the dense reference route on a metric with off-diagonal entries
         patch = _sheared_sphere(n, r)
         point = 0.05 * np.arange(1, n + 1)
         g0 = patch.g(point[np.newaxis])[0]
         assert np.abs(g0 - np.diag(np.diag(g0))).max() > 0.1 * np.abs(g0).max()
-        rep = numeric_curvature(patch, point)
+        rep = oracle_reference.numeric_curvature(patch, point)
         assert rep.scalar == pytest.approx(n * (n - 1) / r ** 2, rel=1e-6)
         assert rep.min_ricci_eigenvalue == pytest.approx((n - 1) / r ** 2, rel=1e-6)
 
@@ -80,11 +82,7 @@ class TestRicciOracle:
 
     def test_non_spd_error(self):
         def g(x):
-            x = np.asarray(x)
-            out = np.zeros(x.shape[:-1] + (2, 2))
-            out[..., 0, 0] = 1.0
-            out[..., 1, 1] = -1.0
-            return out
+            return np.broadcast_to([1.0, -1.0], np.shape(x))
 
         patch = MetricPatch(dim=2, domain=((-1, 1), (-1, 1)), g=g)
         with pytest.raises(NonSPDMetricError, match="^metric matrix is not positive definite"):
@@ -107,7 +105,8 @@ FLAT_GRAPH = GraphHypersurface(axis=0, height=lambda x: np.full(x.shape[:-1], 0.
 
 class TestFailBeforeEvaluating:
     """Both oracles reject a point near the boundary before evaluating the
-    metric, and a bad metric at the point before differencing it."""
+    metric, and after one metric call, before differencing it, a chart that
+    does not return one finite, positive diagonal per stencil point."""
 
     @pytest.mark.parametrize("point", [[0.9999, 0.0], [0.0, -1.0 + 1.5e-3]])
     def test_boundary_point_evaluates_no_metric(self, point):
@@ -119,16 +118,20 @@ class TestFailBeforeEvaluating:
             numeric_second_fundamental_form(patch, graph, point[1:])
         assert calls == []
 
-    @pytest.mark.parametrize("entries,message", [
-        ((1.0, 0.5, 0.0, 1.0), "metric matrix is not symmetric at the point"),
-        ((1.0, 0.0, 0.0, -1.0), "metric matrix is not positive definite at the point"),
-    ], ids=["asymmetric", "indefinite"])
+    @pytest.mark.parametrize("value,error,message", [
+        (lambda x: np.broadcast_to([1.0, -1.0], x.shape), NonSPDMetricError,
+         "metric matrix is not positive definite on the stencil"),
+        # infinite off the point, on the stencil rows with x_1 > 0
+        (lambda x: np.where(x[..., 1:] > 0.0, np.inf, np.ones(x.shape)), NonSPDMetricError,
+         "metric matrix is not finite on the stencil"),
+        (lambda x: np.broadcast_to(np.eye(2), x.shape + (2,)), MetricShapeError,
+         r"metric diagonals must have shape \(\d+, 2\), got \(\d+, 2, 2\)"),
+        (lambda x: np.ones(x.shape[:-1] + (3,)), MetricShapeError,
+         r"metric diagonals must have shape \(\d+, 2\), got \(\d+, 3\)"),
+    ], ids=["indefinite", "nonfinite", "matrices", "width"])
     @pytest.mark.parametrize("route", ["ricci", "second_form"])
-    def test_bad_metric_is_not_differenced(self, entries, message, route, monkeypatch):
-        def g(x):
-            return np.broadcast_to(np.reshape(entries, (2, 2)), x.shape[:-1] + (2, 2))
-
-        patch, calls = _counting(MetricPatch(dim=2, domain=((-1, 1), (-1, 1)), g=g))
+    def test_bad_metric_is_not_differenced(self, value, error, message, route, monkeypatch):
+        patch, calls = _counting(MetricPatch(dim=2, domain=((-1, 1), (-1, 1)), g=value))
         differenced, differences = [], oracle._differences
 
         def recording(values, h, corners):
@@ -136,7 +139,7 @@ class TestFailBeforeEvaluating:
             return differences(values, h, corners)
 
         monkeypatch.setattr(oracle, "_differences", recording)
-        with pytest.raises(NonSPDMetricError, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{message}$"):
             if route == "ricci":
                 numeric_curvature(patch, [0.0, 0.0])
             else:
@@ -153,7 +156,7 @@ def _sheared_sphere(n, r):
     base = sphere_stereographic(n, r)
 
     def g(y):
-        return A.T @ base.g(np.asarray(y, dtype=float) @ A.T) @ A
+        return A.T @ (base.g(np.asarray(y, dtype=float) @ A.T)[..., np.newaxis] * A)
 
     return MetricPatch(dim=n, domain=((-0.5, 0.5),) * n, g=g)
 
@@ -190,7 +193,8 @@ def diagonal_charts(draw):
 
 @st.composite
 def dense_metrics(draw):
-    """A random metric with every entry nonzero, SPD on its box, and a point."""
+    """A random metric with every entry nonzero, SPD on its box, a point, and
+    an invertible linear map A near the identity."""
     n = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     B0 = rng.normal(size=(n, n))
@@ -203,18 +207,25 @@ def dense_metrics(draw):
         return B @ B.swapaxes(-1, -2) + 0.5 * np.eye(n)
 
     patch = MetricPatch(dim=n, domain=((-1.0, 1.0),) * n, g=g)
-    return patch, rng.uniform(-0.5, 0.5, n)
+    return patch, rng.uniform(-0.5, 0.5, n), np.eye(n) + 0.2 * rng.uniform(-1.0, 1.0, (n, n))
+
+
+def _bits(*values) -> bytes:
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
 
 
 class TestContractionRoutes:
-    """The oracle's contractions against the einsum references.
+    """The oracle's contractions against the dense references.
 
-    Ricci's two traces of the Christoffel derivative are compared with the
-    traces of the full (d, d, d, d) tensor, and the second fundamental form's
-    matrix products with one einsum.  On a diagonal metric every entry of
-    these contractions is a sum with at most one nonzero product, so any
-    summation order gives the same double: the routes agree bit for bit.  On
-    a dense metric they agree to roundoff.
+    The oracle reads a metric's diagonal and forms each contraction that has
+    one nonzero summand as that product; the reference reads the full metric,
+    takes Ricci's two traces of the whole (d, d, d, d) Christoffel derivative
+    and contracts everything with einsum.  On a diagonal metric each of those
+    sums has one nonzero product, and every sum with more than one runs on
+    operands of the same layout in both routes, so the routes agree bit for
+    bit.  On dense metrics the reference is checked on its own: Ricci is a
+    tensor, and its second fundamental form's matrix products equal the
+    einsum contraction to roundoff.
     """
 
     @given(diagonal_charts())
@@ -226,17 +237,53 @@ class TestContractionRoutes:
         assert rep.ricci.tobytes() == ref.ricci.tobytes()
         assert (rep.scalar, rep.min_ricci_eigenvalue) == (ref.scalar, ref.min_ricci_eigenvalue)
 
+    @pytest.mark.parametrize("dim", [3, 5, 7, 9])
+    def test_certificate_charts_bit_equal(self, dim):
+        # The bulk and taper charts of a tangent 2-chain's accepted steps,
+        # three points each: where the certificate's bits come from.
+        bulk, taper = _chain_oracle_calls(dim)
+        assert len(bulk) >= 3 and len(taper) >= 3
+        for args, kwargs, rep in bulk[:3]:
+            ref = oracle_reference.numeric_curvature(*args, **kwargs)
+            assert _bits(rep.ricci, rep.scalar, rep.min_ricci_eigenvalue) == _bits(
+                ref.ricci, ref.scalar, ref.min_ricci_eigenvalue)
+        for args, kwargs, rep in taper[:3]:
+            ref = oracle_reference.numeric_second_fundamental_form(*args, **kwargs)
+            assert _bits(rep.form, rep.induced_metric, rep.principal_curvatures) == _bits(
+                ref.form, ref.induced_metric, ref.principal_curvatures)
+
     @given(dense_metrics())
     @settings(max_examples=50, deadline=None)
     def test_dense_metrics_agree(self, metric):
-        patch, point = metric
-        ric = numeric_curvature(patch, point).ricci
-        ref = oracle_reference.numeric_curvature(patch, point).ricci
-        assert np.abs(ric - ref).max() <= 1e-8 * np.abs(ref).max()
+        patch, point, A = metric
+        # Ricci of the metric pulled back by y -> A y is A^T Ric(A y) A
+        pulled = MetricPatch(dim=patch.dim, domain=((-2.0, 2.0),) * patch.dim,
+                             g=lambda y: A.T @ patch.g(y @ A.T) @ A)
+        ric = oracle_reference.numeric_curvature(pulled, np.linalg.solve(A, point)).ricci
+        ref = A.T @ oracle_reference.numeric_curvature(patch, point).ricci @ A
+        assert np.abs(ric - ref).max() <= 1e-6 * np.abs(ref).max()
         hyper = GraphHypersurface(axis=0, height=lambda x: 0.1 * np.sin(x.sum(axis=-1)))
-        form = numeric_second_fundamental_form(patch, hyper, point[1:]).form
-        ref = _einsum_route(numeric_second_fundamental_form, patch, hyper, point[1:]).form
+        route = oracle_reference.numeric_second_fundamental_form
+        form = route(patch, hyper, point[1:]).form
+        ref = _einsum_route(route, patch, hyper, point[1:]).form
         assert np.abs(form - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    def test_no_dense_temporaries(self):
+        # Ricci at d = 18 from (rows, d) diagonals and (d, d, d) arrays: a
+        # zero-filled (1298, 18, 18) stack is 3.4 MB, one (18,)*4 array 0.84 MB
+        res = profiles.search_parameters(9, 9, 1.0, 0.3, mc_margin_tol=1e-9, grid_n=2048)
+        patch, curve, keep, step = meancurv.bulk_patch(res.pair, 9, 9, d_min=1e-4)
+        i = keep[keep.size // 2]
+        s0 = max(0.5 * curve.F[i], 3e-4 * res.pair.right.bN)
+        point = np.concatenate([[curve.t_tilde[i], s0], np.full(16, math.pi / 2 + 0.1)])
+        numeric_curvature(patch, point, step=step)
+        tracemalloc.start()
+        try:
+            numeric_curvature(patch, point, step=step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     @pytest.mark.parametrize("p,q", [(3, 3), (9, 9)])
     def test_taper_minimum_equal(self, p, q):
@@ -334,9 +381,9 @@ def _assert_jet_matches_oracle(rng, p, q, rel=1e-5):
     g0 = patch.g(point[np.newaxis])[0]
     ric = rep.ricci
     # unit-vector components along the orthogonal coordinate directions
-    oracle_rt = ric[0, 0] / g0[0, 0]
-    oracle_rh = ric[1, 1] / g0[1, 1]
-    oracle_rf = ric[q, q] / g0[q, q]
+    oracle_rt = ric[0, 0] / g0[0]
+    oracle_rh = ric[1, 1] / g0[1]
+    oracle_rf = ric[q, q] / g0[q]
     for closed, oracle in ((rt, oracle_rt), (rh, oracle_rh), (rf, oracle_rf)):
         assert abs(closed - oracle) <= rel * (1.0 + abs(closed))
     scal = doubly_warped_scalar(jet, p, q)
@@ -424,30 +471,38 @@ def test_indefinite_pencil_is_a_named_error():
         oracle._cholesky(B, "induced metric")
 
 
-@pytest.mark.parametrize("dim", [3, 5, 7, 9])
-def test_chain_oracle_eigenvalues_match_scipy(dim, monkeypatch):
-    # Every bulk and taper oracle call of a tangent 2-chain's construction.
+@functools.lru_cache(maxsize=None)
+def _chain_oracle_calls(dim):
+    """Every bulk and taper oracle call of a tangent 2-chain's construction,
+    as (args, kwargs, report), once per test session."""
     bulk, taper = [], []
 
-    def curvature(patch, point, **kw):
-        rep = oracle.numeric_curvature(patch, point, **kw)
-        bulk.append((rep, patch.g(rep.point[np.newaxis])[0]))
-        return rep
+    def recording(calls, fn):
+        def call(*args, **kwargs):
+            rep = fn(*args, **kwargs)
+            calls.append((args, kwargs, rep))
+            return rep
+        return call
 
-    def second_form(*args, **kw):
-        rep = oracle.numeric_second_fundamental_form(*args, **kw)
-        taper.append(rep)
-        return rep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiles, "numeric_curvature", recording(bulk, oracle.numeric_curvature))
+        mp.setattr(meancurv, "numeric_second_fundamental_form",
+                   recording(taper, oracle.numeric_second_fundamental_form))
+        spec = NiceCoordinateSpec(p=dim, q=dim, R=math.pi / 4, N=1.0, kappa=0.5)
+        assert run_construction(tangent_chain(2, dim), spec).passed
+    return bulk, taper
 
-    monkeypatch.setattr(profiles, "numeric_curvature", curvature)
-    monkeypatch.setattr(meancurv, "numeric_second_fundamental_form", second_form)
-    spec = NiceCoordinateSpec(p=dim, q=dim, R=math.pi / 4, N=1.0, kappa=0.5)
-    assert run_construction(tangent_chain(2, dim), spec).passed
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 9])
+def test_chain_oracle_eigenvalues_match_scipy(dim):
+    # Every bulk and taper oracle call of a tangent 2-chain's construction.
+    bulk, taper = _chain_oracle_calls(dim)
     assert bulk and taper
-    for rep, g0 in bulk:
+    for (patch, _), _, rep in bulk:
+        g0 = np.diag(patch.g(rep.point[np.newaxis])[0])
         ref = scipy.linalg.eigh(rep.ricci, g0, eigvals_only=True)
         assert abs(rep.min_ricci_eigenvalue - ref[0]) <= _pencil_bound(ref)
-    for rep in taper:
+    for _, _, rep in taper:
         ref = scipy.linalg.eigh(rep.form, rep.induced_metric, eigvals_only=True)
         assert np.abs(rep.principal_curvatures - ref).max() <= _pencil_bound(ref)
         # a zero form gives +0.0, as eigh does: the certificate records the

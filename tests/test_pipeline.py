@@ -995,14 +995,15 @@ class TestOracleValues:
 class TestDiagonalCharts:
     """Every metric the certificate's oracle reads is diagonal, to the bit.
 
-    The oracle's matrix-product contractions give the same doubles as any
-    other summation order only because each sum then has at most one nonzero
-    term.  A chart with off-diagonal entries fails here first.
+    The charts return the metric's diagonal, so every off-diagonal entry the
+    oracle stands in for is an exact zero.  The oracle forms each contraction
+    with one nonzero summand as that product, which gives the doubles of any
+    summation order only because each such sum has one nonzero term.
     """
 
     @staticmethod
     def _recording(build, seen):
-        # the same builder, with a patch whose g keeps every matrix it returns
+        # the same builder, with a patch whose g keeps every stack it returns
         def wrapped(*args, **kwargs):
             out = build(*args, **kwargs)
             patch = out[0] if isinstance(out, tuple) else out
@@ -1030,11 +1031,9 @@ class TestDiagonalCharts:
         # second fundamental form's one stencil without corners
         for name, seen, rows in (("bulk", bulk, 2 * (1 + 2 * d + 2 * d * (d - 1))),
                                  ("taper", taper, 1 + 2 * d)):
-            assert any(G.shape == (rows, d, d) for G in seen), name
-            off = np.concatenate([G[..., ~np.eye(d, dtype=bool)].ravel() for G in seen])
-            assert np.all(off == 0.0), (
-                f"the {name} chart has nonzero off-diagonal metric entries: the oracle's "
-                "matrix-product contractions may move certificate bits")
+            assert any(D.shape == (rows, d) for D in seen), name
+            assert all(D.shape[-1] == d and D.ndim == 2 for D in seen), (
+                f"the {name} chart returned something other than metric diagonals")
 
 
 class TestCertificatePins:
