@@ -135,9 +135,9 @@ def build_curve(pair, beta: float, N: float, grid_n: int) -> CurveEmbedding:
     """
     bN = beta * N
     t = pair.grid(grid_n)
-    f = pair.f(t)
-    f1 = pair.f1(t)
-    D, E, F, _cot, bracket = _neck_terms(f, f1, pair.f2(t), bN)
+    jets = pair.jets(t)
+    f, f1 = jets.f, jets.f1
+    D, E, F, _cot, bracket = _neck_terms(f, f1, jets.f2, bN)
     mask = D > D_FLOOR
     if not np.any(mask):
         raise CurveDomainError(
@@ -332,7 +332,9 @@ def bulk_patch(pair, p: int, q: int, d_min: float) -> tuple:
     Coordinates (t~, s, p-1 fiber angles, q-1 collar angles), with collar
     radius h(t(t~)).  The map t~ -> t is Hermite-interpolated through the
     1024-point boundary curve on the samples where D >= d_min, which also
-    bound the t~ range of the domain.  Returns (patch, curve, keep, step):
+    bound the t~ range of the domain.  The chart reads h at a stencil's
+    distinct t~ only (five of them), the same bits as at every row, since
+    each jet depends on its own t alone.  Returns (patch, curve, keep, step):
     ``keep`` indexes the curve samples used as interpolation nodes, and
     ``step`` is the oracle's finite-difference step on this chart, 1e-4 bN
     along (t~, s), where the metric varies on the scale bN, and 1e-3 along
@@ -346,7 +348,12 @@ def bulk_patch(pair, p: int, q: int, d_min: float) -> tuple:
     keep = keep[np.concatenate([[True], np.diff(curve.t_tilde[keep]) > 1e-9])]
     tt = curve.t_tilde[keep]
     t_of_tt = CubicHermite(tt, curve.t[keep], np.sqrt(1.0 + curve.F1[keep] ** 2))
-    patch = warped_patch(cylinder_patch(p, bN), lambda xb: pair.h(t_of_tt(xb[..., 0])), q - 1)
+
+    def collar_radius(xb):
+        tt_rows, row = np.unique(xb[..., 0], return_inverse=True)
+        return pair.h(t_of_tt(tt_rows))[row]
+
+    patch = warped_patch(cylinder_patch(p, bN), collar_radius, q - 1)
     domain = ((tt[0], tt[-1]), (1e-6 * bN, (math.pi - POLE_MARGIN) * bN)) + patch.domain[2:]
     step = np.concatenate([[1e-4 * bN, 1e-4 * bN], np.full(patch.dim - 2, 1e-3)])
     return replace(patch, domain=domain), curve, keep, step

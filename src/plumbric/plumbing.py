@@ -398,11 +398,12 @@ def render_word(tokens) -> str:
 
 def eta_local_contribution(n: int):
     """Local index contribution of an isolated fixed point: exactly 2^-n, as
-    a Fraction."""
+    a Fraction.  ``n`` is an integer >= 1 (a bool is none), or a
+    ``ValueError`` names it."""
     from fractions import Fraction
 
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return Fraction(1, 2 ** n)
 
 
@@ -412,10 +413,11 @@ def fixed_point_count(m_bundles: int, convention: str) -> int:
     "reported" follows the recorded count 2l+1 for m = 8l; "chain" counts two
     fixed points per bundle with one identified per plumbing (m + 1).  Both
     are strictly increasing in the chain length, so distinctness results do
-    not depend on the convention.
+    not depend on the convention.  ``m_bundles`` is an integer >= 1 (a bool
+    is none), or a ``ValueError`` names it.
     """
-    if m_bundles < 1:
-        raise ValueError("need at least one bundle")
+    if type(m_bundles) is not int or m_bundles < 1:
+        raise ValueError(f"the bundle count must be an integer >= 1, got {m_bundles!r}")
     if convention == "reported":
         if m_bundles % 8 != 0:
             raise ValueError("the reported count applies to chains of length 8l")

@@ -31,6 +31,12 @@ C^1 by solving the fiber scale from the slope target (b = s0/fC'(t1)); f''
 jumps there from the left piece's convex value to the run-out's concave one.
 The certificate covers this C^1 two-piece profile.
 
+Each piece is a function of t alone that returns its six jets
+(f, f', f'', h, h', h'') in one pass.  It keeps no state between calls, and
+each jet at a point depends on that point alone, so a piece called on any
+set of points gives the same bits at each of them.  :class:`ProfilePair`
+splits t at t1 and calls each piece once per evaluation.
+
 The search's inputs are (p, q, R/N, lambda), the margin tolerance and the
 check grid.  The left piece depends on (lambda, C, t) alone.  Each
 candidate's run-out is solved once, at the search's own join state, and the
@@ -67,7 +73,6 @@ __all__ = [
     "LeftParams",
     "RightParams",
     "EpsilonProfile",
-    "PartialProfile",
     "ProfilePair",
     "build_left_profile",
     "build_right_profile",
@@ -158,7 +163,6 @@ class WarpSeries:
         self.lam, self.C = lam, C
         self.s0 = math.sqrt(-2.0 * math.log(lam))
         self._coefficients(64)
-        self._last = None
 
     def _coefficients(self, n: int):
         """n coefficients each of the clock series and of the sums (fC - 1)/C
@@ -207,20 +211,15 @@ class WarpSeries:
         raise ProfileError(f"the warp clock did not converge in {NEWTON_STEPS} Newton steps")
 
     def jets(self, t) -> WarpJets:
-        """h0, fC and their first two derivatives at t, kept for the last t:
-        a profile's six jets read the same points."""
+        """h0, fC and their first two derivatives at t."""
         t = np.asarray(t, dtype=float)
-        if self._last is None or not np.array_equal(self._last[0], t):
-            if not np.all((t >= A3) & np.isfinite(t)):
-                raise ProfileError(f"the left piece is defined on finite t >= {A3}")
-            u = self._solve_u(t.ravel())
-            e = self.lam * np.exp(-u * (self.s0 + 0.5 * u))  # h0' = exp(-h0^2/2)
-            h0, fc = self.s0 + u, 1.0 + self.C * self._sum("fc", u)
-            jets = np.stack((h0, e, -h0 * e * e, fc, e * (self.C * self._sum("fc_du", u)),
-                             self.C * e * e * fc)).reshape((6,) + t.shape)
-            jets.flags.writeable = False  # every caller of this t shares the arrays
-            self._last = (t.copy(), WarpJets(*jets))
-        return self._last[1]
+        if not np.all((t >= A3) & np.isfinite(t)):
+            raise ProfileError(f"the left piece is defined on finite t >= {A3}")
+        u = self._solve_u(t.ravel())
+        e = self.lam * np.exp(-u * (self.s0 + 0.5 * u))  # h0' = exp(-h0^2/2)
+        h0, fc = self.s0 + u, 1.0 + self.C * self._sum("fc", u)
+        return WarpJets(*np.stack((h0, e, -h0 * e * e, fc, e * (self.C * self._sum("fc_du", u)),
+                                   self.C * e * e * fc)).reshape((6,) + t.shape))
 
 
 def integrate_fC(C: float, lam: float) -> WarpSeries:
@@ -338,31 +337,23 @@ class EpsilonProfile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialProfile:
-    """Vectorized jets of one profile piece."""
-
-    f: Callable
-    f1: Callable
-    f2: Callable
-    h: Callable
-    h1: Callable
-    h2: Callable
-
-
-def build_left_profile(params: LeftParams) -> PartialProfile:
+def build_left_profile(params: LeftParams) -> Callable:
     """Left piece h_l = a*h0, f_l = b*fC on [a3, t1], from the warp series of
     (params.lam, params.C).
 
-    The a3 interface clauses hold by scaling; :func:`check_bc` verifies them
-    on the assembled profile.
+    The piece maps t to its six jets (f, f', f'', h, h', h''), scaled from
+    one :meth:`WarpSeries.jets` pass; it keeps no state, and each jet at a
+    point depends on that point alone.  The a3 interface clauses hold by
+    scaling; :func:`check_bc` verifies them on the assembled profile.
     """
     warp = integrate_fC(params.C, params.lam)
     a, b = params.a, params.b
-    return PartialProfile(
-        f=lambda t: b * warp.jets(t).fc, f1=lambda t: b * warp.jets(t).fc_d1,
-        f2=lambda t: b * warp.jets(t).fc_d2, h=lambda t: a * warp.jets(t).h0,
-        h1=lambda t: a * warp.jets(t).h0_d1, h2=lambda t: a * warp.jets(t).h0_d2)
+
+    def piece(t):
+        w = warp.jets(t)
+        return b * w.fc, b * w.fc_d1, b * w.fc_d2, a * w.h0, a * w.h0_d1, a * w.h0_d2
+
+    return piece
 
 
 def _theta_family(x, c):
@@ -454,10 +445,16 @@ def solve_runout(v0: float, s0: float, bN: float, X_R: float) -> Runout:
     return Runout(v0, s0, bN, X_R)
 
 
-def build_right_profile(left: PartialProfile, params: RightParams, run: Runout
-                        ) -> PartialProfile:
+def build_right_profile(left_t1: tuple, params: RightParams, run: Runout) -> Callable:
     """Right piece on [t1, b3]: the fiber radius follows ``run``, the collar
     radius rises concavely and then plateaus.
+
+    The piece maps t to its six jets (f, f', f'', h, h', h''): it evaluates
+    the run-out once (f, sigma(f) and sigma'(f) sigma(f)) and the collar once,
+    the plateau everywhere and the rise where t is before its end.  It keeps
+    no state, and each jet at a point depends on that point alone.
+    ``left_t1`` is the left piece's six jets at t1, where the collar rise
+    starts.
 
     ``run`` is the :class:`Runout` from the join state (f(t1), f'(t1)) to the
     end state (beta N sin(R/N), cos(R/N)) at b3; its constructor checks the
@@ -473,37 +470,11 @@ def build_right_profile(left: PartialProfile, params: RightParams, run: Runout
     """
     t1, b3 = params.t1, params.b3
     L = b3 - t1
-    hl1 = float(left.h(t1))
-    hs1 = float(left.h1(t1))
+    hl1, hs1 = float(left_t1[3]), float(left_t1[4])
     if abs(run.length - L) > 1e-6 * max(1.0, L):
         raise InfeasibleProfileError(
             f"b3 - t1 = {L} inconsistent with the run-out length {run.length}",
             {"expected_length": run.length, "kappa": run.kappa})
-
-    last = None
-
-    def f_sigma(t):
-        # f and sigma(f) at t, kept for the last t: f, f1 and f2 read the same
-        # points
-        nonlocal last
-        t = np.asarray(t, dtype=float)
-        if last is None or not np.array_equal(last[0], t):
-            # u = b3 - t, clamped to the run-out: b3 - t1 may round past its length
-            fv = run.f_of_u(np.clip(b3 - t, 0.0, run.length)).reshape(t.shape)
-            sig = np.asarray(run.sigma(fv))
-            fv.flags.writeable = sig.flags.writeable = False  # every caller shares them
-            last = (t.copy(), fv, sig)
-        return last[1:]
-
-    def f(t):
-        return f_sigma(t)[0]
-
-    def f1(t):
-        return f_sigma(t)[1]
-
-    def f2(t):
-        fv, sig = f_sigma(t)
-        return run.sigma_df(fv, sig) * sig
 
     # ---- collar radius: short concave rise, then plateau --------------------
     rise = params.beta * params.rho - hl1
@@ -524,25 +495,22 @@ def build_right_profile(left: PartialProfile, params: RightParams, run: Runout
     h_spline = CubicHermite(t_nodes, hl1 + cum, sig_nodes)
     h_end = params.beta * params.rho
 
-    def _collar(t, rise_fn, plateau):
-        # rise_fn on the rise t < t_h, the constant plateau from t_h on
+    def piece(t):
         t = np.asarray(t, dtype=float)
-        mid = t < t_h
-        out = np.full(t.shape, plateau)
-        out[mid] = rise_fn(t[mid])
-        return out
+        # u = b3 - t, clamped to the run-out: b3 - t1 may round past its length
+        f = run.f_of_u(np.clip(b3 - t, 0.0, run.length)).reshape(t.shape)
+        f1 = np.asarray(run.sigma(f))
+        h, h1, h2 = np.full(t.shape, h_end), np.zeros(t.shape), np.zeros(t.shape)
+        on_rise = t < t_h   # the plateau from t_h on
+        if np.any(on_rise):
+            tm = t[on_rise]
+            x = (tm - t1) / span
+            h[on_rise] = h_spline(tm)
+            h1[on_rise] = hs1 * _theta_family(x, COLLAR_DECAY)
+            h2[on_rise] = hs1 * _theta_family_d1(x, COLLAR_DECAY) / span
+        return f, f1, run.sigma_df(f, f1) * f1, h, h1, h2
 
-    def h(t):
-        return _collar(t, h_spline, h_end)
-
-    def h1(t):
-        return _collar(t, lambda tm: hs1 * _theta_family((tm - t1) / span, COLLAR_DECAY), 0.0)
-
-    def h2(t):
-        return _collar(
-            t, lambda tm: hs1 * _theta_family_d1((tm - t1) / span, COLLAR_DECAY) / span, 0.0)
-
-    return PartialProfile(f=f, f1=f1, f2=f2, h=h, h1=h1, h2=h2)
+    return piece
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +522,14 @@ def build_right_profile(left: PartialProfile, params: RightParams, run: Runout
 class ProfilePair:
     """Complete (f, h) profile on [a3, b3]: two pieces joined C^1 at t1.
 
-    The left piece serves t < t1 and the right piece t >= t1; ``grid``
-    samples them on the uniform check grid.
+    The left piece serves t < t1 and the right piece t >= t1; :meth:`jets`
+    evaluates them, and ``grid`` is the uniform check grid.
     """
 
     left: LeftParams
     right: RightParams
-    left_piece: PartialProfile
-    right_piece: PartialProfile
+    left_piece: Callable
+    right_piece: Callable
     eps_b2: float
 
     @property
@@ -576,40 +544,39 @@ class ProfilePair:
     def b3(self) -> float:
         return self.right.b3
 
-    def _dispatch(self, t, attr):
+    def jets(self, t) -> WarpedJet:
+        """The six jets at t: t is split at t1 once, and each piece is called
+        once, on its own points."""
         t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape)
+        jets = np.empty((6,) + t.shape)
         right = t >= self.t1
         for piece, m in ((self.left_piece, ~right), (self.right_piece, right)):
             if np.any(m):
-                out[m] = getattr(piece, attr)(t[m])
-        return out
+                jets[:, m] = piece(t[m])
+        return WarpedJet(t, *jets)
 
+    # One jet each, through jets; bench/tracing.py's spans name them.
     def f(self, t):
-        return self._dispatch(t, "f")
+        return self.jets(t).f
 
     def f1(self, t):
-        return self._dispatch(t, "f1")
+        return self.jets(t).f1
 
     def f2(self, t):
-        return self._dispatch(t, "f2")
+        return self.jets(t).f2
 
     def h(self, t):
-        return self._dispatch(t, "h")
+        return self.jets(t).h
 
     def h1(self, t):
-        return self._dispatch(t, "h1")
+        return self.jets(t).h1
 
     def h2(self, t):
-        return self._dispatch(t, "h2")
+        return self.jets(t).h2
 
     def grid(self, n: int) -> np.ndarray:
         """Uniform n-point grid whose first and last samples are a3 and b3."""
         return np.linspace(self.a3, self.b3, n)
-
-    def jets(self, t) -> WarpedJet:
-        return WarpedJet(t=t, f=self.f(t), f1=self.f1(t), f2=self.f2(t),
-                         h=self.h(t), h1=self.h1(t), h2=self.h2(t))
 
     # -- serialization ------------------------------------------------------
 
@@ -693,14 +660,16 @@ def _bad_profile_row(body: str, ncol: int) -> pipeline.SpecError:
 
 
 def assemble_profile(left_params: LeftParams, right_params: RightParams,
-                     left: PartialProfile, right: PartialProfile) -> ProfilePair:
-    """Join the raw pieces into the C^1 profile, checking the jets agree at t1."""
+                     left: Callable, right: Callable, left_t1: tuple) -> ProfilePair:
+    """Join the pieces into the C^1 profile, checking that the right piece's
+    jets at t1 agree with ``left_t1``, the left piece's."""
     t1 = right_params.t1
     scale = max(1.0, right_params.bN * 1e-10)
-    gap_f = abs(float(left.f(t1)) - float(right.f(t1)))
-    gap_f1 = abs(float(left.f1(t1)) - float(right.f1(t1)))
-    gap_h = abs(float(left.h(t1)) - float(right.h(t1)))
-    gap_h1 = abs(float(left.h1(t1)) - float(right.h1(t1)))
+    (lf, lf1, _, lh, lh1, _), (rf, rf1, _, rh, rh1, _) = left_t1, right(t1)
+    gap_f = abs(float(lf) - float(rf))
+    gap_f1 = abs(float(lf1) - float(rf1))
+    gap_h = abs(float(lh) - float(rh))
+    gap_h1 = abs(float(lh1) - float(rh1))
     worst = max(gap_f / scale, gap_f1, gap_h, gap_h1)
     if worst > 1e-6:
         raise ProfileError(f"pieces are not C^1 at t1 (worst jet gap {worst:.3e})")
@@ -966,8 +935,9 @@ def search_parameters(p: int, q: int, R_over_N: float, lam: float, *,
                         right_params = RightParams(t1=t1, b3=t1 + run.length, beta=bN,
                                                    rho=rho, N=1.0, R=R_over_N)
                         lp = build_left_profile(left_params)
-                        rp = build_right_profile(lp, right_params, run)
-                        pair = assemble_profile(left_params, right_params, lp, rp)
+                        left_t1 = lp(t1)
+                        rp = build_right_profile(left_t1, right_params, run)
+                        pair = assemble_profile(left_params, right_params, lp, rp, left_t1)
                     except (ProfileError, ValueError):
                         gate = "build"
                 if gate is None:

@@ -3,8 +3,12 @@
 A pin is the sha256 of ``certificate_json`` of a certificate with its one
 timing field, ``wall_time_s``, set to None.  The cases are the constructions
 of tangent 2-chains of dimension 3, 5, 7 and 9 and of a tangent 8-chain of
-dimension 7, and one (4, 6) vertex at grid 16384 with the certificate of
-``verify`` on its stored step.  ``tests/test_pipeline.py`` compares the
+dimension 7 at R/N = 1 and lambda = 0.25, and two single vertices at grid
+16384 with the certificate of ``verify`` on each stored step: (4, 6) at
+R/N = 1 and lambda = 0.25, and (3, 3) at R/N = pi/4 and lambda = 0.1.  The
+first six cases accept the join t1 = 1e5 and put one or two check samples on
+the left piece; the (3, 3) case accepts t1 = 1e7 and samples both the left
+piece and the collar rise densely.  ``tests/test_pipeline.py`` compares the
 package with ``tests/fixtures/certificate_digests.json``.
 
 Take the pins with the package of the checkout at CHECKOUT (its ``src`` goes
@@ -19,16 +23,18 @@ unchanged, and never re-taken to make that change pass.
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
 import sys
 import tempfile
 
+# name: (chain length m, p, q, check grid or None for the default, R/N, lambda)
 CASES = {
-    **{f"chain2_d{d}": (2, d, d, None) for d in (3, 5, 7, 9)},
-    "chain8_d7": (8, 7, 7, None),
-    "vertex_p4_q6_grid16384": (1, 4, 6, 16384),
+    **{f"chain2_d{d}": (2, d, d, None, 1.0, 0.25) for d in (3, 5, 7, 9)},
+    "chain8_d7": (8, 7, 7, None, 1.0, 0.25),
+    "vertex_p4_q6_grid16384": (1, 4, 6, 16384, 1.0, 0.25),
+    "vertex_p3_q3_rn_pi4_lam0.1_grid16384": (1, 3, 3, 16384, math.pi / 4, 0.1),
 }
-R, LAMBDA = 1.0, 0.25
 
 
 def _digest(cert) -> str:
@@ -38,13 +44,13 @@ def _digest(cert) -> str:
 
 
 def case_digests(name: str) -> dict:
-    """{"construct": pin} of the case, and "verify" for the grid case."""
+    """{"construct": pin} of the case, and "verify" for a grid case."""
     from plumbric.pipeline import NiceCoordinateSpec, run_construction, verify
     from plumbric.plumbing import PlumbingTree, PlumbingVertex, tangent_chain
 
-    m, p, q, grid = CASES[name]
+    m, p, q, grid, R, lam = CASES[name]
     spec = NiceCoordinateSpec(p=p, q=q, R=R, N=1.0, kappa=0.5)
-    config = {"lambda": LAMBDA}
+    config = {"lambda": lam}
     if grid is None:
         return {"construct": _digest(run_construction(tangent_chain(m, p), spec, config))}
     config["grid"] = grid

@@ -26,6 +26,10 @@ class SyntheticPair:
     def grid(self, n=2048):
         return np.linspace(self.a3, self.b3, n)
 
+    def jets(self, t):
+        return WarpedJet(t, *(getattr(self, name)(t)
+                              for name in ("f", "f1", "f2", "h", "h1", "h2")))
+
     def f(self, t):
         return 1.2 + 0.4 * np.sin(0.7 * np.asarray(t, dtype=float))
 
@@ -148,8 +152,7 @@ class TestAbTerms:
         for scale in (1.0, 0.5, 0.25):
             lp = build_left_profile(
                 LeftParams(lam=0.1, a=0.2 * scale, C=0.5, r=0.05 * scale))
-            jets = WarpedJet(t=t, f=lp.f(t), f1=lp.f1(t), f2=lp.f2(t),
-                             h=lp.h(t), h1=lp.h1(t), h2=lp.h2(t))
+            jets = WarpedJet(t, *lp(t))
             _A, B = ab_terms(jets, beta=1e3, N=1.0, p=4, q=4)["reported"]
             maxB[scale] = float(np.max(np.abs(B)))
         assert maxB[0.5] < maxB[1.0]
@@ -165,8 +168,7 @@ class TestAbTerms:
         from plumbric.profiles import LeftParams, build_left_profile
         lp = build_left_profile(LeftParams(lam=0.1, a=0.2, C=0.5, r=0.05))
         t = np.linspace(0.0, 50.0, 400)
-        jets = WarpedJet(t=t, f=lp.f(t), f1=lp.f1(t), f2=lp.f2(t),
-                         h=lp.h(t), h1=lp.h1(t), h2=lp.h2(t))
+        jets = WarpedJet(t, *lp(t))
         mins = []
         for beta in (10.0, 100.0, 1000.0):
             A, B = ab_terms(jets, beta=beta, N=1.0, p=4, q=4)["reported"]

@@ -80,14 +80,6 @@ class TestRicciOracle:
         with pytest.raises(OracleDomainError):
             numeric_curvature(euclidean_patch(2), [0.9999, 0.0])
 
-    def test_non_spd_error(self):
-        def g(x):
-            return np.broadcast_to([1.0, -1.0], np.shape(x))
-
-        patch = MetricPatch(dim=2, domain=((-1, 1), (-1, 1)), g=g)
-        with pytest.raises(NonSPDMetricError, match="^metric matrix is not positive definite"):
-            numeric_curvature(patch, [0.0, 0.0])
-
 
 def _counting(patch):
     """``patch`` with a ``g`` that records the number of points of each call."""

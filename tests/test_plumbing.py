@@ -313,6 +313,21 @@ class TestEta:
     def test_closed_forms(self, n):
         assert eta_local_contribution(n) == Fraction(1, 2 ** n)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: fixed_point_count(8.0, "reported"),
+         "the bundle count must be an integer >= 1, got 8.0"),
+        (lambda: fixed_point_count(True, "chain"),
+         "the bundle count must be an integer >= 1, got True"),
+        (lambda: fixed_point_count(0, "chain"),
+         "the bundle count must be an integer >= 1, got 0"),
+        (lambda: eta_local_contribution(True), "n must be an integer >= 1, got True"),
+        (lambda: eta_local_contribution(2.5), "n must be an integer >= 1, got 2.5"),
+        (lambda: eta_local_contribution(0), "n must be an integer >= 1, got 0"),
+    ], ids=["count_float", "count_bool", "count_zero", "eta_bool", "eta_float", "eta_zero"])
+    def test_fixed_point_helpers_fail_closed_naming_the_value(self, call, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            call()
+
     def test_fixed_point_conventions(self):
         assert fixed_point_count(8, "reported") == 3
         assert [fixed_point_count(8 * l, "reported") for l in (1, 2, 3)] == [3, 5, 7]

@@ -151,11 +151,10 @@ class TestWarpSeries:
         assert np.count_nonzero(on_left) >= 1
         # the check grid has few samples there, so compare on a dense grid too
         dense = np.linspace(A3, t1, 513)[:-1]
-        for name in ("f", "f1", "f2", "h", "h1", "h2"):
-            assert np.array_equal(getattr(piece, name)(jets.t[on_left]),
-                                  getattr(jets, name)[on_left]), name
-            assert np.array_equal(getattr(piece, name)(dense),
-                                  getattr(res.pair, name)(dense)), name
+        on_grid, on_dense, pair_dense = piece(jets.t[on_left]), piece(dense), res.pair.jets(dense)
+        for k, name in enumerate(("f", "f1", "f2", "h", "h1", "h2")):
+            assert np.array_equal(on_grid[k], getattr(jets, name)[on_left]), name
+            assert np.array_equal(on_dense[k], getattr(pair_dense, name)), name
 
     @pytest.mark.parametrize("lam", [1e-200, 1e-300, 5e-324])
     def test_underflowing_join_slope_is_a_named_rejection(self, lam):
@@ -172,14 +171,14 @@ class TestLeftPiece:
         lam, a, r = 0.1, 1.0, 0.05
         params = LeftParams(lam=lam, a=a, C=0.5, r=r)
         assert params.alpha == pytest.approx(2.1459660262893476, rel=1e-12)
-        lp = build_left_profile(params)
-        assert float(lp.f(A3)) == pytest.approx(params.alpha * r, abs=1e-12)
-        assert float(lp.f(A3)) == pytest.approx(0.10730, abs=5e-6)
-        assert float(lp.f1(A3)) == pytest.approx(0.0, abs=1e-12)
+        f, f1, *_ = build_left_profile(params)(A3)
+        assert float(f) == pytest.approx(params.alpha * r, abs=1e-12)
+        assert float(f) == pytest.approx(0.10730, abs=5e-6)
+        assert float(f1) == pytest.approx(0.0, abs=1e-12)
 
     def test_collar_slope_bound(self):
-        lp = build_left_profile(LeftParams(lam=0.1, a=0.5, C=0.5, r=0.05))
-        assert float(lp.h1(A3)) == pytest.approx(0.05, abs=1e-10)
+        h1 = build_left_profile(LeftParams(lam=0.1, a=0.5, C=0.5, r=0.05))(A3)[4]
+        assert float(h1) == pytest.approx(0.05, abs=1e-10)
 
     def test_a_gate(self):
         with pytest.raises(BoundaryConditionError) as err:
@@ -218,9 +217,9 @@ class TestRunout:
         runs = []
         build = profiles.build_right_profile
 
-        def build_kept(left, params, run):
+        def build_kept(left_t1, params, run):
             runs.append(run)
-            return build(left, params, run)
+            return build(left_t1, params, run)
 
         monkeypatch.setattr(profiles, "build_right_profile", build_kept)
         res = search_parameters(4, 4, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=256)
@@ -383,6 +382,81 @@ class TestCsvWriter:
         assert first_difference(pair.to_csv(300), ref) is None
 
 
+JET_NAMES = ("f", "f1", "f2", "h", "h1", "h2")
+
+
+@pytest.fixture(scope="module")
+def sampled_pair():
+    """The accepted pair of the (3, 3) certificate pin (R/N = pi/4, lambda = 0.1,
+    grid 16384), whose check grid samples the left piece and the collar rise
+    densely, and that grid."""
+    res = search_parameters(3, 3, math.pi / 4, 0.1, mc_margin_tol=1e-9, grid_n=16384)
+    return res.pair, res.pair.grid(16384)
+
+
+def _jet_bits(jets) -> list:
+    """The bytes of six jets, given as a WarpedJet or as a piece's tuple."""
+    if not isinstance(jets, tuple):
+        jets = tuple(getattr(jets, name) for name in JET_NAMES)
+    return [_bits(j) for j in jets]
+
+
+class TestPiecesArePointwise:
+    """A piece keeps no state and each jet at a point depends on that point
+    alone: what the profile's evaluation, and the bulk chart that reads a
+    stencil's distinct t~ only, rely on."""
+
+    def test_grid_covers_both_pieces_and_the_collar_rise(self, sampled_pair):
+        pair, t = sampled_pair
+        left, rise = np.count_nonzero(t < pair.t1), np.count_nonzero(
+            (t >= pair.t1) & (pair.h1(t) > 0.0))
+        assert pair.t1 == 1e7 and left >= 100 and rise >= 100
+
+    def test_jets_do_not_depend_on_the_other_points(self, sampled_pair):
+        pair, t = sampled_pair
+        whole = _jet_bits(pair.jets(t))
+        mid = t.size // 2 + 7
+        halves = [pair.jets(t[:mid]), pair.jets(t[mid:])]
+        joined = [np.concatenate([getattr(j, name) for j in halves]) for name in JET_NAMES]
+        assert _jet_bits(tuple(joined)) == whole
+        backward = pair.jets(t[::-1].copy())
+        assert _jet_bits(tuple(getattr(backward, name)[::-1] for name in JET_NAMES)) == whole
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_piece_keeps_no_state(self, sampled_pair, side):
+        # grids A, B, A of one size: a piece that kept a result, or keyed one
+        # on anything but the points, would return it for the other grid
+        pair, t = sampled_pair
+        on_left = t < pair.t1
+        if side == "left":
+            piece, grid_a = pair.left_piece, t[on_left]
+            grid_b = np.linspace(pair.a3, pair.t1, grid_a.size + 1)[1:] - 0.5
+        else:
+            piece, grid_a = pair.right_piece, t[~on_left]
+            grid_b = np.linspace(pair.t1, pair.b3, grid_a.size)
+        first = _jet_bits(piece(grid_a))
+        assert _jet_bits(piece(grid_b))[0] != first[0]
+        assert _jet_bits(piece(grid_a)) == first
+
+    def test_bulk_chart_reads_the_collar_radius_row_by_row(self, sampled_pair):
+        from plumbric.meancurv import bulk_patch
+        from plumbric.oracle import _stencil
+
+        pair, _t = sampled_pair
+        patch, curve, keep, step = bulk_patch(pair, 3, 3, d_min=1e-4)
+        # a point on the collar rise, where the radius varies with t~
+        t_keep = curve.t[keep]
+        rise = np.flatnonzero((t_keep > pair.t1) & (pair.h1(t_keep) > 0.0))
+        i = keep[rise[rise.size // 2]]
+        point = np.concatenate([[curve.t_tilde[i], 0.5 * float(curve.F[i])],
+                                np.full(patch.dim - 2, math.pi / 2 + 0.1)])
+        offsets = _stencil(step, corners=True)
+        x = point + np.concatenate([offsets, 0.5 * offsets])
+        assert np.unique(x[:, 0]).size == 5 < x.shape[0]
+        rows = np.concatenate([patch.g(x[i:i + 1]) for i in range(x.shape[0])])
+        assert _bits(patch.g(x)) == _bits(rows)
+
+
 def _fixture_inputs():
     import pathlib
     fix = json.loads((pathlib.Path(__file__).parent / "fixtures"
@@ -408,9 +482,9 @@ class TestOneRunoutPerCandidate:
         built = []
         build = profiles.build_right_profile
 
-        def build_counted(left, params, run):
+        def build_counted(left_t1, params, run):
             built.append(run)
-            return build(left, params, run)
+            return build(left_t1, params, run)
 
         monkeypatch.setattr(profiles, "solve_runout", counted)
         monkeypatch.setattr(profiles, "build_right_profile", build_counted)

@@ -8,29 +8,41 @@ k = 1 and 2.  The functions and methods defined in the package that none of
 them enters must be exactly :data:`NEVER_ENTERED`.  A route that no command
 runs fails this test until it is wired in, deleted, or listed with its
 reason.
+
+An entry listed because the benchmark's spans name it must be one of
+``bench/tracing.py``'s ``TARGETS``, and every target that no command enters
+must be listed with that reason: when the benchmark drops a span, these
+tests name the function that can go.
 """
 
 import importlib
+import importlib.util
 import inspect
 import json
 import pathlib
 import pkgutil
 import sys
 
+import pytest
+
 import plumbric
 from plumbric.cli import main as cli_main
 from plumbric.plumbing import tangent_chain
 
 PACKAGE_DIR = str(pathlib.Path(plumbric.__file__).parent)
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
+SPANS = "named by the benchmark's per-layer spans"
 NEVER_ENTERED = {
     "profiles._bad_profile_row": "error path: names the CSV row that fails to parse",
     "profiles.BoundaryConditionError.__init__": "error path: a clause fails at build time",
     "profiles.InfeasibleProfileError.__init__": "error path: no candidate is accepted",
-    "meancurv.z3_mean_curvature": "named by the benchmark's per-layer spans",
-    "profiles.ProfilePair.to_csv": "named by the benchmark's per-layer spans",
-    "plumbing.intersection_matrix": "named by the benchmark's per-layer spans",
-    "plumbing.bareiss_det": "named by the benchmark's per-layer spans",
+    "meancurv.z3_mean_curvature": SPANS,
+    "profiles.ProfilePair.to_csv": SPANS,
+    # ProfilePair.jets is the evaluator; the bulk chart reads h through its accessor
+    **{f"profiles.ProfilePair.{name}": SPANS for name in ("f", "f1", "f2", "h1", "h2")},
+    "plumbing.intersection_matrix": SPANS,
+    "plumbing.bareiss_det": SPANS,
     "plumbing.eta_local_contribution": "library API: the ledger reduces integer pairs, "
                                        "and no command builds a Fraction",
     "plumbing.EtaLedgerResult.etas": "library API: the Fractions of the integer pairs "
@@ -87,7 +99,19 @@ def _run_commands(tmp_path):
         assert cli_main(["eta", "--k", k]) == 0
 
 
-def test_every_unreached_function_is_listed(tmp_path):
+def _bench_targets() -> set:
+    """The benchmark's traced functions as "module.attribute", read from
+    ``bench/tracing.py`` as ``tests/test_bench_targets.py`` reads it."""
+    spec = importlib.util.spec_from_file_location("plumbric_bench_tracing_targets",
+                                                  BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {f"{mod}.{attr}" for mod, attr, _name, _extract in module.TARGETS}
+
+
+@pytest.fixture(scope="module")
+def never_entered(tmp_path_factory):
+    """The package's functions that no command enters, sorted."""
     functions = _package_functions()
     entered = set()
 
@@ -98,8 +122,22 @@ def test_every_unreached_function_is_listed(tmp_path):
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
-        _run_commands(tmp_path)
+        _run_commands(tmp_path_factory.mktemp("commands"))
     finally:
         sys.setprofile(previous)
-    never = sorted(name for code, name in functions.items() if code not in entered)
-    assert never == sorted(NEVER_ENTERED), json.dumps(never, indent=1)
+    return sorted(name for code, name in functions.items() if code not in entered)
+
+
+def test_every_unreached_function_is_listed(never_entered):
+    assert never_entered == sorted(NEVER_ENTERED), json.dumps(never_entered, indent=1)
+
+
+def test_span_entries_are_bench_targets():
+    spans = {name for name, reason in NEVER_ENTERED.items() if reason == SPANS}
+    assert sorted(spans - _bench_targets()) == []
+
+
+def test_unentered_bench_targets_are_listed_as_spans(never_entered):
+    unlisted = sorted(name for name in _bench_targets() & set(never_entered)
+                      if NEVER_ENTERED.get(name) != SPANS)
+    assert unlisted == []
