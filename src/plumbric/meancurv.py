@@ -304,11 +304,15 @@ def z2_mean_curvature(eps_profile, k: Callable, r: float, p: int, q: int) -> Tap
     lo = eps_profile.a2 + 4.0 * TAPER_STEP
     hi = eps_profile.b2 - 4.0 * TAPER_STEP
     ts = np.linspace(lo, hi, TAPER_SAMPLES)
-    angles = np.full(d - 2, math.pi / 2 + 0.1)
+    bases = np.full((TAPER_SAMPLES, d - 1), math.pi / 2 + 0.1)
+    bases[:, 0] = ts
+    reps = numeric_second_fundamental_form(patch, hyper, bases, step=TAPER_STEP)
+    failed = [i for i, rep in enumerate(reps) if isinstance(rep, ValueError)]
+    if failed:
+        # popped, so no frame of this call refers to the error it raises
+        raise reps.pop(failed[0])
     mcs, fmins, omaxs = [], [], []
-    for tv in ts:
-        base = np.concatenate([[tv], angles])
-        rep = numeric_second_fundamental_form(patch, hyper, base, step=TAPER_STEP)
+    for rep in reps:
         pcs = rep.principal_curvatures
         mcs.append(rep.mean_curvature)
         # The p-1 largest principal curvatures belong to the fiber sphere

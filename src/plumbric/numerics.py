@@ -22,6 +22,8 @@ import numpy as np
 
 __all__ = ["CubicHermite", "simpson_table"]
 
+SIMPSON_BLOCK = 4096  # intervals per block of simpson_table's passes (even)
+
 
 class CubicHermite:
     """Cubic Hermite interpolant through (x, y) with slopes dydx.
@@ -103,9 +105,16 @@ def simpson_table(y, x) -> np.ndarray:
         raise ValueError("the nodes must be strictly increasing")
     n = x.size
     sub = np.empty(n - 1)
-    sub[0:n - 2:2] = _simpson_piece(dx[0:n - 2:2], dx[1:n - 1:2],
-                                    y[0:n - 2:2], y[1:n - 1:2], y[2:n:2])
-    sub[1::2] = _simpson_piece(dx[1::2], dx[0:n - 2:2], y[2::2], y[1:n - 1:2], y[0:n - 2:2])
+    # Both passes run block by block, so each block's strided operands and
+    # temporaries stay in cache; every entry is its own element-wise
+    # expression, so the blocks change no bit.
+    for s in range(0, n - 1, SIMPSON_BLOCK):
+        e = min(s + SIMPSON_BLOCK, n - 2)  # even k in [s, e)
+        sub[s:e:2] = _simpson_piece(dx[s:e:2], dx[s + 1:e + 1:2],
+                                    y[s:e:2], y[s + 1:e + 1:2], y[s + 2:e + 2:2])
+        o = min(s + SIMPSON_BLOCK, n - 1)  # odd k in [s + 1, o)
+        sub[s + 1:o:2] = _simpson_piece(dx[s + 1:o:2], dx[s:o - 1:2],
+                                        y[s + 2:o + 1:2], y[s + 1:o:2], y[s:o - 1:2])
     sub[-1:] = _simpson_piece(dx[-1:], dx[-2:-1], y[-1:], y[-2:-1], y[-3:-2])
     out = np.empty(n)
     out[0] = 0.0

@@ -7,11 +7,25 @@ central differences of the metric, Ricci from analytic contractions of those,
 and one Richardson extrapolation level (steps h and h/2) removes the leading
 O(h^2) truncation error.  Ricci and the second fundamental form of a graph
 take every difference on one stencil (``_stencil`` / ``_differences``) and
-share the Christoffel assembly.  Each evaluates the metric once, on one
-(rows, dim) stack of diagonals whose first row is the point itself; Ricci's
-stack holds the stencils of both steps.  A stack of the wrong shape raises
-``MetricShapeError``, and an entry that is not finite and positive raises
-``NonSPDMetricError``, before any differencing.
+share the Christoffel assembly.
+
+Both oracles take one point, shape (dim,), or a stack of n points, shape
+(n, dim); one point runs as a stack of one.  A call evaluates the metric
+once, on the stencils of all its points stacked as (n * rows, dim) diagonals,
+whose first row of each block is the point itself (Ricci's block holds the
+stencils of both steps), and differences the whole (n, rows, dim) stack in
+one pass.  Each point has its own outcome: its report, or the
+``OracleDomainError`` or ``NonSPDMetricError`` that point alone meets.  A
+point within two steps of the domain boundary is not evaluated, and a block
+with an entry that is not finite and positive is not differenced.  Those
+errors are built, not raised, so a stored one carries no traceback and keeps
+no frame alive.  One point returns its report or raises its error; a stack
+returns the list of outcomes in point order.  Any other error propagates
+from the call: a chart stack of the wrong shape raises ``MetricShapeError``
+before any differencing.  A stack gives each point the bits of its one-point
+call when the chart computes each row from that row alone, element-wise, as
+every chart in ``charts`` and ``meancurv`` does; a BLAS product across a
+row's coordinates can round a row differently with the number of rows.
 
 Of the derivative of the Christoffel symbols Ricci reads only two traces,
 d_a Gamma^a_jk and d_j Gamma^a_ak, and forms only those, as (d, d, d) arrays
@@ -21,24 +35,28 @@ nonzero summand per entry: Gamma = g^{lm} T_ijm / 2 (m = l), the two traces
 of dT that Ricci reads, and the four contractions of d g^-1 with T and of
 g^-1 with dT (c = a).  Each is formed as ``0.0 + product``, which is the
 value of any sum that starts at +0 and adds the exact zeros of the other
-summands (einsum's, for one), zero signs included.  Two conditions make this
-the value of the dense route (``tests/oracle_reference.py``) bit for bit:
+summands (einsum's, for one), zero signs included.  These products, like the
+differences, are element-wise, so they run on the whole stack.  Two
+conditions make this the value of the dense route
+(``tests/oracle_reference.py``) bit for bit:
 
 * ``np.linalg.inv`` and ``np.linalg.cholesky`` of diag(D) have exact +0 off
   the diagonal, so every other summand is an exact zero;
 * every sum with more than one nonzero summand (Ricci's four terms, the
   contraction Gamma^a_ab, the scalar, d g^-1 = -g^-1 (dg) g^-1 and the
-  Christoffel term of the second fundamental form) runs, as before, on
-  C-contiguous operands: numpy's reduction order follows the layout, and a
-  transposed operand can move the last bit of a sum.
+  Christoffel term of the second fundamental form) runs, as before, once per
+  point on C-contiguous (d, ...) operands: numpy's reduction order follows
+  the layout, and a transposed or stacked operand can move the last bit of a
+  sum.  So do the Cholesky, inverse and eigenvalue calls, whose failures are
+  per point.
 
 The least Ricci eigenvalue and the principal curvatures are eigenvalues of
 symmetric-definite pencils (Ricci against the metric, the second fundamental
 form against the induced metric).  Each is reduced by the Cholesky factor
 L of its metric to the standard symmetric eigenproblem of L^-1 A L^-T (Martin
 and Wilkinson 1968; Golub and Van Loan, Matrix Computations, 8.7), solved by
-numpy, so the oracle needs nothing beyond numpy.  A metric whose Cholesky
-factorization fails raises ``NonSPDMetricError`` naming the matrix.
+numpy, so the oracle needs nothing beyond numpy.  A metric without a
+Cholesky factor is that point's ``NonSPDMetricError`` naming the matrix.
 
 This module is deliberately independent of every closed-form curvature
 formula in the package: it is the second route used to validate them.
@@ -102,13 +120,13 @@ class CurvatureReport:
     min_ricci_eigenvalue: float
 
 
-def _cholesky(B: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor of ``B``; a ``NonSPDMetricError`` naming ``what``
-    if ``B`` is not positive definite."""
+def _cholesky(B: np.ndarray, what: str):
+    """Lower Cholesky factor of ``B``, or, if ``B`` is not positive definite,
+    a ``NonSPDMetricError`` naming ``what``, returned as that point's outcome."""
     try:
         return np.linalg.cholesky(B)
-    except np.linalg.LinAlgError as exc:
-        raise NonSPDMetricError(f"{what} matrix is not positive definite at the point") from exc
+    except np.linalg.LinAlgError:
+        return NonSPDMetricError(f"{what} matrix is not positive definite at the point")
 
 
 def _pencil_eigenvalues(A: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -119,20 +137,60 @@ def _pencil_eigenvalues(A: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(Linv @ A @ Linv.T)
 
 
-def _metric_diagonals(patch: MetricPatch, x: np.ndarray) -> np.ndarray:
-    """The chart's metric diagonals at the stencil points ``x``, one row each.
+def _point_stack(points, width: int, what: str) -> tuple:
+    """``points`` as an (n, width) stack, and whether it was one point."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise ValueError(f"{what} must have shape ({width},) or (n, {width}), got {x.shape}")
+    return x.reshape(-1, width), x.ndim == 1
 
-    A ``MetricShapeError`` unless the chart returned shape ``x.shape``, and a
-    ``NonSPDMetricError`` unless every entry is finite and positive.
+
+def _result(outcomes: list, one: bool):
+    """A stack's outcomes; for one point, its report, or its error raised.
+
+    The error is popped before it is raised, so no frame of the call refers
+    to it and its traceback makes no reference cycle.
     """
+    if not one:
+        return outcomes
+    if isinstance(outcomes[0], ValueError):
+        raise outcomes.pop()
+    return outcomes[0]
+
+
+def _read_metric(patch: MetricPatch, points: np.ndarray, h: np.ndarray,
+                 offsets: np.ndarray, what: str) -> tuple:
+    """The chart's metric diagonals on the stencils ``offsets`` of the points.
+
+    Returns (outcomes, read, D): one outcome per point, None where it was
+    read and otherwise its ``OracleDomainError`` or ``NonSPDMetricError``;
+    the indices of the points read; and their diagonals, shape (read.size,
+    rows, dim), from one chart call on the stencils of every point interior
+    with margin 2*h.  A ``MetricShapeError`` unless the chart returned one
+    diagonal per stencil point.
+    """
+    lo, hi = np.asarray(patch.domain, dtype=float).T
+    near = ((points < lo + 2 * h) | (points > hi - 2 * h)).any(axis=1)
+    outcomes = [OracleDomainError(f"{what} {x} within 2*step of the domain boundary")
+                if out else None for x, out in zip(points, near)]
+    live = np.flatnonzero(~near)
+    if live.size == 0:
+        return outcomes, live, None
+    x = (points[live, np.newaxis] + offsets).reshape(-1, patch.dim)
     D = np.asarray(patch.g(x), dtype=float)
     if D.shape != x.shape:
         raise MetricShapeError(f"metric diagonals must have shape {x.shape}, got {D.shape}")
-    if not np.isfinite(D).all():
-        raise NonSPDMetricError("metric matrix is not finite on the stencil")
-    if not (D > 0.0).all():
-        raise NonSPDMetricError("metric matrix is not positive definite on the stencil")
-    return D
+    D = D.reshape(live.size, len(offsets), patch.dim)
+    finite = np.isfinite(D).all(axis=(1, 2))
+    positive = (D > 0.0).all(axis=(1, 2))
+    for i, f, pos in zip(live, finite, positive):
+        if not f:
+            outcomes[i] = NonSPDMetricError("metric matrix is not finite on the stencil")
+        elif not pos:
+            outcomes[i] = NonSPDMetricError(
+                "metric matrix is not positive definite on the stencil")
+    ok = finite & positive
+    return outcomes, live[ok], D[ok]
 
 
 def _stencil(h: np.ndarray, corners: bool) -> np.ndarray:
@@ -146,7 +204,7 @@ def _stencil(h: np.ndarray, corners: bool) -> np.ndarray:
     e = np.diag(h)
     offsets = [np.zeros((1, n)), np.stack([e, -e], axis=1).reshape(2 * n, n)]
     if corners:
-        k, l = np.triu_indices(n, 1)
+        k, l = _pairs(n)
         sk = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
         sl = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
         offsets.append((sk * e[k] + sl * e[l]).transpose(1, 0, 2).reshape(-1, n))
@@ -156,21 +214,23 @@ def _stencil(h: np.ndarray, corners: bool) -> np.ndarray:
 def _differences(values: np.ndarray, h: np.ndarray, corners: bool) -> tuple:
     """First and second central differences of values taken on :func:`_stencil`.
 
-    ``values[i]`` is the function (of any trailing shape) at stencil row i.
-    Returns (d1, d2) with d1[k] = d_k and d2[k, l] = d_k d_l of the function;
-    without ``corners`` only the diagonal of d2 is filled.
+    ``values[p, i]`` is the function (of any trailing shape) at stencil row i
+    of point p.  Returns (d1, d2) with d1[p, k] = d_k and d2[p, k, l] =
+    d_k d_l of the function at point p; without ``corners`` only the diagonal
+    of d2 is filled.
     """
     n = h.size
-    hh = h.reshape((n,) + (1,) * (values.ndim - 1))
-    plus, minus = values[1:2 * n + 1:2], values[2:2 * n + 2:2]
+    lead, tail = values.shape[0], values.shape[2:]
+    hh = h.reshape((n,) + (1,) * len(tail))
+    plus, minus = values[:, 1:2 * n + 1:2], values[:, 2:2 * n + 2:2]
     d1 = (plus - minus) / (2.0 * hh)
-    d2 = np.zeros((n, n) + values.shape[1:])
-    d2[np.arange(n), np.arange(n)] = (plus - 2.0 * values[0] + minus) / (hh * hh)
+    d2 = np.zeros((lead, n, n) + tail)
+    d2[:, np.arange(n), np.arange(n)] = (plus - 2.0 * values[:, :1] + minus) / (hh * hh)
     if corners:
-        k, l = np.triu_indices(n, 1)
-        c = values[2 * n + 1:].reshape((-1, 4) + values.shape[1:])
-        denom = (4.0 * h[k] * h[l]).reshape((-1,) + (1,) * (values.ndim - 1))
-        d2[k, l] = d2[l, k] = (c[:, 0] - c[:, 1] - c[:, 2] + c[:, 3]) / denom
+        k, l = _pairs(n)
+        c = values[:, 2 * n + 1:].reshape((lead, -1, 4) + tail)
+        denom = (4.0 * h[k] * h[l]).reshape((-1,) + (1,) * len(tail))
+        d2[:, k, l] = d2[:, l, k] = (c[:, :, 0] - c[:, :, 1] - c[:, :, 2] + c[:, :, 3]) / denom
     return d1, d2
 
 
@@ -212,27 +272,53 @@ def _gathers(d: int) -> _Gathers:
                     div=dT(a, j, k, a), grad=dT(j, a, k, a))
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """The stencil's corner pairs k < l, ``np.triu_indices(n, 1)``; one cache
+    entry per stencil width, read and never written by its callers."""
+    return np.triu_indices(n, 1)
+
+
+def _take(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per point p of the stack ``a``, the entries at the flat ``index`` of a[p]."""
+    return a.reshape(len(a), -1).take(index, axis=1)
+
+
 def _embed(dD: np.ndarray) -> np.ndarray:
-    """dg[k, a, b] = d_k g_ab from dD[k, a] = d_k g_aa: exact +0 off the diagonal."""
+    """dg[p, k, a, b] = d_k g_ab from dD[p, k, a] = d_k g_aa: exact +0 off the diagonal."""
     return np.where(_gathers(dD.shape[-1]).eye, dD[..., np.newaxis], 0.0)
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> tuple:
-    """Christoffel symbols gamma[l, i, j] = Gamma^l_ij from dg[k, a, b] = d_k g_ab.
+    """Christoffel symbols gamma[p, l, i, j] = Gamma^l_ij at point p from
+    dg[p, k, a, b] = d_k g_ab.
 
-    Also returns Tl[l, i, j] = T[i, j, l], with T[i, j, m] = d_i g_jm + d_j g_im
-    - d_m g_ij, so that gamma = g^{lm} T_ijm / 2, whose one nonzero summand
-    is m = l.
+    Also returns Tl[p, l, i, j] = T[i, j, l], with T[i, j, m] = d_i g_jm +
+    d_j g_im - d_m g_ij, so that gamma = g^{lm} T_ijm / 2, whose one nonzero
+    summand is m = l.
     """
-    ix = _gathers(len(ginv))
-    T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    Tl = T.take(ix.last_first)
-    return 0.5 * (0.0 + ginv.take(ix.diag) * Tl), Tl
+    ix = _gathers(ginv.shape[-1])
+    T = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    Tl = _take(T, ix.last_first)
+    return 0.5 * (0.0 + _take(ginv, ix.diag) * Tl), Tl
+
+
+def _ricci_sum(div: np.ndarray, grad: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Ricci of one point, unsymmetrized, from its traces d_a Gamma^a_jk and
+    d_j Gamma^a_ak and its Christoffel symbols: the sums with more than one
+    nonzero summand, each on C-contiguous (d, ...) operands."""
+    term1 = np.einsum("ajk->jk", div)
+    term2 = np.einsum("ajk->jk", grad)
+    contracted = np.einsum("aab->b", gamma)
+    term3 = np.einsum("b,bjk->jk", contracted, gamma)
+    term4 = np.einsum("ajb,bak->jk", gamma, gamma)
+    return term1 - term2 + term3 - term4
 
 
 def _ricci(D: np.ndarray, ginv: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Ricci tensor from the metric diagonals ``D`` on the corner stencil of
-    steps ``h``, with ``ginv`` the inverse metric at its center.
+    """Ricci tensors, one per point, from the metric diagonals ``D`` (points,
+    rows, d) on the corner stencil of steps ``h``, with ``ginv`` the inverse
+    metrics at the centers.
 
     Of the derivative d_m Gamma^l_ij = (d_m g^{lc} T_ijc + g^{lc} d_m T_ijc) / 2
     only the two traces Ricci reads are formed, d_a Gamma^a_jk and
@@ -240,27 +326,22 @@ def _ricci(D: np.ndarray, ginv: np.ndarray, h: np.ndarray) -> np.ndarray:
     only c = a is nonzero, and of d_m T only the entries the traces read are
     formed, from the second differences of the diagonal.
     """
-    dD, d2D = _differences(D, h, corners=True)   # d2D[m, k, a] = d^2_{mk} g_aa
-    ix = _gathers(len(ginv))
+    dD, d2D = _differences(D, h, corners=True)   # d2D[p, m, k, a] = d^2_{mk} g_aa
+    ix = _gathers(ginv.shape[-1])
     dg = _embed(dD)
     gamma, Tl = _christoffel(ginv, dg)
-    dginv = -((ginv @ dg) @ ginv)  # dginv[m, l, k] = d_m g^{lk}
-    d2 = np.append(d2D.ravel(), 0.0)
+    # dginv[p, m, l, k] = d_m g^{lk}
+    dginv = np.stack([-((gi @ dgi) @ gi) for gi, dgi in zip(ginv, dg)])
+    d2 = np.concatenate([d2D.reshape(len(D), -1), np.zeros((len(D), 1))], axis=1)
 
     def dT(terms):
-        return d2.take(terms[0]) + d2.take(terms[1]) - d2.take(terms[2])
+        return _take(d2, terms[0]) + _take(d2, terms[1]) - _take(d2, terms[2])
 
-    gd = ginv.take(ix.diag)
-    div = 0.5 * ((0.0 + dginv.take(ix.aaa) * Tl) + (0.0 + gd * dT(ix.div)))
-    grad = 0.5 * ((0.0 + dginv.take(ix.jaa) * Tl.take(ix.aak)) + (0.0 + gd * dT(ix.grad)))
-
-    term1 = np.einsum("ajk->jk", div)
-    term2 = np.einsum("ajk->jk", grad)
-    contracted = np.einsum("aab->b", gamma)
-    term3 = np.einsum("b,bjk->jk", contracted, gamma)
-    term4 = np.einsum("ajb,bak->jk", gamma, gamma)
-    ric = term1 - term2 + term3 - term4
-    return 0.5 * (ric + ric.T)
+    gd = _take(ginv, ix.diag)
+    div = 0.5 * ((0.0 + _take(dginv, ix.aaa) * Tl) + (0.0 + gd * dT(ix.div)))
+    grad = 0.5 * ((0.0 + _take(dginv, ix.jaa) * _take(Tl, ix.aak)) + (0.0 + gd * dT(ix.grad)))
+    ric = np.stack([_ricci_sum(*terms) for terms in zip(div, grad, gamma)])
+    return 0.5 * (ric + ric.transpose(0, 2, 1))
 
 
 def _step_vector(patch: MetricPatch, step) -> np.ndarray:
@@ -270,37 +351,38 @@ def _step_vector(patch: MetricPatch, step) -> np.ndarray:
     return h
 
 
-def _require_interior(patch: MetricPatch, point: np.ndarray, h: np.ndarray, what: str):
-    for x, (lo, hi), hk in zip(point, patch.domain, h):
-        if x < lo + 2 * hk or x > hi - 2 * hk:
-            raise OracleDomainError(f"{what} {point} within 2*step of the domain boundary")
-
-
-def numeric_curvature(patch: MetricPatch, point, step=DEFAULT_STEP) -> CurvatureReport:
-    """Ricci, scalar, and minimal Ricci eigenvalue (against g) at a point.
+def numeric_curvature(patch: MetricPatch, points, step=DEFAULT_STEP):
+    """Ricci, scalar, and minimal Ricci eigenvalue (against g) at a point, or
+    at each point of an (n, dim) stack.
 
     ``step`` may be a scalar or a per-coordinate vector (use steps
-    proportional to each coordinate's scale on anisotropic charts).  The
-    point must be interior to the patch domain with margin >= 2*step.
-    One Richardson level combines steps ``step`` and ``step/2``.
+    proportional to each coordinate's scale on anisotropic charts).  A point
+    must be interior to the patch domain with margin >= 2*step.  One
+    Richardson level combines steps ``step`` and ``step/2``.  One point
+    returns its ``CurvatureReport`` or raises its error; a stack returns one
+    outcome per point, the report or the error (see the module docstring).
     """
-    point = np.asarray(point, dtype=float)
-    if point.shape != (patch.dim,):
-        raise ValueError(f"point must have shape ({patch.dim},), got {point.shape}")
+    P, one = _point_stack(points, patch.dim, "point")
     h = _step_vector(patch, step)
-    _require_interior(patch, point, h, "point")
     offsets = _stencil(h, corners=True)
-    D = _metric_diagonals(patch, point + np.concatenate([offsets, 0.5 * offsets]))
-    g0 = np.diag(D[0])
-    L = _cholesky(g0, "metric")
-    ginv = np.linalg.inv(g0)
-
+    outcomes, read, D = _read_metric(patch, P, h, np.concatenate([offsets, 0.5 * offsets]),
+                                     "point")
+    if not read.size:
+        return _result(outcomes, one)
+    g0 = [np.diag(D0) for D0 in D[:, 0]]
+    ginv = np.stack([np.linalg.inv(g) for g in g0])
     n = len(offsets)  # rows of step h, then of step h/2
-    ric = (4.0 * _ricci(D[n:], ginv, 0.5 * h) - _ricci(D[:n], ginv, h)) / 3.0
-    scalar = float(np.einsum("ij,ij->", ginv, ric))
-    eigs = _pencil_eigenvalues(ric, L)
-    return CurvatureReport(point=point, ricci=ric, scalar=scalar,
-                           min_ricci_eigenvalue=float(eigs[0]))
+    ric = (4.0 * _ricci(D[:, n:], ginv, 0.5 * h) - _ricci(D[:, :n], ginv, h)) / 3.0
+    for i, g, gi, r in zip(read, g0, ginv, ric):
+        L = _cholesky(g, "metric")
+        if isinstance(L, NonSPDMetricError):
+            outcomes[i] = L
+            continue
+        eigs = _pencil_eigenvalues(r, L)
+        outcomes[i] = CurvatureReport(point=P[i], ricci=r,
+                                      scalar=float(np.einsum("ij,ij->", gi, r)),
+                                      min_ricci_eigenvalue=float(eigs[0]))
+    return _result(outcomes, one)
 
 
 @dataclass(frozen=True)
@@ -339,64 +421,70 @@ def _normal_christoffel(gamma: np.ndarray, tangents: np.ndarray,
 
 
 def numeric_second_fundamental_form(patch: MetricPatch, hypersurface: GraphHypersurface,
-                                    base_point, step=DEFAULT_STEP
-                                    ) -> SecondFundamentalFormReport:
-    """Second fundamental form of a graph hypersurface at a point.
+                                    base_points, step=DEFAULT_STEP):
+    """Second fundamental form of a graph hypersurface at a point, or at each
+    point of an (n, dim-1) stack.
 
-    ``base_point`` gives the dim-1 non-axis coordinates; the axis coordinate
+    A base point gives the dim-1 non-axis coordinates; the axis coordinate
     is filled in from the graph.  The form is computed in the tangent basis
     T_i = e_i + (d height/d x_i) e_axis via II(X, Y) = g(nu, nabla_X Y) with
     ``nu`` the unit normal of the requested orientation.  ``step`` may be a
     scalar or a per-coordinate vector indexed like the patch coordinates.
+    One base point returns its ``SecondFundamentalFormReport`` or raises its
+    error; a stack returns one outcome per point, the report or the error
+    (see the module docstring).
     """
     d = patch.dim
     a = hypersurface.axis
     others = [i for i in range(d) if i != a]
-    bp = np.asarray(base_point, dtype=float)
-    if bp.shape != (d - 1,):
-        raise ValueError(f"base point must have shape ({d - 1},), got {bp.shape}")
+    B, one = _point_stack(base_points, d - 1, "base point")
     h = _step_vector(patch, step)
     hb = h[others]
 
-    # Height value, gradient, and Hessian by central differences.
-    W = np.asarray(hypersurface.height(bp + _stencil(hb, corners=True)), dtype=float)
-    grad, hess = _differences(W, hb, corners=True)
+    # Height values, gradients, and Hessians by central differences.
+    xb = (B[:, np.newaxis] + _stencil(hb, corners=True)).reshape(-1, d - 1)
+    W = np.asarray(hypersurface.height(xb), dtype=float).reshape(len(B), -1)
+    grads, hessians = _differences(W, hb, corners=True)
 
-    point = np.empty(d)
-    point[others] = bp
-    point[a] = W[0]
-    _require_interior(patch, point, h, "graph point")
-    D = _metric_diagonals(patch, point + _stencil(h, corners=False))
-    g0 = np.diag(D[0])
-    ginv = np.linalg.inv(g0)
-
-    # Tangent vectors T_i = e_{others[i]} + grad_i e_a.
-    tangents = np.zeros((d - 1, d))
-    tangents[np.arange(d - 1), others] = 1.0
-    tangents[:, a] = grad
-
-    # Unit normal from the conormal d(x_a - height): components delta_a - grad.
-    conormal = np.zeros(d)
-    conormal[a] = 1.0
-    conormal[others] = -grad
-    nu = ginv @ conormal
-    norm = float(np.sqrt(nu @ g0 @ nu))
-    if norm < 1e-14:
-        raise ValueError("degenerate normal direction")
-    nu /= norm
-    if np.sign(nu[a]) != np.sign(hypersurface.normal_sign):
-        nu = -nu
-
-    # Christoffel symbols at the point (central differences of g).
+    P = np.empty((len(B), d))
+    P[:, others] = B
+    P[:, a] = W[:, 0]
+    outcomes, read, D = _read_metric(patch, P, h, _stencil(h, corners=False), "graph point")
+    if not read.size:
+        return _result(outcomes, one)
+    g0 = [np.diag(D0) for D0 in D[:, 0]]
+    ginv = np.stack([np.linalg.inv(g) for g in g0])
+    # Christoffel symbols at the points (central differences of g).
     dD, _ = _differences(D, h, corners=False)
-    gamma, _ = _christoffel(ginv, _embed(dD))
+    gammas, _ = _christoffel(ginv, _embed(dD))
 
-    gnu = g0 @ nu
-    # II_ij = Hess_ij * (g nu)_a + Gamma^m_{bc} T_i^b T_j^c (g nu)_m
-    form = hess * gnu[a] + _normal_christoffel(gamma, tangents, gnu)
-    form = 0.5 * (form + form.T)
+    for i, g, gi, gamma in zip(read, g0, ginv, gammas):
+        grad = grads[i]
+        # Tangent vectors T_i = e_{others[i]} + grad_i e_a.
+        tangents = np.zeros((d - 1, d))
+        tangents[np.arange(d - 1), others] = 1.0
+        tangents[:, a] = grad
 
-    induced = tangents @ g0 @ tangents.T
-    pcs = _pencil_eigenvalues(form, _cholesky(induced, "induced metric"))
-    return SecondFundamentalFormReport(point=point, form=form, induced_metric=induced,
-                                       principal_curvatures=pcs)
+        # Unit normal from the conormal d(x_a - height): components delta_a - grad.
+        conormal = np.zeros(d)
+        conormal[a] = 1.0
+        conormal[others] = -grad
+        nu = gi @ conormal
+        norm = float(np.sqrt(nu @ g @ nu))
+        if norm < 1e-14:
+            raise ValueError("degenerate normal direction")
+        nu /= norm
+        if np.sign(nu[a]) != np.sign(hypersurface.normal_sign):
+            nu = -nu
+
+        gnu = g @ nu
+        # II_ij = Hess_ij * (g nu)_a + Gamma^m_{bc} T_i^b T_j^c (g nu)_m
+        form = hessians[i] * gnu[a] + _normal_christoffel(gamma, tangents, gnu)
+        form = 0.5 * (form + form.T)
+
+        induced = tangents @ g @ tangents.T
+        L = _cholesky(induced, "induced metric")
+        outcomes[i] = L if isinstance(L, NonSPDMetricError) else SecondFundamentalFormReport(
+            point=P[i], form=form, induced_metric=induced,
+            principal_curvatures=_pencil_eigenvalues(form, L))
+    return _result(outcomes, one)

@@ -58,7 +58,7 @@ from . import pipeline  # for SpecError; a module binding, so neither import run
 from .meancurv import (MC_VARIANTS, bulk_patch, interface_checks, neck_margins,
                        z2_mean_curvature)
 from .numerics import CubicHermite, simpson_table
-from .oracle import NonSPDMetricError, OracleDomainError, numeric_curvature
+from .oracle import CurvatureReport, NonSPDMetricError, OracleDomainError, numeric_curvature
 from .steps import smooth_step, smooth_step_d1, smoothstep7
 from .warped import WarpedJet, doubly_warped_ricci
 
@@ -802,17 +802,11 @@ def bulk_scalar_samples(pair: ProfilePair, p: int, q: int) -> tuple:
     tts, F = curve.t_tilde[keep], curve.F[keep]
     bN = pair.right.bN
     idx = np.unique(np.linspace(2, tts.size - 3, BULK_SAMPLES).astype(int))
-    out = []
-    for i in idx:
-        tt0 = float(tts[i])
-        s0 = max(0.5 * float(F[i]), 3e-4 * bN)
-        point = np.concatenate([[tt0, s0], np.full(patch.dim - 2, math.pi / 2 + 0.1)])
-        try:
-            rep = numeric_curvature(patch, point, step=step)
-        except (OracleDomainError, NonSPDMetricError):
-            continue
-        out.append(float(rep.scalar))
-    return out, idx.size
+    points = np.full((idx.size, patch.dim), math.pi / 2 + 0.1)
+    points[:, 0] = tts[idx]
+    points[:, 1] = np.maximum(0.5 * F[idx], 3e-4 * bN)
+    reps = numeric_curvature(patch, points, step=step)
+    return [rep.scalar for rep in reps if isinstance(rep, CurvatureReport)], idx.size
 
 
 def taper_check(p: int, q: int, lam: float, r: float, eps_end: float) -> float | ValueError:

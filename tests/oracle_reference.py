@@ -29,6 +29,12 @@ def metric_stack(patch, x):
     return G
 
 
+def _differences(values, h, corners):
+    """The oracle's differences of one point's stencil values."""
+    d1, d2 = oracle._differences(values[np.newaxis], h, corners)
+    return d1[0], d2[0]
+
+
 def christoffel(ginv, dg):
     """gamma[l, i, j] = Gamma^l_ij and T[i, j, m] = d_i g_jm + d_j g_im - d_m g_ij."""
     T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
@@ -44,7 +50,7 @@ def christoffel_derivative(ginv, dg, T, dT):
 
 def ricci_fixed_step(G, h):
     """Ricci tensor from the metric ``G`` on the corner stencil of steps ``h``."""
-    dg, d2g = oracle._differences(G, h, corners=True)   # d2g[m, k, a, b] = d^2_{mk} g_ab
+    dg, d2g = _differences(G, h, corners=True)   # d2g[m, k, a, b] = d^2_{mk} g_ab
     ginv = np.linalg.inv(G[0])
     gamma, T = christoffel(ginv, dg)
     dT = d2g + d2g.transpose(0, 2, 1, 3) - d2g.transpose(0, 2, 3, 1)
@@ -83,7 +89,7 @@ def numeric_second_fundamental_form(patch, hypersurface, base_point, step=oracle
     h = oracle._step_vector(patch, step)
     hb = h[others]
     W = np.asarray(hypersurface.height(bp + oracle._stencil(hb, corners=True)), dtype=float)
-    grad, hess = oracle._differences(W, hb, corners=True)
+    grad, hess = _differences(W, hb, corners=True)
 
     point = np.empty(d)
     point[others] = bp
@@ -102,7 +108,7 @@ def numeric_second_fundamental_form(patch, hypersurface, base_point, step=oracle
     if np.sign(nu[a]) != np.sign(hypersurface.normal_sign):
         nu = -nu
 
-    dg, _ = oracle._differences(G, h, corners=False)
+    dg, _ = _differences(G, h, corners=False)
     gamma, _ = christoffel(ginv, dg)
     gnu = g0 @ nu
     form = hess * gnu[a] + oracle._normal_christoffel(gamma, tangents, gnu)

@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from plumbric.oracle import (GraphHypersurface, MetricShapeError, NonSPDMetricEr
                              OracleDomainError, MetricPatch, numeric_curvature,
                              numeric_second_fundamental_form)
 from plumbric.pipeline import NiceCoordinateSpec, run_construction
+from plumbric.profiles import EpsilonProfile
 from plumbric.plumbing import tangent_chain
 from plumbric.warped import WarpedJet, doubly_warped_ricci
 
@@ -137,8 +139,9 @@ class TestFailBeforeEvaluating:
             else:
                 numeric_second_fundamental_form(patch, FLAT_GRAPH, [0.0])
         assert len(calls) == 1
-        # only the graph height (one value per stencil row) was differenced
-        assert all(ndim == 1 for ndim in differenced)
+        # only the graph heights (one value per stencil row of each point)
+        # were differenced, as a (points, rows) stack
+        assert all(ndim == 2 for ndim in differenced)
 
 
 def _sheared_sphere(n, r):
@@ -165,7 +168,11 @@ def _einsum_route(fn, *args, **kwargs):
 def diagonal_charts(draw):
     """A random diagonal chart with an interior point and per-coordinate steps:
     a doubly warped product over a line, or a round sphere warped over a flat
-    box with a radius that depends on every base coordinate; p, q in 2..9."""
+    box with a radius that depends on every base coordinate; p, q in 2..9.
+    Each chart computes every row from that row alone, by element-wise
+    operations, as the certificate's charts do: a BLAS product such as
+    ``xb @ w`` can round a row differently with the number of rows, and then
+    no stack of points could give a point its one-point bits."""
     p, q = draw(st.integers(2, 9)), draw(st.integers(2, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
@@ -176,8 +183,8 @@ def diagonal_charts(draw):
     else:
         w = rng.uniform(-0.5, 0.5, p)
         c = rng.uniform(0.5, 2.0)
-        patch = warped_patch(flat_patch(((-1.0, 1.0),) * p),
-                             lambda xb: c * np.exp(xb @ w + 0.3 * np.sin(xb).sum(axis=-1)), q)
+        patch = warped_patch(flat_patch(((-1.0, 1.0),) * p), lambda xb: c * np.exp(
+            sum(w[i] * xb[..., i] + 0.3 * np.sin(xb[..., i]) for i in range(p))), q)
         base = rng.uniform(-0.8, 0.8, p)
     point = np.concatenate([base, rng.uniform(0.3, np.pi - 0.3, patch.dim - len(base))])
     return patch, point, rng.uniform(1e-4, 2e-3, patch.dim)
@@ -263,7 +270,7 @@ class TestContractionRoutes:
     def test_no_dense_temporaries(self):
         # Ricci at d = 18 from (rows, d) diagonals and (d, d, d) arrays: a
         # zero-filled (1298, 18, 18) stack is 3.4 MB, one (18,)*4 array 0.84 MB
-        res = profiles.search_parameters(9, 9, 1.0, 0.3, mc_margin_tol=1e-9, grid_n=2048)
+        res = _search_9_9()
         patch, curve, keep, step = meancurv.bulk_patch(res.pair, 9, 9, d_min=1e-4)
         i = keep[keep.size // 2]
         s0 = max(0.5 * curve.F[i], 3e-4 * res.pair.right.bN)
@@ -277,11 +284,145 @@ class TestContractionRoutes:
             tracemalloc.stop()
         assert peak < 2e6
 
+    def test_stacked_bulk_check_stays_small(self):
+        # one chart call on the stencils of three points: the (3894, 18)
+        # diagonals are 0.56 MB, and each difference pass holds a few of them
+        res = _search_9_9()
+        profiles.bulk_scalar_samples(res.pair, 9, 9)
+        tracemalloc.start()
+        try:
+            profiles.bulk_scalar_samples(res.pair, 9, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
     @pytest.mark.parametrize("p,q", [(3, 3), (9, 9)])
     def test_taper_minimum_equal(self, p, q):
         # the certificate records only the taper's minimum
         taper = profiles.taper_check(p, q, 0.2, 1.0, 0.6)
         assert taper == _einsum_route(profiles.taper_check, p, q, 0.2, 1.0, 0.6)
+
+
+@functools.lru_cache(maxsize=None)
+def _search_9_9():
+    return profiles.search_parameters(9, 9, 1.0, 0.3, mc_margin_tol=1e-9, grid_n=2048)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The one-point call's report, or the named error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (OracleDomainError, NonSPDMetricError) as exc:
+        return exc
+
+
+def _outcome_bits(out):
+    """A report's arrays and scalars as bytes, or an error's type and message."""
+    if isinstance(out, ValueError):
+        return type(out), str(out)
+    return tuple(np.asarray(v, dtype=float).tobytes() for v in vars(out).values())
+
+
+@st.composite
+def chart_stacks(draw):
+    """A diagonal chart, a stack of 1 to 5 points and per-coordinate steps;
+    some points lie within three steps of the domain's lower edge in one
+    coordinate, so within two steps for some of them."""
+    patch, point, step = draw(diagonal_charts())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 5))
+    lo, hi = np.asarray(patch.domain, dtype=float).T
+    points = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), (n, patch.dim))
+    points[0] = point
+    for i in np.flatnonzero(rng.random(n) < 0.4):
+        k = rng.integers(patch.dim)
+        points[i, k] = lo[k] + rng.uniform(1.0, 3.0) * step[k]
+    return patch, points, step
+
+
+def _graph_over(patch):
+    """A graph over the patch's first coordinate, inside its range, computed
+    row by row like the charts."""
+    lo, hi = patch.domain[0]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return GraphHypersurface(axis=0, height=lambda x: mid + 0.3 * half * np.sin(
+        sum(x[..., i] for i in range(x.shape[-1]))))
+
+
+class TestPointStacks:
+    """A stack of points gives every point the outcome of its one-point call,
+    to the bit: the chart call, the value checks and the differences are
+    stacked, and every multi-summand sum stays a per-point call."""
+
+    @given(chart_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_stack_equals_one_point_at_a_time(self, case):
+        patch, points, step = case
+        graph = _graph_over(patch)
+        for fn, args, rows in ((numeric_curvature, (patch,), points),
+                               (numeric_second_fundamental_form, (patch, graph), points[:, 1:])):
+            stacked = fn(*args, rows, step=step)
+            assert len(stacked) == len(rows)
+            for x, out in zip(rows, stacked):
+                assert _outcome_bits(out) == _outcome_bits(_outcome(fn, *args, x, step=step))
+            # a permutation of the stack gives each point the same outcome
+            perm = np.random.default_rng(len(rows)).permutation(len(rows))
+            permuted = fn(*args, rows[perm], step=step)
+            assert [_outcome_bits(out) for out in permuted] == [
+                _outcome_bits(stacked[i]) for i in perm]
+
+    @given(chart_stacks(), st.integers(0, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_indefinite_stencil_drops_only_its_point(self, case, pick):
+        patch, points, step = case
+        plain = numeric_curvature(patch, points, step=step)
+        read = [i for i, out in enumerate(plain) if not isinstance(out, OracleDomainError)]
+        if not read:
+            return
+        bad = read[pick % len(read)]
+
+        def g(x):
+            # the first diagonal entry negated on the rows of one point's stencil
+            D = patch.g(x)
+            mine = (np.abs(x - points[bad]) <= step).all(axis=-1)
+            return np.where(mine[:, np.newaxis] & (np.arange(patch.dim) == 0), -D, D)
+
+        outs = numeric_curvature(MetricPatch(dim=patch.dim, domain=patch.domain, g=g),
+                                 points, step=step)
+        assert _outcome_bits(outs[bad]) == (
+            NonSPDMetricError, "metric matrix is not positive definite on the stencil")
+        assert [_outcome_bits(out) for i, out in enumerate(outs) if i != bad] == [
+            _outcome_bits(out) for i, out in enumerate(plain) if i != bad]
+
+    @pytest.mark.parametrize("first,later,message", [
+        (np.nan, 0.0, "metric matrix is not finite on the stencil"),
+        (0.0, np.nan, "metric matrix is not positive definite on the stencil"),
+    ])
+    def test_taper_raises_the_first_failing_point(self, first, later, message):
+        # the collar warp fails from t = -0.4 on (the last two of the five
+        # samples) with one error, and from t = -0.1 on (the last) with another
+        def k(tt):
+            tt = np.asarray(tt)
+            return np.where(tt > -0.1, later, np.where(tt > -0.4, first, 1.0 + 0.2 * tt))
+
+        ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.6)
+        with pytest.raises(NonSPDMetricError, match=f"^{message}$"):
+            meancurv.z2_mean_curvature(ep, k, r=1.0, p=3, q=3)
+
+    def test_stacked_check_keeps_no_frames(self):
+        # a dropped sample's error is built, not raised: stored with a
+        # traceback it would keep the check's frames in a reference cycle
+        res = profiles.search_parameters(3, 3, math.pi / 4 + 0.1, 0.2, mc_margin_tol=1e-9,
+                                         grid_n=2048)
+        gc.collect()
+        gc.disable()
+        try:
+            scalars, tried = profiles.bulk_scalar_samples(res.pair, 3, 3)
+            assert len(scalars) < tried
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestClosedFormBridge:
@@ -458,22 +599,28 @@ def test_pencil_eigenvalues_match_scipy(pencil):
 
 
 def test_indefinite_pencil_is_a_named_error():
-    B = np.diag([2.0, -1.0, 3.0])
-    with pytest.raises(NonSPDMetricError, match="^induced metric matrix is not positive"):
-        oracle._cholesky(B, "induced metric")
+    # returned, not raised: a stacked call stores it as the point's outcome
+    err = oracle._cholesky(np.diag([2.0, -1.0, 3.0]), "induced metric")
+    assert isinstance(err, NonSPDMetricError)
+    assert str(err).startswith("induced metric matrix is not positive")
+    assert err.__traceback__ is None and err.__context__ is None
 
 
 @functools.lru_cache(maxsize=None)
 def _chain_oracle_calls(dim):
-    """Every bulk and taper oracle call of a tangent 2-chain's construction,
-    as (args, kwargs, report), once per test session."""
+    """Every bulk and taper oracle point of a tangent 2-chain's construction
+    that returned a report, as (args, kwargs, report) with the point's own
+    one-point arguments, once per test session."""
     bulk, taper = [], []
 
     def recording(calls, fn):
         def call(*args, **kwargs):
-            rep = fn(*args, **kwargs)
-            calls.append((args, kwargs, rep))
-            return rep
+            out = fn(*args, **kwargs)
+            *head, points = args
+            assert np.ndim(points) == 2, "the checks make one stacked call each"
+            calls.extend(((*head, x), kwargs, rep) for x, rep in zip(points, out)
+                         if not isinstance(rep, ValueError))
+            return out
         return call
 
     with pytest.MonkeyPatch.context() as mp:

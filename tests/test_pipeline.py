@@ -1027,10 +1027,13 @@ class TestDiagonalCharts:
         spec = NiceCoordinateSpec(p=p, q=p, R=math.pi / 4 + 0.1, N=1.0, kappa=0.5)
         assert run_construction(tree, spec, config={"lambda": 0.2}).passed
         d = 2 * p
-        # Ricci's stack holds the corner stencils of steps h and h/2, the
-        # second fundamental form's one stencil without corners
-        for name, seen, rows in (("bulk", bulk, 2 * (1 + 2 * d + 2 * d * (d - 1))),
-                                 ("taper", taper, 1 + 2 * d)):
+        # One stacked call per check: Ricci's stack holds the corner stencils
+        # of steps h and h/2 of the bulk samples the chart can difference (one
+        # of the four lies within two steps of the domain's edge), the second
+        # fundamental form's one stencil without corners of each taper sample
+        for name, seen, rows in (
+                ("bulk", bulk, (profiles.BULK_SAMPLES - 1) * 2 * (1 + 2 * d + 2 * d * (d - 1))),
+                ("taper", taper, meancurv.TAPER_SAMPLES * (1 + 2 * d))):
             assert any(D.shape == (rows, d) for D in seen), name
             assert all(D.shape[-1] == d and D.ndim == 2 for D in seen), (
                 f"the {name} chart returned something other than metric diagonals")
