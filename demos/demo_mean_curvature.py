@@ -24,6 +24,13 @@ print(f"  per-unit-collar variant:   {m.margin_min('unit'):.3e}")
 
 ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.4)
 print("\ntaper boundary (fiber-angle pi/2 -> 0.4), three fiber scales")
+
+
+def collar(t):
+    # the collar warp 1 + 0.1 t with its first two derivatives
+    return 1.0 + 0.1 * t, np.full(t.shape, 0.1), np.zeros(t.shape)
+
+
 for r in (0.2, 0.1, 0.05):
-    z = z2_mean_curvature(ep, lambda t: 1.0 + 0.1 * np.asarray(t), r=r, p=4, q=4)
+    z = z2_mean_curvature(ep, collar, r=r, p=4, q=4)
     print(f"  r = {r}: mean curvature {np.array2string(z.mean_curvature, precision=3)}")

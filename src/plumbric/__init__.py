@@ -5,8 +5,9 @@ Layout:
 
 * :mod:`plumbric.caps` -- block-diagonal boundary forms and the gluing test
 * :mod:`plumbric.warped` -- closed-form Ricci curvature of doubly warped products
-* :mod:`plumbric.oracle` / :mod:`plumbric.charts` -- the finite-difference
-  curvature oracle and the coordinate patches the certificate runs it on
+* :mod:`plumbric.oracle` / :mod:`plumbric.charts` -- the curvature oracle on
+  exact 2-jets and the coordinate patches the certificate runs it on, each
+  returning its metric's value, gradient and Hessian
 * :mod:`plumbric.numerics` -- the cubic Hermite evaluator and the cumulative
   Simpson table the profiles are built with, bit-equal to scipy's
 * :mod:`plumbric.profiles` -- warping profiles (the left piece's exact

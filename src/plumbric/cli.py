@@ -8,7 +8,7 @@ import math
 import pathlib
 import sys
 
-from .pipeline import (NiceCoordinateSpec, SpecError, certificate_json, new_file,
+from .pipeline import (SCHEMA, NiceCoordinateSpec, SpecError, certificate_json, new_file,
                        root_vertex, run_construction, topo_report, verify)
 from .plumbing import EtaLedger, PlumbingTree, eta_ledger, fixed_point_count
 
@@ -88,12 +88,14 @@ _CHECK_KEYS = ("id", "passed", "value", "tolerance", "detail")  # a check record
 
 def _report_steps(doc, path) -> list:
     """The steps of a certificate document.  A document that is not an
-    object, a step that is not an object with a ``vertex``, and a check that
-    is not an object with every key of ``_CHECK_KEYS`` raise a
-    ``SpecError`` naming the first one."""
+    object, one of another schema than ``SCHEMA``, a step that is not an
+    object with a ``vertex``, and a check that is not an object with every
+    key of ``_CHECK_KEYS`` raise a ``SpecError`` naming the first one."""
     if not isinstance(doc, dict):
         raise SpecError(f"certificate {path} must hold a JSON object, not a "
                         f"{type(doc).__name__}")
+    if doc.get("schema") != SCHEMA:
+        raise SpecError(f"certificate schema {doc.get('schema')!r} is not {SCHEMA!r}")
     steps = doc.get("steps", [])
     if not isinstance(steps, list):
         raise SpecError(f"certificate 'steps' must be a list, not a {type(steps).__name__}")

@@ -39,9 +39,10 @@ A - B) and ``interface_forms`` / ``interface_checks`` (the gluing forms at the
 end samples).  ``z2_mean_curvature`` is the taper's mean curvature through
 the second-fundamental-form oracle.  ``bulk_patch`` is the one neck-bulk
 metric, the collar sphere warped (``charts.warped_patch``) over
-``charts.cylinder_patch``, with the oracle's finite-difference step for it;
-the bulk scalar-curvature samples run on it.  Like ``z2_patch``, the taper's
-chart, it returns the metric's diagonal, as every chart in ``charts`` does.
+``charts.cylinder_patch``; the bulk scalar-curvature samples run on it.  Like
+``z2_patch``, the taper's chart, it returns the metric diagonal's exact value,
+gradient and Hessian, as every chart in ``charts`` does: the oracle takes no
+finite-difference step.
 ``z3_mean_curvature`` gives the neck boundary's principal curvatures in
 closed form, for comparison with an oracle route on the same chart.
 """
@@ -56,8 +57,7 @@ import numpy as np
 
 from .caps import BlockDiagonalForm, perelman_form_check
 from .oracle import MetricPatch, GraphHypersurface, numeric_second_fundamental_form
-from .charts import POLE_MARGIN, cylinder_patch, flat_patch, warped_patch
-from .numerics import CubicHermite
+from .charts import POLE_MARGIN, coordinate_jets, cylinder_patch, flat_patch, warped_patch
 from .warped import WarpedJet
 
 __all__ = [
@@ -76,7 +76,7 @@ __all__ = [
 D_FLOOR = 1e-12  # phase gap D at or below which the curve counts as vertical
 MC_VARIANTS = ("reported", "curvature", "unit")
 TAPER_SAMPLES = 5    # oracle points of the taper's mean curvature
-TAPER_STEP = 1e-3    # the oracle's finite-difference step on the taper chart
+TAPER_INSET = 4e-3   # distance of the first and last taper samples from the taper's ends
 
 
 class CurveDomainError(ValueError):
@@ -263,17 +263,29 @@ def z2_patch(eps_profile, k: Callable, r: float, p: int, q: int) -> MetricPatch:
     The fiber over (t, x) is a cap of angular radius eps(t) and boundary
     radius r, giving f(t, s) = (r/sin eps(t)) sin(s sin eps(t)/r) in the
     fiber-radial coordinate s.  Coordinates: (t, s, p-1 fiber angles, q-1
-    base angles).
+    base angles).  ``k`` maps an array of t to the collar warp's 2-jet
+    (k, k', k'').  The fiber radius's jets follow from those of
+    sigma = sin eps through f's partial derivatives in (sigma, s).
     """
     s_max = (math.pi - POLE_MARGIN) * r / math.sin(eps_profile.eps_end)
 
     def fiber_radius(xb):
-        se = np.sin(np.asarray(eps_profile.eps(xb[..., 0])))
-        return (r / se) * np.sin(xb[..., 1] * se / r)
+        eps, e1, e2 = eps_profile.eps_jets(xb[:, 0])
+        sig, cos = np.sin(eps), np.cos(eps)
+        sig1, sig2 = cos * e1, cos * e2 - sig * e1 * e1
+        s = xb[:, 1]
+        su, cu = np.sin(s * sig / r), np.cos(s * sig / r)
+        f_g = (s * cu - r * su / sig) / sig                       # df/dsigma
+        f_gg = (2.0 * r * su / sig - 2.0 * s * cu) / sig ** 2 - s * s * su / (r * sig)
+        f_gs = -s * su / r
+        grad = np.stack([f_g * sig1, cu], axis=-1)
+        hess = np.stack([np.stack([f_gg * sig1 * sig1 + f_g * sig2, f_gs * sig1], axis=-1),
+                         np.stack([f_gs * sig1, -sig * su / r], axis=-1)], axis=-2)
+        return r * su / sig, grad, hess
 
     fiber = warped_patch(flat_patch(((eps_profile.a2, eps_profile.b2), (1e-4, s_max))),
                          fiber_radius, p - 1)
-    return warped_patch(fiber, lambda xb: k(xb[..., 0]), q - 1)
+    return warped_patch(fiber, lambda xb: coordinate_jets(xb.shape[1], 0, *k(xb[:, 0])), q - 1)
 
 
 @dataclass(frozen=True)
@@ -287,26 +299,26 @@ class TaperReport:
 def z2_mean_curvature(eps_profile, k: Callable, r: float, p: int, q: int) -> TaperReport:
     """Mean curvature of the taper boundary s = eps(t) r / sin(eps(t)).
 
-    Uses the second-fundamental-form oracle (step TAPER_STEP) on the bundle
-    patch at TAPER_SAMPLES points; the boundary is the graph of s(t) over the
-    remaining coordinates with inward normal pointing to smaller s.
+    Uses the second-fundamental-form oracle on the bundle patch at
+    TAPER_SAMPLES points; the boundary is the graph of s(t) = H(eps(t)),
+    H(e) = r e / sin e, over the remaining coordinates with inward normal
+    pointing to smaller s.  ``k`` maps t to the collar warp's 2-jet.
     """
     patch = z2_patch(eps_profile, k, r, p, q)
     d = patch.dim
 
     def height(xs):
-        xs = np.asarray(xs, dtype=float)
-        tt = xs[..., 0]
-        eps = np.asarray(eps_profile.eps(tt))
-        return eps * r / np.sin(eps)
+        eps, e1, e2 = eps_profile.eps_jets(xs[:, 0])
+        sin, cos = np.sin(eps), np.cos(eps)
+        H1 = r * (sin - eps * cos) / sin ** 2
+        H2 = r * (eps * sin ** 2 - 2.0 * cos * (sin - eps * cos)) / sin ** 3
+        return coordinate_jets(d - 1, 0, eps * r / sin, H1 * e1, H2 * e1 * e1 + H1 * e2)
 
     hyper = GraphHypersurface(axis=1, height=height, normal_sign=-1)
-    lo = eps_profile.a2 + 4.0 * TAPER_STEP
-    hi = eps_profile.b2 - 4.0 * TAPER_STEP
-    ts = np.linspace(lo, hi, TAPER_SAMPLES)
+    ts = np.linspace(eps_profile.a2 + TAPER_INSET, eps_profile.b2 - TAPER_INSET, TAPER_SAMPLES)
     bases = np.full((TAPER_SAMPLES, d - 1), math.pi / 2 + 0.1)
     bases[:, 0] = ts
-    reps = numeric_second_fundamental_form(patch, hyper, bases, step=TAPER_STEP)
+    reps = numeric_second_fundamental_form(patch, hyper, bases)
     failed = [i for i, rep in enumerate(reps) if isinstance(rep, ValueError)]
     if failed:
         # popped, so no frame of this call refers to the error it raises
@@ -330,34 +342,32 @@ def z2_mean_curvature(eps_profile, k: Callable, r: float, p: int, q: int) -> Tap
 # ---------------------------------------------------------------------------
 
 
-def bulk_patch(pair, p: int, q: int, d_min: float) -> tuple:
+def bulk_patch(pair, p: int, q: int) -> MetricPatch:
     """The neck bulk: metric cylinder line x S^p(beta N) times the collar sphere.
 
-    Coordinates (t~, s, p-1 fiber angles, q-1 collar angles), with collar
-    radius h(t(t~)).  The map t~ -> t is Hermite-interpolated through the
-    1024-point boundary curve on the samples where D >= d_min, which also
-    bound the t~ range of the domain.  The chart reads h at a stencil's
-    distinct t~ only (five of them), the same bits as at every row, since
-    each jet depends on its own t alone.  Returns (patch, curve, keep, step):
-    ``keep`` indexes the curve samples used as interpolation nodes, and
-    ``step`` is the oracle's finite-difference step on this chart, 1e-4 bN
-    along (t~, s), where the metric varies on the scale bN, and 1e-3 along
-    the angles.
+    The metric is dt~^2 + ds^2 + (bN sin(s/bN))^2 ds_{p-1}^2 + h^2 ds_{q-1}^2
+    in coordinates (t~, s, p-1 fiber angles, q-1 collar angles), where t~ is
+    the boundary curve's arclength, dt~/dt = sqrt(D/E) (``build_curve``), and
+    h is the profile's collar radius.  A point names its slice by the profile
+    parameter t, in [a3, b3], not by t~: the metric depends on t~ only through
+    h, whose t~-jet follows from ``ProfilePair.jets`` at the point's own t by
+    the chain rule,
+
+        (h o t)'  = h' sqrt(E/D),
+        (h o t)'' = h'' E/D + h' sqrt(E/D) d/dt sqrt(E/D) = h'' E/D + h' f' bracket / D^2,
+
+    since d/dt (E/D) = 2 f' bracket / D^2.  So no map between t and t~ is
+    formed.  Where D = 0 the jets are not finite, which the oracle names.
     """
     bN = pair.right.bN
-    curve = build_curve(pair, pair.right.beta, pair.right.N, grid_n=1024)
-    keep = np.flatnonzero(curve.D >= d_min)
-    if keep.size == 0:
-        raise ValueError("no well-conditioned samples on this profile")
-    keep = keep[np.concatenate([[True], np.diff(curve.t_tilde[keep]) > 1e-9])]
-    tt = curve.t_tilde[keep]
-    t_of_tt = CubicHermite(tt, curve.t[keep], np.sqrt(1.0 + curve.F1[keep] ** 2))
 
     def collar_radius(xb):
-        tt_rows, row = np.unique(xb[..., 0], return_inverse=True)
-        return pair.h(t_of_tt(tt_rows))[row]
+        jets = pair.jets(xb[:, 0])
+        D, E, _F, _cot, bracket = _neck_terms(jets.f, jets.f1, jets.f2, bN)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return coordinate_jets(xb.shape[1], 0, jets.h, jets.h1 * np.sqrt(E / D),
+                                   jets.h2 * E / D + jets.h1 * jets.f1 * bracket / D ** 2)
 
     patch = warped_patch(cylinder_patch(p, bN), collar_radius, q - 1)
-    domain = ((tt[0], tt[-1]), (1e-6 * bN, (math.pi - POLE_MARGIN) * bN)) + patch.domain[2:]
-    step = np.concatenate([[1e-4 * bN, 1e-4 * bN], np.full(patch.dim - 2, 1e-3)])
-    return replace(patch, domain=domain), curve, keep, step
+    domain = ((pair.a3, pair.b3), (1e-6 * bN, (math.pi - POLE_MARGIN) * bN)) + patch.domain[2:]
+    return replace(patch, domain=domain)

@@ -62,7 +62,7 @@ __all__ = [
     "new_file",
 ]
 
-SCHEMA = "plumbric-certificate/3"
+SCHEMA = "plumbric-certificate/4"
 PARAMS_SCHEMA = "plumbric-profile-params/2"
 
 MARGIN_COLUMNS = ("t", "f", "h", "mc_margin")  # plots-data/step_k_margins.csv
@@ -289,8 +289,15 @@ def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: floa
     p, q = spec.p, spec.q
     left, right, pair, m = result.left, result.right, result.pair, result.measurement
     checks = list(result.checks)
-    bulk, tried = profiles.bulk_scalar_samples(pair, p, q)
-    bulk_min = min(bulk) if bulk else float("nan")
+    bulk = profiles.bulk_scalar_samples(pair, p, q)
+    errors = [x for x in bulk if isinstance(x, ValueError)]
+    if errors:
+        bulk_min, bulk_ok = float("nan"), False
+        bulk_detail = f"{len(errors)} of {len(bulk)} oracle samples failed; first: " \
+                      f"{type(errors[0]).__name__}: {errors[0]}"
+    else:
+        bulk_min = min(bulk)
+        bulk_ok, bulk_detail = bulk_min > 0.0, f"{len(bulk)} oracle samples"
     if isinstance(taper, ValueError):
         taper_min, taper_ok = float("nan"), False
         taper_detail = f"{type(taper).__name__}: {taper}"
@@ -298,9 +305,7 @@ def _step_record(vertex_idx: int, spec: NiceCoordinateSpec, result, mc_tol: floa
         taper_min, taper_ok, taper_detail = taper, taper >= -mc_tol, ""
 
     checks += [
-        profiles.check_record("bulk_scalar_positive", bool(bulk) and bulk_min > 0.0,
-                              bulk_min, 0.0, f"{len(bulk)} of {tried} oracle samples; "
-                              f"{tried - len(bulk)} dropped by the chart"),
+        profiles.check_record("bulk_scalar_positive", bulk_ok, bulk_min, 0.0, bulk_detail),
         profiles.check_record("taper_mc_nonnegative", taper_ok, taper_min, -mc_tol,
                               taper_detail),
     ]

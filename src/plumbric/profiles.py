@@ -55,11 +55,11 @@ from typing import Callable
 import numpy as np
 
 from . import pipeline  # for SpecError; a module binding, so neither import runs the other
-from .meancurv import (MC_VARIANTS, bulk_patch, interface_checks, neck_margins,
+from .meancurv import (MC_VARIANTS, build_curve, bulk_patch, interface_checks, neck_margins,
                        z2_mean_curvature)
 from .numerics import CubicHermite, simpson_table
 from .oracle import CurvatureReport, NonSPDMetricError, OracleDomainError, numeric_curvature
-from .steps import smooth_step, smooth_step_d1, smoothstep7
+from .steps import smooth_step, smooth_step_d1, smoothstep7, smoothstep7_d1, smoothstep7_d2
 from .warped import WarpedJet, doubly_warped_ricci
 
 __all__ = [
@@ -101,6 +101,7 @@ MC_VARIANT = "reported"  # the margin variant the certificate claims
 PROFILE_COLUMNS = ("t", "f", "f1", "f2", "h", "h1", "h2")  # the profile CSV's columns
 CSV_BLOCK_ROWS = 4096  # rows formatted per block by csv_blocks
 BULK_SAMPLES = 4       # oracle points of the bulk scalar-curvature check
+BULK_D_MIN = 1e-4      # least phase gap D at a bulk sample
 
 # The parameter search's fixed choices (see search_parameters).
 SEARCH_A = 0.2                     # collar scale: h(a3) = a sqrt(-2 ln lam), h'(a3) = a lam
@@ -327,9 +328,13 @@ class EpsilonProfile:
     def tau2(self) -> float:
         return self.a2 + 0.7 * (self.b2 - self.a2)
 
-    def eps(self, t):
-        x = (np.asarray(t, dtype=float) - self.tau1) / (self.tau2 - self.tau1)
-        return math.pi / 2 + (self.eps_end - math.pi / 2) * smoothstep7(x)
+    def eps_jets(self, t) -> tuple:
+        """eps and its first two derivatives in t, from smoothstep7's polynomials."""
+        width = self.tau2 - self.tau1
+        x = (np.asarray(t, dtype=float) - self.tau1) / width
+        drop = self.eps_end - math.pi / 2
+        return (math.pi / 2 + drop * smoothstep7(x), drop * smoothstep7_d1(x) / width,
+                drop * smoothstep7_d2(x) / width ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -794,19 +799,26 @@ def sample_verdict(m: ProfileMeasurement, mc_margin_tol: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def bulk_scalar_samples(pair: ProfilePair, p: int, q: int) -> tuple:
-    """Oracle scalar curvature at interior points of the neck bulk, and the
-    number of points tried.  Points the chart cannot difference are dropped.
+def bulk_scalar_samples(pair: ProfilePair, p: int, q: int) -> list:
+    """Oracle scalar curvature at BULK_SAMPLES points of the neck bulk: one
+    outcome per point, the scalar or the oracle's named error.
+
+    The points sit at evenly spaced samples of the 1024-point boundary curve
+    where the phase gap D is at least BULK_D_MIN, the first and last two
+    left out, at half the curve's height s = F/2 (at least 3e-4 bN) and
+    every angle pi/2 + 0.1.
     """
-    patch, curve, keep, step = bulk_patch(pair, p, q, d_min=1e-4)
-    tts, F = curve.t_tilde[keep], curve.F[keep]
-    bN = pair.right.bN
-    idx = np.unique(np.linspace(2, tts.size - 3, BULK_SAMPLES).astype(int))
+    curve = build_curve(pair, pair.right.beta, pair.right.N, grid_n=1024)
+    keep = np.flatnonzero(curve.D >= BULK_D_MIN)
+    if keep.size == 0:
+        raise ValueError("no well-conditioned samples on this profile")
+    idx = keep[np.unique(np.linspace(2, keep.size - 3, BULK_SAMPLES).astype(int))]
+    patch = bulk_patch(pair, p, q)
     points = np.full((idx.size, patch.dim), math.pi / 2 + 0.1)
-    points[:, 0] = tts[idx]
-    points[:, 1] = np.maximum(0.5 * F[idx], 3e-4 * bN)
-    reps = numeric_curvature(patch, points, step=step)
-    return [rep.scalar for rep in reps if isinstance(rep, CurvatureReport)], idx.size
+    points[:, 0] = curve.t[idx]
+    points[:, 1] = np.maximum(0.5 * curve.F[idx], 3e-4 * pair.right.bN)
+    return [rep.scalar if isinstance(rep, CurvatureReport) else rep
+            for rep in numeric_curvature(patch, points)]
 
 
 def taper_check(p: int, q: int, lam: float, r: float, eps_end: float) -> float | ValueError:
@@ -816,13 +828,17 @@ def taper_check(p: int, q: int, lam: float, r: float, eps_end: float) -> float |
     The oracle samples the boundary s = eps r / sin(eps) five times over the
     taper eps: pi/2 -> eps_end on [-1, 0], with collar warp 1 + lam t.  An
     end angle outside (0, pi/2) returns a ``ProfileError`` naming eps_b2; a
-    point the chart cannot difference returns the oracle's domain error.
+    point the oracle cannot evaluate returns the oracle's named error.
     """
     if not 0.0 < eps_end < math.pi / 2:
         return ProfileError(f"eps_b2 = {eps_end!r} lies outside (0, pi/2)")
+
+    def collar(tt):
+        return 1.0 + lam * tt, np.full(tt.shape, lam), np.zeros(tt.shape)
+
     try:
         zrep = z2_mean_curvature(EpsilonProfile(a2=-1.0, b2=0.0, eps_end=eps_end),
-                                 lambda tt: 1.0 + lam * np.asarray(tt), r=r, p=p, q=q)
+                                 collar, r=r, p=p, q=q)
     except (OracleDomainError, NonSPDMetricError) as exc:
         return exc
     return float(np.min(zrep.mean_curvature))

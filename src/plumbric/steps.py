@@ -8,7 +8,8 @@ Two families are provided:
   piece decays through it, so the rise meets its plateau to every order.
 * ``smoothstep7`` -- the degree-7 polynomial step (three vanishing
   derivatives at each end).  Cheaper and adequate where only C^3 contact is
-  needed, e.g. the fiber-angle taper.
+  needed, e.g. the fiber-angle taper; its first two derivatives are the
+  polynomials ``smoothstep7_d1`` and ``smoothstep7_d2``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ __all__ = [
     "smooth_step",
     "smooth_step_d1",
     "smoothstep7",
+    "smoothstep7_d1",
+    "smoothstep7_d2",
 ]
 
 
@@ -74,3 +77,15 @@ def smoothstep7(x):
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     return x ** 4 * (35.0 + x * (-84.0 + x * (70.0 - 20.0 * x)))
 
+
+
+def smoothstep7_d1(x):
+    """First derivative of :func:`smoothstep7`: 140 x^3 (1-x)^3, 0 off [0, 1]."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    return 140.0 * (x * (1.0 - x)) ** 3
+
+
+def smoothstep7_d2(x):
+    """Second derivative of :func:`smoothstep7`: 420 x^2 (1-x)^2 (1-2x), 0 off [0, 1]."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    return 420.0 * (x * (1.0 - x)) ** 2 * (1.0 - 2.0 * x)

@@ -8,9 +8,9 @@ times S^{q-1} x S^{p-1}.  The Ricci endomorphism is diagonal in the frame
     ric_h = -h''/h + (q-2)(1 - h'^2)/h^2 - (p-1) f' h'/(f h)
     ric_f = -f''/f + (p-2)(1 - f'^2)/f^2 - (q-1) f' h'/(f h)
 
-These expressions are validated against the finite-difference curvature
-oracle (see :mod:`plumbric.oracle`); the oracle is the independent route, the
-closed forms are the fast route used on dense profile grids.
+These expressions are validated against the curvature oracle on exact 2-jets
+(see :mod:`plumbric.oracle`), to roundoff; the oracle is the independent
+route, the closed forms are the fast route used on dense profile grids.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ def test_ledgers_import_no_geometry_and_no_numpy(tmp_path):
     tree = tmp_path / "chain.json"
     tree.write_text(tangent_chain(64, 5, equivariant=True).to_json())
     cert = tmp_path / "certificate.json"
-    cert.write_text(json.dumps({"schema": "plumbric-certificate/3", "passed": True, "steps": [
+    cert.write_text(json.dumps({"schema": "plumbric-certificate/4", "passed": True, "steps": [
         {"vertex": 0, "checks": [{"id": "boundary_ricci_positive", "passed": True,
                                   "value": 0.5, "tolerance": 0.0, "detail": ""}]}]}))
     code = ("import contextlib, io, plumbric\n"

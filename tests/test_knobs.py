@@ -21,10 +21,6 @@ KNOBS = {
                              "construct's is optional",
     "cli._load_config.tol": "None leaves the file's tolerance: --tol is optional",
     "cli.main.argv": "None reads sys.argv (the console script); tests pass a list",
-    "oracle.numeric_curvature.step": "the tests' isotropic reference charts use the "
-                                     "default; the bulk check passes its chart's step",
-    "oracle.numeric_second_fundamental_form.step": "the tests' reference charts use the "
-                                                   "default; the taper passes TAPER_STEP",
     "oracle.GraphHypersurface.normal_sign": "two values in use: the taper's inward -1, "
                                             "the tests' graphs +1",
     "pipeline.NiceCoordinateSpec.provenance": "two values in use: provenance is initial "

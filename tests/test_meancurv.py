@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from charts_reference import oracle_boundary_mean_curvature
+from charts_reference import affine_warp, oracle_boundary_mean_curvature
 from plumbric.caps import BlockDiagonalForm, perelman_form_check
 from plumbric.meancurv import (MC_VARIANTS, CurveDomainError, ab_terms, build_curve,
                                interface_checks, interface_forms, neck_margins,
@@ -211,17 +211,17 @@ class TestZ3:
         assert np.all(ok | degenerate)
 
     def test_oracle_cross_check(self, found44):
+        # both routes are exact: the worst of 40 samples read 1.6e-15 relative
         ts, mco, mcc = oracle_boundary_mean_curvature(found44.pair, 4, 4, n_points=4)
-        assert len(ts) >= 2
+        assert len(ts) == 4
         assert np.all(np.sign(mco) == np.sign(mcc))
-        assert np.max(np.abs(mco - mcc) / (np.abs(mcc) + 1e-30)) < 1e-3
+        assert np.max(np.abs(mco - mcc) / np.abs(mcc)) < 1e-12
 
 
 class TestZ2:
     def test_taper_regions(self):
         ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.4)
-        rep = z2_mean_curvature(ep, lambda t: 1.0 + 0.1 * np.asarray(t),
-                                r=0.1, p=4, q=4)
+        rep = z2_mean_curvature(ep, affine_warp(0.1), r=0.1, p=4, q=4)
         flat = rep.t <= ep.tau1
         assert np.all(np.abs(rep.mean_curvature[flat]) < 1e-6)
         tapered = rep.t >= ep.tau2
@@ -232,8 +232,7 @@ class TestZ2:
         ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.4)
         mins = []
         for r in (0.2, 0.1, 0.05):
-            rep = z2_mean_curvature(ep, lambda t: 1.0 + 0.1 * np.asarray(t),
-                                    r=r, p=4, q=4)
+            rep = z2_mean_curvature(ep, affine_warp(0.1), r=r, p=4, q=4)
             mid = (rep.t > ep.tau1) & (rep.t < ep.tau2)
             mins.append(float(np.min(rep.mean_curvature[mid])))
         assert mins[1] > mins[0]
@@ -241,8 +240,7 @@ class TestZ2:
 
     def test_fiber_dominates_for_small_r(self):
         ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.4)
-        rep = z2_mean_curvature(ep, lambda t: 1.0 + 0.1 * np.asarray(t),
-                                r=0.05, p=4, q=4)
+        rep = z2_mean_curvature(ep, affine_warp(0.1), r=0.05, p=4, q=4)
         mid = (rep.t > ep.tau1) & (rep.t < ep.tau2)
         assert np.all(rep.fiber_pc_min[mid] > rep.other_pc_max_abs[mid])
 

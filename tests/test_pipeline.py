@@ -16,6 +16,7 @@ import certificate_pins
 from csv_reference import first_difference, savetxt_csv
 from plumbric import meancurv, pipeline, plumbing, profiles
 from plumbric.cli import main as cli_main
+from plumbric.oracle import numeric_curvature
 from plumbric.pipeline import (DEFAULT_CONFIG, EPSILON_I, NiceCoordinateSpec, SpecError,
                                certificate_json, run_construction, topo_report,
                                verify, verify_samples)
@@ -485,6 +486,52 @@ class TestTaperCheck:
         assert rec["passed"] is passed and cert.passed is passed
 
 
+class TestBulkWitness:
+    """``bulk_scalar_positive`` fails on a perturbed genuine profile.
+
+    The perturbation raises the collar's h'' by BEND on the window of t
+    [0.25 b3, 0.45 b3] of the accepted 3x3 profile at R/N = pi/4, lambda =
+    0.1 (``bent_collar``).  The window holds the second bulk sample, where
+    the collar is on its plateau: there the bulk scalar is
+    2/h^2 - 4 (h o t)''/h with (h o t)'' = h'' E/D, about 1.32 before and
+    negative after.  The step is re-measured on the check grid and its record
+    built by the real ``sample_verdict``, ``bulk_scalar_samples``, oracle and
+    ``pipeline._step_record``.  The sample's scalar falls linearly with the
+    bend, 1.318 - 7.18 bend, so any bend above 0.184 fails the record.
+    """
+
+    BEND = 1.0
+
+    @staticmethod
+    def bent_collar(pair, lo, hi, bend):
+        """The pair with h'' raised by ``bend`` for lo < t < hi."""
+        def bent(t):
+            f, f1, f2, h, h1, h2 = pair.right_piece(t)
+            return f, f1, f2, h, h1, h2 + np.where((t > lo) & (t < hi), bend, 0.0)
+        return replace(pair, right_piece=bent)
+
+    def test_bent_collar_fails_the_bulk_record(self):
+        p = q = 3
+        spec = NiceCoordinateSpec(p=p, q=q, R=math.pi / 4, N=1.0, kappa=0.5)
+        tol, grid = DEFAULT_CONFIG["tolerances"]["mc_margin"], 256
+        res = profiles.search_parameters(p, q, math.pi / 4, 0.1, mc_margin_tol=tol, grid_n=grid)
+        taper = profiles.taper_check(p, q, res.left.lam, res.left.r, res.pair.eps_b2)
+        pair = self.bent_collar(res.pair, 0.25 * res.pair.b3, 0.45 * res.pair.b3, self.BEND)
+        m = profiles.measure_profile(pair.jets(pair.grid(grid)), res.left, res.right,
+                                     pair.eps_b2, p, q)
+        bent = replace(res, pair=pair, measurement=m, checks=profiles.sample_verdict(m, tol)[1])
+        records = {c["id"]: c for c in pipeline._step_record(0, spec, bent, tol, taper)["checks"]}
+        genuine = {c["id"]: c for c in pipeline._step_record(0, spec, res, tol, taper)["checks"]}
+        assert all(c["passed"] for c in genuine.values())
+        bulk = records["bulk_scalar_positive"]
+        assert not bulk["passed"] and bulk["value"] < 0.0
+        assert bulk["detail"] == "4 oracle samples"
+        # the bend is also seen by the boundary Ricci on the grid samples in
+        # the window, and by the record that ANDs the others
+        assert sorted(k for k, c in records.items() if not c["passed"]) == [
+            "boundary_ricci_positive", "bulk_scalar_positive", "collar_attachment_hypothesis"]
+
+
 class TestOracleFailures:
     def test_unexpected_bulk_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -665,11 +712,18 @@ class TestCli:
 
     @pytest.mark.parametrize("doc, match", [
         ([1, 2], "must hold a JSON object, not a list"),
-        ({"schema": "plumbric-certificate/3", "passed": True, "steps": [
+        ({"schema": "plumbric-certificate/4", "passed": True, "steps": [
             {"vertex": 0, "checks": [{"id": "glue_interfaces", "value": True,
                                       "tolerance": True, "detail": ""}]}]},
          "certificate step 0 check 0 lacks ['passed']"),
-    ], ids=["list", "check_without_passed"])
+        # a well-formed certificate of the previous schema
+        ({"schema": "plumbric-certificate/3", "passed": True, "steps": [
+            {"vertex": 0, "checks": [{"id": "glue_interfaces", "passed": True, "value": True,
+                                      "tolerance": True, "detail": ""}]}]},
+         "certificate schema 'plumbric-certificate/3' is not 'plumbric-certificate/4'"),
+        ({"passed": True, "steps": []},
+         "certificate schema None is not 'plumbric-certificate/4'"),
+    ], ids=["list", "check_without_passed", "schema_3", "no_schema"])
     def test_report_of_the_wrong_shape_exits_2(self, tmp_path, capsys, doc, match):
         cert = tmp_path / "certificate.json"
         cert.write_text(json.dumps(doc))
@@ -964,56 +1018,81 @@ class TestCertificateInvariants:
 class TestOracleValues:
     """The oracle-derived values the certificate records, pinned to 1e-12.
 
-    The pass/fail ids alone would not show a refactor of the finite-difference
+    The pass/fail ids alone would not show a refactor of the curvature
     oracle, the bulk chart or the margin algebra that moves these numbers.
+    The bulk and taper values were re-taken when the oracle moved from finite
+    differences to exact jets: the bulk minimum was 1.3182325123041014 (3x3)
+    and 5.395231027009412 (4x4) and is now the closed form of
+    ``test_bulk_scalar_on_the_plateau``; the taper minimum, 0.0 while every
+    difference on the equator samples cancelled, is now the roundoff of the
+    mean curvature there, which is 0.
     """
 
     EXPECTED = {
-        3: {"bulk_scalar_min": 1.3182325123041014, "taper_mc_min": 0.0,
+        3: {"bulk_scalar_min": 1.3182325133056458, "taper_mc_min": -1.4983742975265464e-17,
             "mc_margin_reported": -2.7926587773457555e-10,
             "mc_margin_curvature": -2.7926587773457555e-10,
             "mc_margin_unit": -2.7926587773457555e-10},
-        4: {"bulk_scalar_min": 5.395231027009412, "taper_mc_min": 0.0,
+        4: {"bulk_scalar_min": 5.3952310331473425, "taper_mc_min": 6.814356344171762e-18,
             "mc_margin_reported": -2.1122102751087605e-10,
             "mc_margin_curvature": -2.1122102751087605e-10,
             "mc_margin_unit": -2.1122102751087605e-10},
     }
 
-    @pytest.mark.parametrize("p", [3, 4])
-    def test_recorded_values(self, p):
+    @staticmethod
+    def _certificate(p):
         tree = PlumbingTree(
             vertices=(PlumbingVertex(base_dim=p, rank=p, euler=2, char_label="v1"),),
             edges=())
         spec = NiceCoordinateSpec(p=p, q=p, R=math.pi / 4, N=1.0, kappa=0.5)
-        cert = run_construction(tree, spec, config={"lambda": 0.1, "grid": 256})
+        return run_construction(tree, spec, config={"lambda": 0.1, "grid": 256})
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_recorded_values(self, p):
+        cert = self._certificate(p)
         assert cert.passed
         margins = cert.steps[0]["margins"]
         for key, value in self.EXPECTED[p].items():
             assert margins[key] == pytest.approx(value, rel=1e-12), key
 
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_bulk_scalar_on_the_plateau(self, p, monkeypatch):
+        # Where the collar radius is constant (h' = h'' = 0) the bulk is the
+        # metric product line x S^p(beta N) x S^(q-1)(beta rho), of scalar
+        # curvature p(p-1)/(beta N)^2 + (q-1)(q-2)/(beta rho)^2.
+        calls = _counting(monkeypatch, profiles, "numeric_curvature")
+        step = self._certificate(p).steps[0]
+        ((patch, points),) = calls
+        right, q = step["right"], p
+        exact = (p * (p - 1) / (right["beta"] * right["N"]) ** 2
+                 + (q - 1) * (q - 2) / (right["beta"] * right["rho"]) ** 2)
+        _D, dD, d2D = patch.g(points)
+        plateau = (dD[:, 0, -1] == 0.0) & (d2D[:, 0, 0, -1] == 0.0)   # the collar entry's t~-jet
+        assert plateau.sum() >= 3
+        for rep, flat in zip(numeric_curvature(patch, points), plateau):
+            if flat:
+                assert abs(rep.scalar - exact) <= 2 * np.finfo(float).eps * exact
+        assert step["margins"]["bulk_scalar_min"] == pytest.approx(exact, rel=4e-16)
+
 
 class TestDiagonalCharts:
     """Every metric the certificate's oracle reads is diagonal, to the bit.
 
-    The charts return the metric's diagonal, so every off-diagonal entry the
-    oracle stands in for is an exact zero.  The oracle forms each contraction
-    with one nonzero summand as that product, which gives the doubles of any
-    summation order only because each such sum has one nonzero term.
+    The charts return the 2-jet of the metric's diagonal, so every
+    off-diagonal entry the oracle stands in for is an exact zero.
     """
 
     @staticmethod
     def _recording(build, seen):
-        # the same builder, with a patch whose g keeps every stack it returns
+        # the same builder, with a patch whose g keeps every jet stack it returns
         def wrapped(*args, **kwargs):
-            out = build(*args, **kwargs)
-            patch = out[0] if isinstance(out, tuple) else out
+            patch = build(*args, **kwargs)
 
             def g(x):
                 seen.append(patch.g(x))
                 return seen[-1]
 
-            recorded = replace(patch, g=g)
-            return (recorded,) + out[1:] if isinstance(out, tuple) else recorded
+            return replace(patch, g=g)
         return wrapped
 
     @pytest.mark.parametrize("p", [3, 9])
@@ -1027,16 +1106,13 @@ class TestDiagonalCharts:
         spec = NiceCoordinateSpec(p=p, q=p, R=math.pi / 4 + 0.1, N=1.0, kappa=0.5)
         assert run_construction(tree, spec, config={"lambda": 0.2}).passed
         d = 2 * p
-        # One stacked call per check: Ricci's stack holds the corner stencils
-        # of steps h and h/2 of the bulk samples the chart can difference (one
-        # of the four lies within two steps of the domain's edge), the second
-        # fundamental form's one stencil without corners of each taper sample
-        for name, seen, rows in (
-                ("bulk", bulk, (profiles.BULK_SAMPLES - 1) * 2 * (1 + 2 * d + 2 * d * (d - 1))),
-                ("taper", taper, meancurv.TAPER_SAMPLES * (1 + 2 * d))):
-            assert any(D.shape == (rows, d) for D in seen), name
-            assert all(D.shape[-1] == d and D.ndim == 2 for D in seen), (
-                f"the {name} chart returned something other than metric diagonals")
+        # one chart call per check, on its points alone: all four bulk
+        # samples and the five taper samples
+        for name, seen, rows in (("bulk", bulk, profiles.BULK_SAMPLES),
+                                 ("taper", taper, meancurv.TAPER_SAMPLES)):
+            assert [tuple(j.shape for j in jets) for jets in seen] == [
+                ((rows, d), (rows, d, d), (rows, d, d, d))], (
+                f"the {name} chart returned something other than one diagonal 2-jet per point")
 
 
 class TestCertificatePins:

@@ -252,7 +252,7 @@ class TestEpsilonProfile:
     def test_shape(self):
         ep = EpsilonProfile(a2=-1.0, b2=0.0, eps_end=0.4)
         t = np.linspace(-1.0, 0.0, 501)
-        e = ep.eps(t)
+        e = ep.eps_jets(t)[0]
         assert np.all(np.diff(e) <= 1e-15)
         assert e[0] == pytest.approx(math.pi / 2)
         assert e[-1] == pytest.approx(0.4)
@@ -440,21 +440,20 @@ class TestPiecesArePointwise:
 
     def test_bulk_chart_reads_the_collar_radius_row_by_row(self, sampled_pair):
         from plumbric.meancurv import bulk_patch
-        from plumbric.oracle import _stencil
 
-        pair, _t = sampled_pair
-        patch, curve, keep, step = bulk_patch(pair, 3, 3, d_min=1e-4)
-        # a point on the collar rise, where the radius varies with t~
-        t_keep = curve.t[keep]
-        rise = np.flatnonzero((t_keep > pair.t1) & (pair.h1(t_keep) > 0.0))
-        i = keep[rise[rise.size // 2]]
-        point = np.concatenate([[curve.t_tilde[i], 0.5 * float(curve.F[i])],
-                                np.full(patch.dim - 2, math.pi / 2 + 0.1)])
-        offsets = _stencil(step, corners=True)
-        x = point + np.concatenate([offsets, 0.5 * offsets])
-        assert np.unique(x[:, 0]).size == 5 < x.shape[0]
-        rows = np.concatenate([patch.g(x[i:i + 1]) for i in range(x.shape[0])])
-        assert _bits(patch.g(x)) == _bits(rows)
+        pair, t = sampled_pair
+        patch = bulk_patch(pair, 3, 3)
+        # points on the collar rise, where the radius varies with t~, two per slice
+        rise = t[(t > pair.t1) & (pair.jets(t).h1 > 0.0)][:4]
+        assert rise.size == 4
+        x = np.full((8, patch.dim), math.pi / 2 + 0.1)
+        x[:, 0] = np.repeat(rise, 2)
+        x[:, 1] = np.tile([0.3, 0.6], 4) * pair.right.bN
+        jets = patch.g(x)
+        assert (jets[1][:, 0, -1] != 0.0).all()  # d_t~ of the last collar entry
+        rows = [patch.g(x[i:i + 1]) for i in range(len(x))]
+        for k in range(3):
+            assert _bits(jets[k]) == _bits(np.concatenate([row[k] for row in rows]))
 
 
 def _fixture_inputs():

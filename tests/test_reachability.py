@@ -39,8 +39,8 @@ NEVER_ENTERED = {
     "profiles.InfeasibleProfileError.__init__": "error path: no candidate is accepted",
     "meancurv.z3_mean_curvature": SPANS,
     "profiles.ProfilePair.to_csv": SPANS,
-    # ProfilePair.jets is the evaluator; the bulk chart reads h through its accessor
-    **{f"profiles.ProfilePair.{name}": SPANS for name in ("f", "f1", "f2", "h1", "h2")},
+    # ProfilePair.jets is the evaluator, the bulk chart's included
+    **{f"profiles.ProfilePair.{name}": SPANS for name in ("f", "f1", "f2", "h", "h1", "h2")},
     "plumbing.intersection_matrix": SPANS,
     "plumbing.bareiss_det": SPANS,
     "plumbing.eta_local_contribution": "library API: the ledger reduces integer pairs, "
