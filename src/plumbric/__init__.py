@@ -16,8 +16,11 @@ Layout:
   and the neck-bulk chart
 * :mod:`plumbric.plumbing` -- plumbing trees and exact topological ledgers
 * :mod:`plumbric.g17` -- the vectorized ``%.17g`` text of the CSV columns
-* :mod:`plumbric.pipeline` / :mod:`plumbric.cli` -- end-to-end runs,
-  certificates, re-verification, and the command-line interface
+* :mod:`plumbric.certify` -- end-to-end runs, certificates and
+  re-verification
+* :mod:`plumbric.pipeline` / :mod:`plumbric.cli` -- topological reports, the
+  names every command shares, and the command-line interface; ``pipeline``
+  also resolves the names of ``certify`` on each access
 
 ``construct`` and ``verify`` need numpy at run time; ``topo``, ``eta`` and
 ``report`` need only the standard library.  scipy is a test reference.
@@ -26,10 +29,10 @@ Importing the package executes none of its modules.  Each library module is
 registered in ``sys.modules`` unexecuted (``importlib.util.LazyLoader``) and
 runs on its first attribute access; a name re-exported here resolves in its
 module on first access (PEP 562).  So a process that only computes ledgers
-runs ``pipeline`` and ``plumbing`` and never imports numpy or the geometry
-modules.  ``cli`` is left to the ordinary import system: ``python -m
-plumbric.cli`` would find it registered in ``sys.modules`` before running it
-as ``__main__``, run it twice and warn.
+runs ``pipeline`` and ``plumbing`` and never imports numpy, ``certify`` or
+the geometry modules.  ``cli`` is left to the ordinary import system:
+``python -m plumbric.cli`` would find it registered in ``sys.modules`` before
+running it as ``__main__``, run it twice and warn.
 """
 
 import importlib.util
@@ -38,8 +41,8 @@ from importlib.machinery import PathFinder
 
 __version__ = "0.1.0"
 
-_MODULES = ("caps", "charts", "g17", "meancurv", "numerics", "oracle", "pipeline",
-            "plumbing", "profiles", "steps", "warped")
+_MODULES = ("caps", "certify", "charts", "g17", "meancurv", "numerics", "oracle",
+            "pipeline", "plumbing", "profiles", "steps", "warped")
 
 _EXPORTS = {
     "caps": ("BlockDiagonalForm", "perelman_form_check"),
@@ -55,8 +58,8 @@ _EXPORTS = {
                  "boundary_sphere_test", "clutching_word", "eta_ledger",
                  "eta_local_contribution", "fixed_point_count", "intersection_matrix",
                  "tangent_chain"),
-    "pipeline": ("ConstructionCertificate", "NiceCoordinateSpec", "run_construction",
-                 "topo_report", "verify"),
+    "certify": ("ConstructionCertificate", "NiceCoordinateSpec", "run_construction", "verify"),
+    "pipeline": ("topo_report",),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -8,8 +8,10 @@ import math
 import pathlib
 import sys
 
-from .pipeline import (SCHEMA, NiceCoordinateSpec, SpecError, certificate_json, new_file,
-                       root_vertex, run_construction, topo_report, verify)
+# The certificate names are read through ``pipeline`` at call time, so that the
+# ledger commands never run ``plumbric.certify``.
+from . import pipeline
+from .pipeline import SCHEMA, SpecError, new_file, topo_report
 from .plumbing import EtaLedger, PlumbingTree, eta_ledger, fixed_point_count
 
 
@@ -35,24 +37,24 @@ def _cmd_construct(args) -> int:
     tree = PlumbingTree.from_json(pathlib.Path(args.tree).read_text())
     cfg, cli_keys = _load_config(args.config, args.grid, args.tol)
     root = cli_keys.get("root", 0)
-    vert = root_vertex(tree, root)
+    vert = pipeline.root_vertex(tree, root)
     vs = cli_keys.get("v_spec", {})
     if not (isinstance(vs, dict) and vs.keys() <= {"p", "q", "R", "N", "kappa"}):
         raise SpecError(f"config 'v_spec' must be an object with keys among p, q, R, N "
                         f"and kappa, got {vs!r}")
-    spec = NiceCoordinateSpec(**{"p": vert.rank, "q": vert.base_dim, "R": math.pi / 4,
-                                 "N": 1.0, "kappa": 0.5, **vs})
+    spec = pipeline.NiceCoordinateSpec(**{"p": vert.rank, "q": vert.base_dim,
+                                          "R": math.pi / 4, "N": 1.0, "kappa": 0.5, **vs})
     out = args.out or "plumbric-out"
-    cert = run_construction(tree, spec, config=cfg, root=root, out_dir=out)
-    print(certificate_json(cert))
+    cert = pipeline.run_construction(tree, spec, config=cfg, root=root, out_dir=out)
+    print(pipeline.certificate_json(cert))
     print(f"certificate written to {out}/certificate.json", file=sys.stderr)
     return 0 if cert.passed else 1
 
 
 def _cmd_verify(args) -> int:
     cfg, _cli_keys = _load_config(args.config, tol=args.tol)
-    cert = verify(args.profiles, args.params, config=cfg)
-    text = certificate_json(cert)
+    cert = pipeline.verify(args.profiles, args.params, config=cfg)
+    text = pipeline.certificate_json(cert)
     if args.out:
         outdir = pathlib.Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

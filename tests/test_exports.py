@@ -36,6 +36,22 @@ def test_every_export_resolves(name):
     assert missing == [], f"plumbric.{name}.__all__ lists missing names {missing}"
 
 
+def test_pipeline_reads_the_certificate_names_in_certify(monkeypatch):
+    # pipeline keeps no binding of its own: a name read through it is the
+    # object certify holds now, so the tracer and a monkeypatch of certify
+    # reach every caller
+    from plumbric import certify, pipeline
+    assert set(certify.__all__) <= pipeline._CERTIFY
+    for name in sorted(pipeline._CERTIFY):
+        assert getattr(pipeline, name) is getattr(certify, name), name
+        assert name not in vars(pipeline), name
+    monkeypatch.setattr(certify, "verify", object())
+    assert pipeline.verify is certify.verify
+    with pytest.raises(AttributeError, match="module 'plumbric.pipeline' has no attribute "
+                                             "'no_such_name'"):
+        pipeline.no_such_name
+
+
 def _fresh_imports(code: str) -> dict:
     """What a fresh interpreter running ``code`` has imported at its end: the
     ``plumbric`` modules in ``sys.modules`` (``registered``), those of them

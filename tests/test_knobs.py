@@ -23,18 +23,18 @@ KNOBS = {
     "cli.main.argv": "None reads sys.argv (the console script); tests pass a list",
     "oracle.GraphHypersurface.normal_sign": "two values in use: the taper's inward -1, "
                                             "the tests' graphs +1",
-    "pipeline.NiceCoordinateSpec.provenance": "two values in use: provenance is initial "
-                                              "or derived",
-    "pipeline.ConstructionCertificate.wall_time_s": "None marks a certificate without "
-                                                    "timing: verify's, which is "
-                                                    "byte-deterministic",
-    "pipeline.run_construction.config": "None is DEFAULT_CONFIG, the config's one source",
-    "pipeline.run_construction.root": "two values in use: the CLI passes the config's "
-                                      "root, library callers start at vertex 0",
-    "pipeline.run_construction.out_dir": "None writes no artifacts (library calls); the "
-                                         "CLI and the benchmark pass a directory",
-    "pipeline.verify_samples.config": "None is DEFAULT_CONFIG, the config's one source",
-    "pipeline.verify.config": "None is DEFAULT_CONFIG, the config's one source",
+    "certify.NiceCoordinateSpec.provenance": "two values in use: provenance is initial "
+                                             "or derived",
+    "certify.ConstructionCertificate.wall_time_s": "None marks a certificate without "
+                                                   "timing: verify's, which is "
+                                                   "byte-deterministic",
+    "certify.run_construction.config": "None is DEFAULT_CONFIG, the config's one source",
+    "certify.run_construction.root": "two values in use: the CLI passes the config's "
+                                     "root, library callers start at vertex 0",
+    "certify.run_construction.out_dir": "None writes no artifacts (library calls); the "
+                                        "CLI and the benchmark pass a directory",
+    "certify.verify_samples.config": "None is DEFAULT_CONFIG, the config's one source",
+    "certify.verify.config": "None is DEFAULT_CONFIG, the config's one source",
     "plumbing.PlumbingVertex.framing_q": "optional key of a tree document: from_json "
                                          "passes only the keys the document has",
     "plumbing.PlumbingVertex.char_label": "optional key of a tree document",

@@ -14,7 +14,7 @@ import pytest
 
 import certificate_pins
 from csv_reference import first_difference, savetxt_csv
-from plumbric import meancurv, pipeline, plumbing, profiles
+from plumbric import certify, meancurv, pipeline, plumbing, profiles
 from plumbric.cli import main as cli_main
 from plumbric.oracle import numeric_curvature
 from plumbric.pipeline import (DEFAULT_CONFIG, EPSILON_I, NiceCoordinateSpec, SpecError,
@@ -240,13 +240,13 @@ class TestVerifyFailsClosed:
 class TestStreamedArtifacts:
     def test_block_plus_one_rows(self, tmp_path, monkeypatch):
         written = []
-        write = pipeline._write_step_artifacts
+        write = certify._write_step_artifacts
 
         def capture(out, idx, result):
             written.append(result)
             write(out, idx, result)
 
-        monkeypatch.setattr(pipeline, "_write_step_artifacts", capture)
+        monkeypatch.setattr(certify, "_write_step_artifacts", capture)
         tree = PlumbingTree(
             vertices=(PlumbingVertex(base_dim=3, rank=3, euler=2, char_label="v"),),
             edges=())
